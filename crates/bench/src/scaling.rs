@@ -1,8 +1,8 @@
 //! Multi-client scaling ablation: the pooled server vs the big lock.
 //!
 //! The hazard this measures is not CPU parallelism (the CI box may well
-//! have one core) but *lock-held blocking*: the old
-//! `serve_connection_shared` big lock is held across the mid-call
+//! have one core) but *lock-held blocking*: the big-lock baseline
+//! ([`serve_big_lock`]) holds its node lock across the mid-call
 //! callback round trip of remote-reference calls, so while one client
 //! thinks about a `GetField` answer, every other connection — even ones
 //! using completely independent services — is frozen. The pooled
@@ -46,7 +46,7 @@
 //! values ([`ContentionPoint::stale_reads`] stays 0), while the reseed
 //! baseline demonstrably clobbers peer writes
 //! ([`ContentionPoint::lost_writes`]). This axis runs in process over
-//! [`dispatch_warm_frame`] — it measures bytes and coherence, not
+//! [`Connection::step`] — it measures bytes and coherence, not
 //! syscalls — so the numbers are deterministic.
 //!
 //! `tables -- scaling` renders the tables and emits `BENCH_scaling.json`;
@@ -62,10 +62,10 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use nrmi_core::{
-    client_evict_warm, client_invoke, client_invoke_warm_with_stats, dispatch_warm_frame,
-    serve_connection_pooled, serve_connection_shared, CallOptions, ClientNode, FnService,
-    LockClass, NrmiError, PassMode, PipelinedCall, ServerNode, Session, SharedServer,
-    TrackedMutex, WarmCaches,
+    allow_blocking, client_evict_warm, client_invoke, client_invoke_warm_with_stats,
+    serve_connection_pooled, CallOptions, ClientNode, Connection, FnService, LockClass, NrmiError,
+    PassMode, PipelinedCall, ReactorStep, ServerNode, Session, SharedServer, TrackedMutex,
+    WarmCaches,
 };
 use nrmi_heap::{ClassId, ClassRegistry, HeapAccess, ObjId, SharedRegistry, Value};
 use nrmi_transport::{
@@ -314,7 +314,7 @@ pub struct ScalingReport {
 /// Which serve loop a cell runs against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServerFlavor {
-    /// `serve_connection_shared` behind one `Mutex<ServerNode>`.
+    /// [`serve_big_lock`] behind one `Mutex<ServerNode>`.
     BigLock,
     /// `serve_connection_pooled` / per-connection state.
     Pooled,
@@ -358,6 +358,37 @@ fn build_server(registry: &SharedRegistry) -> ServerNode {
         })),
     );
     server
+}
+
+/// The serialized baseline the pooled server is measured against: every
+/// connection thread runs the production step against ONE node behind
+/// one mutex — `recv; lock; step; send`. The lock is held across call
+/// execution *including mid-call callback traffic to the client*, so a
+/// client that stalls inside a callback blocks every other connection;
+/// that head-of-line blocking is exactly what the cells measure.
+fn serve_big_lock(server: &TrackedMutex<ServerNode>, transport: &mut dyn Transport) {
+    // Designed-in hold (DESIGN.md §3i): the witness records the
+    // transport waits under the node lock as accepted, not as NRMI-L002.
+    let _allow = allow_blocking("big-lock baseline holds the node lock across callback I/O");
+    // Warm caches stay per connection even over a shared node; evictions
+    // go through the node's lease table.
+    let mut warm = WarmCaches::with_leases(server.lock().leases.clone());
+    while let Ok(frame) = transport.recv() {
+        let mut node = server.lock();
+        let mut conn = Connection::new(&mut node, &mut warm);
+        let step = conn.step(transport, frame);
+        drop(node);
+        // `Close` or a frame with no rule ends the connection; so does
+        // a failed write.
+        if matches!(step, ReactorStep::Close | ReactorStep::Escalate(_))
+            || step
+                .into_replies()
+                .any(|reply| transport.send(&reply).is_err())
+        {
+            break;
+        }
+    }
+    warm.release_all(&mut server.lock().state.heap);
 }
 
 /// Client-side transport that sleeps for `delay` after receiving each
@@ -444,7 +475,7 @@ fn throughput_cell(flavor: ServerFlavor, clients: usize) -> ScalingPoint {
                 let mut conn = listener.accept().expect("accept");
                 let shared = Arc::clone(&shared);
                 workers.push(thread::spawn(move || {
-                    let _ = serve_connection_shared(&shared, &mut conn);
+                    serve_big_lock(&shared, &mut conn);
                 }));
             }
             barrier.wait();
@@ -510,7 +541,7 @@ fn stall_cell(flavor: ServerFlavor) -> StallPoint {
                     .map(|mut conn| {
                         let shared = Arc::clone(&shared);
                         thread::spawn(move || {
-                            let _ = serve_connection_shared(&shared, &mut conn);
+                            serve_big_lock(&shared, &mut conn);
                         })
                     })
                     .collect()
@@ -948,10 +979,10 @@ impl Transport for NullWire {
     }
 }
 
-/// One reader's connection to the shared server: `send` runs the frame
-/// through [`dispatch_warm_frame`] against the one server node (pushes
-/// enabled, queued ahead of the reply exactly as the serve loops write
-/// them); `recv` drains the queue. Each reader has its own
+/// One reader's connection to the shared server: `send` steps the frame
+/// against the one server node (pushed invalidations queued ahead of
+/// the reply exactly as the serve drivers write them); `recv` drains
+/// the queue. Each reader has its own
 /// [`WarmCaches`], all built over the node's one lease table — the
 /// per-connection shape of the real servers.
 struct WarmLink {
@@ -963,15 +994,9 @@ struct WarmLink {
 impl Transport for WarmLink {
     fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
         let mut server = self.server.lock().expect("server");
-        let out = dispatch_warm_frame(
-            &mut server,
-            &mut self.caches,
-            &mut NullWire,
-            frame.clone(),
-            true,
-        );
-        drop(server);
-        self.replies.extend(out);
+        let mut conn = Connection::new(&mut server, &mut self.caches);
+        let step = conn.step(&mut NullWire, frame.clone());
+        self.replies.extend(step.into_replies());
         Ok(())
     }
     fn recv(&mut self) -> nrmi_transport::Result<Frame> {

@@ -4,8 +4,8 @@
 //! system over [`Frame`] message types, and [`model_check`] exhaustively
 //! enumerates every bounded sequence of protocol actions against the
 //! **real** implementation: [`client_invoke_warm_with_stats`] on one
-//! side, [`server_handle_warm_call`] on the other, joined by an
-//! in-process dispatch transport instead of threads. Each sequence runs
+//! side, the serve core's [`Connection::step`] on the other, joined by
+//! an in-process dispatch transport instead of threads. Each sequence runs
 //! a fresh client/server pair from scratch, so every prefix of every
 //! enumerated sequence is exercised.
 //!
@@ -84,7 +84,7 @@ use std::time::Duration;
 use nrmi_core::ClientNode;
 use nrmi_core::{
     client_apply_reply, client_evict_warm, client_invoke_warm_with_stats, client_marshal_call,
-    server_handle_warm_call, CallOptions, FnService, NrmiError, PassMode, PendingCall, ServerNode,
+    CallOptions, Connection, FnService, NrmiError, PassMode, PendingCall, ReactorStep, ServerNode,
     WarmCaches,
 };
 use nrmi_heap::validate::validate;
@@ -208,8 +208,8 @@ pub fn judge_reply(ctx: ReplyContext, reply: &Frame) -> Option<Diagnostic> {
 // ---------------------------------------------------------------------------
 
 /// A transport that swallows frames and never produces one; stands in
-/// for the (unused) callback channel when the checker invokes the server
-/// handler directly.
+/// for the (unused) callback channel when the checker steps the server
+/// directly.
 struct NullTransport;
 
 impl Transport for NullTransport {
@@ -224,10 +224,27 @@ impl Transport for NullTransport {
     }
 }
 
+/// The model's serial driver, minus the socket: runs `frame` through
+/// the production [`Connection::step`] and returns what a driver would
+/// write, in order. The model's links have no worker pool and no driver
+/// above them, so an offload or a frame the step has no rule for is
+/// answered with an error the checker will surface.
+fn step_replies(node: &mut ServerNode, caches: &mut WarmCaches, frame: &Frame) -> Vec<Frame> {
+    let mut conn = Connection::new(node, caches);
+    match conn.step(&mut NullTransport, frame.clone()) {
+        step @ (ReactorStep::Offload { .. } | ReactorStep::Escalate(_)) => {
+            vec![Frame::CallError {
+                message: format!("checker: unmodeled step {step:?}"),
+            }]
+        }
+        step => step.into_replies().collect(),
+    }
+}
+
 /// The server side of the model: a real [`ServerNode`] plus its warm
-/// caches, exposed to the client as a [`Transport`]. `send` dispatches
-/// the frame to [`server_handle_warm_call`] synchronously and queues the
-/// reply; `recv` drains the queue. A recv on an empty queue means the
+/// caches, exposed to the client as a [`Transport`]. `send` steps the
+/// frame synchronously ([`step_replies`]) and queues the replies; `recv`
+/// drains the queue. A recv on an empty queue means the
 /// server produced no reply — the threaded deployment would deadlock —
 /// and surfaces as [`TransportError::Disconnected`], which the checker
 /// reports as `NRMI-P004`.
@@ -249,88 +266,15 @@ struct FaultFlags {
 }
 
 impl ServerSide {
-    /// Dispatches one frame to the server, returning its reply (if the
-    /// frame warrants one).
-    fn dispatch(&mut self, frame: &Frame) -> Option<Frame> {
-        match frame {
-            // The at-most-once envelope: consult the node's reply cache
-            // before executing, exactly as the real serve loop does.
-            Frame::Tagged { nonce, seq, frame } => {
-                use nrmi_core::ReplyDecision;
-                match self.server.replies.decision(*nonce, *seq) {
-                    ReplyDecision::Replay(cached) => Some(Frame::ReplyCached {
-                        nonce: *nonce,
-                        seq: *seq,
-                        frame: Box::new(cached),
-                    }),
-                    ReplyDecision::Evicted => Some(Frame::ReplyCached {
-                        nonce: *nonce,
-                        seq: *seq,
-                        frame: Box::new(nrmi_core::reliable::evicted_reply()),
-                    }),
-                    // The model dispatches each frame to completion before
-                    // the next, so the cross-connection executing marker
-                    // (set only by `begin`) is never observed here; the
-                    // real serve loop drops such duplicates unanswered.
-                    ReplyDecision::InProgress => None,
-                    ReplyDecision::Fresh => {
-                        let reply = self.dispatch(frame)?;
-                        self.server.replies.store(*nonce, *seq, &reply);
-                        Some(Frame::Tagged {
-                            nonce: *nonce,
-                            seq: *seq,
-                            frame: Box::new(reply),
-                        })
-                    }
-                }
-            }
-            Frame::CallRequestWarm {
-                service,
-                method,
-                mode,
-                cache_id,
-                generation,
-                payload,
-            } => Some(server_handle_warm_call(
-                &mut self.server,
-                &mut self.caches,
-                &mut NullTransport,
-                service,
-                method,
-                *mode,
-                *cache_id,
-                *generation,
-                payload,
-            )),
-            Frame::CacheEvict { cache_id } => {
-                self.caches.evict(&mut self.server.state.heap, *cache_id);
-                None
-            }
-            // Plain (cold) calls: the pipelined model issues copy-restore
-            // `CallRequest`s through the split-phase client API; dispatch
-            // through the serve loop's real step function.
-            Frame::CallRequest { .. } => Some(nrmi_core::dispatch_tagged(
-                &mut self.server,
-                &mut self.caches,
-                &mut NullTransport,
-                frame.clone(),
-            )),
-            // The model's graphs never contain stubs, so the client never
-            // legitimately falls back to a cold call; anything else here
-            // is itself a protocol violation and is answered with an
-            // error the checker will surface.
-            other => Some(Frame::CallError {
-                message: format!("checker: unmodeled frame {other:?}"),
-            }),
-        }
+    fn dispatch(&mut self, frame: &Frame) -> Vec<Frame> {
+        step_replies(&mut self.server, &mut self.caches, frame)
     }
 }
 
 impl Transport for ServerSide {
     fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
-        if let Some(reply) = self.dispatch(frame) {
-            self.replies.push_back(reply);
-        }
+        let replies = self.dispatch(frame);
+        self.replies.extend(replies);
         Ok(())
     }
 
@@ -701,7 +645,9 @@ impl World {
             }
             _ => unreachable!("inject only models adversarial contexts"),
         };
-        match self.link.dispatch(&frame) {
+        // The call's own reply is the last frame the step answers with
+        // (pushed invalidations travel ahead of it).
+        match self.link.dispatch(&frame).pop() {
             Some(reply) => {
                 if let Some(diag) = judge_reply(ctx, &reply) {
                     report.push(diag);
@@ -856,7 +802,7 @@ impl Transport for LossyLink {
             1
         };
         for _ in 0..copies {
-            if let Some(reply) = side.dispatch(frame) {
+            for reply in side.dispatch(frame) {
                 if side.faults.drop_replies > 0 {
                     side.faults.drop_replies -= 1; // the reply is lost
                 } else {
@@ -1193,84 +1139,21 @@ pub const SHARED_ALPHABET: [SharedAction; 6] = [
 ];
 
 /// One modeled connection's server half: a per-connection node minted by
-/// [`SharedServer::connection_node`], per-connection warm caches, and the
-/// *shared* reply cache consulted with the same begin/store discipline as
-/// `serve_connection_pooled`. Implements [`Transport`] for the client the
-/// same way [`ServerSide`] does: `send` dispatches synchronously, `recv`
-/// drains the reply queue.
+/// [`SharedServer::connection_node`] — carrying the *shared* reply cache —
+/// and per-connection warm caches, stepped exactly as
+/// `serve_connection_pooled` steps them. Implements [`Transport`] for
+/// the client the same way [`ServerSide`] does: `send` steps
+/// synchronously, `recv` drains the reply queue.
 struct SharedLink {
-    shared: Arc<nrmi_core::SharedServer>,
     conn: ServerNode,
     caches: WarmCaches,
     replies: VecDeque<Frame>,
 }
 
-impl SharedLink {
-    fn dispatch(&mut self, frame: &Frame) -> Option<Frame> {
-        use nrmi_core::ReplyDecision;
-        match frame {
-            Frame::Tagged { nonce, seq, frame } => {
-                // The shared sharded cache, with the decide-mark-executing
-                // discipline of the pooled loop.
-                match self.shared.replies.begin(*nonce, *seq) {
-                    ReplyDecision::Replay(cached) => Some(Frame::ReplyCached {
-                        nonce: *nonce,
-                        seq: *seq,
-                        frame: Box::new(cached),
-                    }),
-                    ReplyDecision::Evicted => Some(Frame::ReplyCached {
-                        nonce: *nonce,
-                        seq: *seq,
-                        frame: Box::new(nrmi_core::reliable::evicted_reply()),
-                    }),
-                    // Another "connection" is executing this nonce: the
-                    // pooled loop drops the duplicate unanswered.
-                    ReplyDecision::InProgress => None,
-                    ReplyDecision::Fresh => {
-                        let reply = self.dispatch(frame)?;
-                        self.shared.replies.store(*nonce, *seq, &reply);
-                        Some(Frame::Tagged {
-                            nonce: *nonce,
-                            seq: *seq,
-                            frame: Box::new(reply),
-                        })
-                    }
-                }
-            }
-            Frame::CallRequestWarm {
-                service,
-                method,
-                mode,
-                cache_id,
-                generation,
-                payload,
-            } => Some(server_handle_warm_call(
-                &mut self.conn,
-                &mut self.caches,
-                &mut NullTransport,
-                service,
-                method,
-                *mode,
-                *cache_id,
-                *generation,
-                payload,
-            )),
-            Frame::CacheEvict { cache_id } => {
-                self.caches.evict(&mut self.conn.state.heap, *cache_id);
-                None
-            }
-            other => Some(Frame::CallError {
-                message: format!("checker: unmodeled frame {other:?}"),
-            }),
-        }
-    }
-}
-
 impl Transport for SharedLink {
     fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
-        if let Some(reply) = self.dispatch(frame) {
-            self.replies.push_back(reply);
-        }
+        let replies = step_replies(&mut self.conn, &mut self.caches, frame);
+        self.replies.extend(replies);
         Ok(())
     }
 
@@ -1337,7 +1220,6 @@ impl SharedWorld {
             let mut twin = Heap::new(registry.clone());
             let twin_root = build_tree(&mut twin, &registry);
             let link = SharedLink {
-                shared: Arc::clone(&shared),
                 conn: shared.connection_node(),
                 caches: WarmCaches::new(),
                 replies: VecDeque::new(),
@@ -1571,7 +1453,7 @@ pub fn check_shared_sequence(actions: &[SharedAction]) -> Report {
 /// surface itself: both endpoints hold warm sessions against ONE
 /// [`ServerNode`] heap, their [`WarmCaches`] built with
 /// [`WarmCaches::with_leases`] on the node's lease table exactly as
-/// `serve_connection_shared` builds them, and every call writes the
+/// every driver of a shared node builds them, and every call writes the
 /// *other* endpoint's server-side root out-of-band. Each step drives the
 /// real coherence machinery: version-vector staleness classification,
 /// `CacheStale` repair patches, the client-wins positional merge, and
@@ -1593,7 +1475,7 @@ pub enum SharedGraphAction {
     /// Orderly client-driven eviction of B's warm session.
     EvictB,
     /// Tear down A's server-side connection state (`release_all` + fresh
-    /// caches), as `serve_connection_shared` does when a client vanishes.
+    /// caches), as every serve driver does when a client vanishes.
     /// B's leased session must survive with every synchronized object
     /// still alive; A reconnects through the `CacheMiss` reseed path.
     DropA,
@@ -1621,54 +1503,19 @@ type SgRegistry = Arc<Mutex<Vec<(&'static str, ObjId)>>>;
 /// One endpoint's connection half: the shared [`ServerNode`] behind a
 /// mutex (the model is sequential; the lock only shares ownership), this
 /// connection's own lease-registered [`WarmCaches`], and a reply queue.
-/// `send` dispatches synchronously like [`ServerSide`].
+/// `send` steps synchronously like [`ServerSide`] — lock, step, queue:
+/// the big-lock driver without the socket.
 struct SgLink {
     server: Arc<Mutex<ServerNode>>,
     caches: WarmCaches,
     replies: VecDeque<Frame>,
 }
 
-impl SgLink {
-    fn dispatch(&mut self, frame: &Frame) -> Option<Frame> {
-        match frame {
-            Frame::CallRequestWarm {
-                service,
-                method,
-                mode,
-                cache_id,
-                generation,
-                payload,
-            } => {
-                let mut server = self.server.lock().expect("poisoned");
-                Some(server_handle_warm_call(
-                    &mut server,
-                    &mut self.caches,
-                    &mut NullTransport,
-                    service,
-                    method,
-                    *mode,
-                    *cache_id,
-                    *generation,
-                    payload,
-                ))
-            }
-            Frame::CacheEvict { cache_id } => {
-                let mut server = self.server.lock().expect("poisoned");
-                self.caches.evict(&mut server.state.heap, *cache_id);
-                None
-            }
-            other => Some(Frame::CallError {
-                message: format!("checker: unmodeled frame {other:?}"),
-            }),
-        }
-    }
-}
-
 impl Transport for SgLink {
     fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
-        if let Some(reply) = self.dispatch(frame) {
-            self.replies.push_back(reply);
-        }
+        let mut server = self.server.lock().expect("poisoned");
+        let replies = step_replies(&mut server, &mut self.caches, frame);
+        self.replies.extend(replies);
         Ok(())
     }
 
@@ -1922,8 +1769,8 @@ impl SharedGraphWorld {
         }
     }
 
-    /// Connection teardown for A, exactly as `serve_connection_shared`
-    /// runs it: `release_all` on THIS connection's caches, then the
+    /// Connection teardown for A, exactly as the serve drivers run it
+    /// (`Connection::release`): `release_all` on THIS connection's caches, then the
     /// connection state is gone. A's client keeps its (now dangling)
     /// warm session and must recover through `CacheMiss`; B's leased
     /// session must be untouched.
@@ -2106,9 +1953,8 @@ struct PipeLink(Arc<Mutex<ServerSide>>);
 impl Transport for PipeLink {
     fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
         let mut side = self.0.lock().expect("poisoned");
-        if let Some(reply) = side.dispatch(frame) {
-            side.replies.push_back(reply);
-        }
+        let replies = side.dispatch(frame);
+        side.replies.extend(replies);
         Ok(())
     }
 
@@ -2645,7 +2491,7 @@ impl ReactorWorld {
         };
         self.conns[which].last_tagged = Some(tagged.clone());
         match nrmi_core::reactor_classify(&self.shared, true, tagged) {
-            nrmi_core::ReactorStep::Offload {
+            ReactorStep::Offload {
                 nonce,
                 seq: got_seq,
                 call,
@@ -2684,14 +2530,10 @@ impl ReactorWorld {
         let slot = self.next_worker % self.workers.len();
         self.next_worker += 1;
         let (node, warm) = &mut self.workers[slot];
-        let reply = nrmi_core::dispatch_tagged(node, warm, &mut NullTransport, call);
+        let mut conn = Connection::new(node, warm);
+        let reply = conn.execute(&mut NullTransport, nonce, seq, call);
         self.dispatched += 1;
-        self.shared.replies.store(nonce, seq, &reply);
-        self.conns[which].inbox.push_back(Frame::Tagged {
-            nonce,
-            seq,
-            frame: Box::new(reply),
-        });
+        self.conns[which].inbox.push_back(reply);
     }
 
     fn do_retransmit(&mut self, which: usize, who: &str, report: &mut Report) {
@@ -2702,12 +2544,12 @@ impl ReactorWorld {
             // Still queued or executing: the duplicate is dropped
             // unanswered and the client's next retransmission replays
             // the stored reply.
-            nrmi_core::ReactorStep::Ignore => {}
+            ReactorStep::Ignore => {}
             // Executed: answered from the cache. Route it to the
             // connection like any reply; a stale duplicate for an
             // already-collected call just sits in the inbox, exactly as
             // the client's demultiplexer discards unsolicited frames.
-            nrmi_core::ReactorStep::Reply(reply) => self.conns[which].inbox.push_back(reply),
+            step @ ReactorStep::Reply { .. } => self.conns[which].inbox.extend(step.into_replies()),
             other => report.push(Diagnostic::error(
                 "NRMI-P010",
                 format!(

@@ -84,8 +84,8 @@ pub use node::{ClientNode, NodeHooks, NodeState, ServerNode};
 pub use profile::{CostModel, JdkGeneration, NrmiFlavor, RuntimeProfile};
 pub use protocol::{
     client_apply_reply, client_invoke, client_invoke_on_object_with_stats, client_invoke_pipelined,
-    client_invoke_with_stats, client_marshal_call, dispatch_tagged, serve_connection,
-    serve_connection_shared, CallStats, PendingCall, PipelinedCall,
+    client_invoke_with_stats, client_marshal_call, serve_connection, CallStats, Connection,
+    PendingCall, PipelinedCall,
 };
 pub use proxy::{handle_callback, ProxyStats, RemoteHeapProxy};
 pub use reactor::{reactor_classify, ReactorStep};
@@ -97,14 +97,10 @@ pub use restore::{apply_restore, RestoreOutcome, RestoreStats};
 pub use semantics::{CallOptions, PassMode};
 pub use server::{serve_connection_pooled, ShardedReplyCache, SharedServer};
 pub use service::{FnService, RemoteService};
-pub use session::{
-    serve_tcp, serve_tcp_concurrent, RemoteSession, ServeHandle, ServerPool, Session,
-    SessionBuilder, TcpSession,
-};
+pub use session::{RemoteSession, ServeHandle, ServerPool, Session, SessionBuilder, TcpSession};
 pub use trace::{CallTrace, Tracer};
 pub use warm::{
-    client_evict_warm, client_invoke_warm_with_stats, dispatch_warm_frame,
-    dispatch_warm_frame_shared, new_lease_table, server_handle_warm_call, LeaseTable, WarmCaches,
+    client_evict_warm, client_invoke_warm_with_stats, new_lease_table, LeaseTable, WarmCaches,
     WarmSessions,
 };
 

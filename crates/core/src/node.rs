@@ -202,8 +202,11 @@ pub struct ServerNode {
     pub class_services: HashMap<nrmi_heap::ClassId, Box<dyn RemoteService>>,
     /// Duplicate-suppression reply cache: replies to tagged calls are
     /// recorded here so a retransmitted call id replays its reply
-    /// instead of re-executing (at-most-once delivery).
-    pub replies: crate::reliable::ReplyCache,
+    /// instead of re-executing (at-most-once delivery). Shared: every
+    /// connection node a [`SharedServer`](crate::server::SharedServer)
+    /// mints holds the same cache, so a reconnect's retransmission
+    /// finds the reply whichever connection executed the call.
+    pub replies: std::sync::Arc<crate::server::ShardedReplyCache>,
     /// Which warm sessions currently cover which heap objects (see
     /// [`crate::warm::LeaseTable`]). Connections serving this node build
     /// their [`WarmCaches`](crate::warm::WarmCaches) with
@@ -229,7 +232,7 @@ impl ServerNode {
             state: NodeState::new(registry, machine),
             services: HashMap::new(),
             class_services: HashMap::new(),
-            replies: crate::reliable::ReplyCache::default(),
+            replies: std::sync::Arc::default(),
             leases: crate::warm::new_lease_table(),
         }
     }

@@ -1,7 +1,8 @@
 //! The remote-call protocol: marshalling, dispatch, and restore.
 //!
-//! One client entry point ([`client_invoke`]) and one server loop
-//! ([`serve_connection`]) implement all four calling semantics:
+//! One client entry point ([`client_invoke`]) and one server step
+//! ([`Connection::step`], driven serially by [`serve_connection`])
+//! implement all four calling semantics:
 //!
 //! * **Copy** — serialize arguments, run, serialize the return value.
 //! * **Copy-restore** — the paper's six-step algorithm end to end:
@@ -28,9 +29,9 @@ use nrmi_transport::{decode_rvals, encode_rvals, Frame, Transport, TransportErro
 use nrmi_wire::{apply_delta, deserialize_graph_with};
 
 use crate::error::NrmiError;
-use crate::lockcheck::{allow_blocking, TrackedMutex};
 use crate::node::{ClientNode, NodeHooks, NodeState, ServerNode};
 use crate::proxy::{handle_callback, RemoteHeapProxy};
+use crate::reactor::ReactorStep;
 use crate::restore::apply_restore;
 use crate::semantics::{CallOptions, PassMode};
 
@@ -551,9 +552,6 @@ pub fn client_invoke_pipelined(
     Ok(results)
 }
 
-/// Handles one `CallRequest` on the server. Returns the reply frame
-/// (`CallReply` on success, `CallError` carrying the remote exception
-/// otherwise).
 /// What the server resolved a request to.
 #[derive(Clone, Copy, Debug)]
 enum Callee<'a> {
@@ -561,47 +559,9 @@ enum Callee<'a> {
     Exported(u64),
 }
 
-/// Handles one named-service call against `server`, returning the reply
-/// frame. Entry point for serve loops living outside this module (the
-/// pooled per-connection loop in [`crate::server`]).
-pub(crate) fn server_handle_named_call(
-    server: &mut ServerNode,
-    transport: &mut dyn Transport,
-    service: &str,
-    method: &str,
-    mode_byte: u8,
-    payload: &[u8],
-) -> Frame {
-    server_handle_call(
-        server,
-        transport,
-        method,
-        Callee::Named(service),
-        mode_byte,
-        payload,
-    )
-}
-
-/// Handles one exported-object call against `server` (see
-/// [`server_handle_named_call`]).
-pub(crate) fn server_handle_object_call(
-    server: &mut ServerNode,
-    transport: &mut dyn Transport,
-    key: u64,
-    method: &str,
-    mode_byte: u8,
-    payload: &[u8],
-) -> Frame {
-    server_handle_call(
-        server,
-        transport,
-        method,
-        Callee::Exported(key),
-        mode_byte,
-        payload,
-    )
-}
-
+/// Handles one cold call on the server. Returns the reply frame
+/// (`CallReply` on success, `CallError` carrying the remote exception
+/// otherwise).
 fn server_handle_call(
     server: &mut ServerNode,
     transport: &mut dyn Transport,
@@ -805,15 +765,11 @@ fn server_handle_call_inner(
     Ok(Frame::CallReply { payload: enc.bytes })
 }
 
-/// Executes the call carried inside a [`Frame::Tagged`] envelope and
-/// returns its reply frame. Only call frames may travel tagged; anything
-/// else is a protocol error answered in-band so the client's retry loop
-/// terminates instead of retransmitting forever.
-///
-/// Public as the single-frame step function of the serve loop: protocol
-/// tooling (the `nrmi-check` model checker) dispatches frames one at a
-/// time through it, with full control over reply ordering.
-pub fn dispatch_tagged(
+/// Executes one call frame — named, object-addressed, or warm — and
+/// returns its reply frame. Anything else (only reachable inside a
+/// [`Frame::Tagged`] envelope) is a protocol error answered in-band, so
+/// the client's retry loop terminates instead of retransmitting forever.
+fn dispatch_call(
     server: &mut ServerNode,
     warm: &mut crate::warm::WarmCaches,
     transport: &mut dyn Transport,
@@ -862,200 +818,172 @@ pub fn dispatch_tagged(
     }
 }
 
-/// Big-lock shared-server variant of [`serve_connection`]: the server
-/// node sits behind one mutex and every connection thread locks it per
-/// request. **Retained only as the serialized baseline** for the
-/// `tables -- scaling` ablation; real multi-client servers use
-/// [`ServerPool`](crate::session::ServerPool), which replaces the big
-/// lock with per-connection node state, per-service mutexes, and a
-/// sharded reply cache.
-///
-/// Known limitation (the bug the pool fixes): the node lock is held
-/// across call execution *including mid-call callback traffic to the
-/// client*, so a client that stalls inside a callback blocks every
-/// other connection — and a client that never answers deadlocks them.
-///
-/// # Errors
-/// Returns transport errors other than orderly disconnect.
-pub fn serve_connection_shared(
-    server: &TrackedMutex<ServerNode>,
-    transport: &mut dyn Transport,
-) -> Result<(), NrmiError> {
-    // Warm-session caches are per CONNECTION, even over a shared node:
-    // each client can only address sessions it seeded itself. Evictions
-    // go through the node's lease table, because different connections'
-    // sessions CAN cover the same heap objects here (the shared-graph
-    // case the scaling ablation contends on).
-    let leases = server.lock().leases.clone();
-    let mut warm = crate::warm::WarmCaches::with_leases(leases);
-    let result = serve_connection_shared_inner(server, transport, &mut warm);
-    warm.release_all(&mut server.lock().state.heap);
-    result
+/// The protocol error a driver ends a connection with when the step
+/// hands a frame back unprocessed ([`ReactorStep::Escalate`]): callbacks
+/// addressed at the server's exports (a client holding stubs to server
+/// objects between calls) are not part of this protocol version.
+pub(crate) fn unexpected_frame(frame: &Frame) -> NrmiError {
+    NrmiError::Protocol(format!("unexpected frame {frame:?}"))
 }
 
-fn serve_connection_shared_inner(
-    server: &TrackedMutex<ServerNode>,
-    transport: &mut dyn Transport,
-    warm: &mut crate::warm::WarmCaches,
-) -> Result<(), NrmiError> {
-    // Designed-in hold (DESIGN.md §3i): this baseline keeps the node
-    // lock across call execution including callback I/O — that is
-    // exactly the limitation documented above and measured by the
-    // scaling ablation, so the witness records it as accepted rather
-    // than as NRMI-L002.
-    let _allow = allow_blocking(
-        "big-lock baseline holds the node lock across callback I/O by documented design",
-    );
-    loop {
-        let frame = match transport.recv() {
-            Ok(frame) => frame,
-            Err(TransportError::Disconnected) => return Ok(()),
-            Err(e) => return Err(e.into()),
-        };
+/// The serve core: one connection's server-side state and the **one**
+/// step function every serve path runs (paper §4.1 — read a request,
+/// run the synchronized method, write the restore reply). Serial,
+/// pooled, pipelined, escalated and reactor serving differ only in who
+/// blocks on the socket and which thread calls [`step`](Self::step);
+/// protocol tooling (the `nrmi-check` model checker, the bench
+/// baselines) drives the same function frame by frame.
+///
+/// A view, not an owner: the node may sit in a `Session`, behind a
+/// mutex (the big-lock baseline), or on a worker's stack, while the warm
+/// caches are always this connection's own.
+#[derive(Debug)]
+pub struct Connection<'a> {
+    /// The node calls execute against.
+    pub node: &'a mut ServerNode,
+    /// This connection's warm-session caches (a client can only address
+    /// sessions it seeded itself), built over the node's lease table.
+    pub warm: &'a mut crate::warm::WarmCaches,
+    /// Hand fresh pipelineable tagged calls back as
+    /// [`ReactorStep::Offload`] instead of executing them inline. Only
+    /// drivers with a worker pool set this.
+    pub offload: bool,
+}
+
+impl<'a> Connection<'a> {
+    /// A connection that executes every call inline (`offload` off).
+    pub fn new(node: &'a mut ServerNode, warm: &'a mut crate::warm::WarmCaches) -> Self {
+        Connection {
+            node,
+            warm,
+            offload: false,
+        }
+    }
+
+    /// Decides and (unless offloaded) performs everything `frame` asks
+    /// of the server, returning what the driver must do about it. `io`
+    /// is only the mid-call callback channel to the calling client
+    /// (remote-reference field accesses); the step never reads requests
+    /// from it or writes replies to it.
+    pub fn step(&mut self, io: &mut dyn Transport, frame: Frame) -> ReactorStep {
         match frame {
-            Frame::Shutdown => return Ok(()),
-            // One dispatcher for warm calls and evictions, shared with
-            // every other serve loop. It returns pushed `CacheStale`
-            // invalidations — for THIS connection's other sessions that
-            // a peer's call staled — ahead of the call's own reply.
-            frame @ (Frame::CallRequestWarm { .. } | Frame::CacheEvict { .. }) => {
-                let out =
-                    crate::warm::dispatch_warm_frame_shared(server, warm, transport, frame, true);
-                for reply in out {
-                    transport.send(&reply)?;
-                }
-            }
-            Frame::Lookup { name } => {
-                let found = server.lock().is_bound(&name);
-                transport.send(&Frame::LookupReply { found })?;
-            }
-            Frame::CallRequest {
-                service,
-                method,
-                mode,
-                payload,
-            } => {
-                let reply = server_handle_call(
-                    &mut server.lock(),
-                    transport,
-                    &method,
-                    Callee::Named(&service),
-                    mode,
-                    &payload,
-                );
-                transport.send(&reply)?;
-            }
-            Frame::CallObject {
-                key,
-                method,
-                mode,
-                payload,
-            } => {
-                let reply = server_handle_call(
-                    &mut server.lock(),
-                    transport,
-                    &method,
-                    Callee::Exported(key),
-                    mode,
-                    &payload,
-                );
-                transport.send(&reply)?;
-            }
+            Frame::Shutdown => ReactorStep::Close,
+            Frame::Lookup { name } => ReactorStep::reply(Frame::LookupReply {
+                found: self.node.is_bound(&name),
+            }),
             Frame::DgcClean { key } => {
-                server.lock().state.exports.clean(key);
+                self.node.state.exports.clean(key);
+                ReactorStep::Ignore
             }
-            Frame::Tagged { nonce, seq, frame } => {
-                use crate::reliable::ReplyDecision;
-                let reply = match *frame {
-                    Frame::CallRequestWarm {
-                        service,
-                        method,
-                        mode,
-                        cache_id,
-                        generation,
-                        payload,
-                    } => {
-                        // The warm handler takes the mutex itself, so the
-                        // decision and store use separate lock scopes.
-                        // `begin` bridges the gap: it marks the id as
-                        // executing while still under the lock, so a
-                        // reconnect retransmission of the same id racing
-                        // in on ANOTHER connection reads InProgress —
-                        // never a second Fresh.
-                        let decision = server.lock().replies.begin(nonce, seq);
-                        match decision {
-                            ReplyDecision::Replay(cached) => Some(Frame::ReplyCached {
-                                nonce,
-                                seq,
-                                frame: Box::new(cached),
-                            }),
-                            ReplyDecision::Evicted => Some(Frame::ReplyCached {
-                                nonce,
-                                seq,
-                                frame: Box::new(crate::reliable::evicted_reply()),
-                            }),
-                            ReplyDecision::InProgress => None,
-                            ReplyDecision::Fresh => {
-                                let reply = crate::warm::server_handle_warm_call_shared(
-                                    server, warm, transport, &service, &method, mode, cache_id,
-                                    generation, &payload,
-                                );
-                                server.lock().replies.store(nonce, seq, &reply);
-                                Some(Frame::Tagged {
-                                    nonce,
-                                    seq,
-                                    frame: Box::new(reply),
-                                })
-                            }
-                        }
+            // An eviction notice produces no reply — and no pushes
+            // either: the client is not necessarily receiving after a
+            // fire-and-forget evict, and an unsolicited frame would
+            // derail its next non-call exchange (e.g. a lookup). Nothing
+            // is lost: an eviction only frees objects *no* session
+            // covers, so it cannot stale any session, and staleness
+            // predating it is pushed with the next warm call's reply.
+            Frame::CacheEvict { cache_id } => {
+                self.warm.evict(&mut self.node.state.heap, cache_id);
+                ReactorStep::Ignore
+            }
+            // Decide-mark-executing on the nonce's shard, execute with
+            // no shard lock held, store. A duplicate arriving
+            // mid-execution — on this connection or another — is
+            // dropped unanswered; the client's next retransmission
+            // replays the stored reply.
+            Frame::Tagged { nonce, seq, frame } => match self.node.replies.admit(nonce, seq) {
+                Some(step) => step,
+                None if self.offload && crate::server::is_pipelineable(&frame) => {
+                    ReactorStep::Offload {
+                        nonce,
+                        seq,
+                        call: *frame,
                     }
-                    inner => {
-                        // Cold calls: one guard spans decide + execute +
-                        // store, so two connections retrying the same id
-                        // can never both execute it.
-                        let mut guard = server.lock();
-                        match guard.replies.begin(nonce, seq) {
-                            ReplyDecision::Replay(cached) => Some(Frame::ReplyCached {
-                                nonce,
-                                seq,
-                                frame: Box::new(cached),
-                            }),
-                            ReplyDecision::Evicted => Some(Frame::ReplyCached {
-                                nonce,
-                                seq,
-                                frame: Box::new(crate::reliable::evicted_reply()),
-                            }),
-                            ReplyDecision::InProgress => None,
-                            ReplyDecision::Fresh => {
-                                let reply = dispatch_tagged(&mut guard, warm, transport, inner);
-                                guard.replies.store(nonce, seq, &reply);
-                                Some(Frame::Tagged {
-                                    nonce,
-                                    seq,
-                                    frame: Box::new(reply),
-                                })
-                            }
-                        }
-                    }
-                };
-                // An in-progress duplicate gets no reply at all: the
-                // client's next retransmission (after the original
-                // execution stores) is answered from the cache.
-                if let Some(reply) = reply {
-                    transport.send(&reply)?;
+                }
+                None => ReactorStep::reply(self.execute(io, nonce, seq, *frame)),
+            },
+            call @ Frame::CallRequestWarm { .. } => {
+                let reply = dispatch_call(self.node, self.warm, io, call);
+                ReactorStep::Reply {
+                    pushes: crate::warm::collect_stale_pushes(self.node, self.warm),
+                    reply,
                 }
             }
-            other => {
-                return Err(NrmiError::Protocol(format!("unexpected frame {other:?}")));
+            call @ (Frame::CallRequest { .. } | Frame::CallObject { .. }) => {
+                ReactorStep::reply(dispatch_call(self.node, self.warm, io, call))
+            }
+            other => ReactorStep::Escalate(other),
+        }
+    }
+
+    /// The back half of at-most-once for a call the reply cache
+    /// admitted as fresh: runs it, records the reply under
+    /// `(nonce, seq)`, and returns the tagged reply frame. Called by
+    /// [`step`](Self::step) inline, and by the workers a driver hands
+    /// [`ReactorStep::Offload`] to.
+    pub fn execute(&mut self, io: &mut dyn Transport, nonce: u64, seq: u64, call: Frame) -> Frame {
+        let reply = dispatch_call(self.node, self.warm, io, call);
+        self.node.replies.store(nonce, seq, &reply);
+        Frame::Tagged {
+            nonce,
+            seq,
+            frame: Box::new(reply),
+        }
+    }
+
+    /// Connection teardown (orderly or not): releases the cached warm
+    /// session graphs — the warm analogue of DGC cleaning a
+    /// disconnected client.
+    pub fn release(&mut self) {
+        self.warm.release_all(&mut self.node.state.heap);
+    }
+
+    /// The serial driver's unit of work: steps `frame` and writes what
+    /// it answers to `transport`, which doubles as the callback channel.
+    /// Returns `Ok(false)` when the frame ends the connection.
+    pub(crate) fn serve_frame(
+        &mut self,
+        transport: &mut dyn Transport,
+        frame: Frame,
+    ) -> Result<bool, NrmiError> {
+        match self.step(transport, frame) {
+            ReactorStep::Reply { pushes, reply } => {
+                for frame in pushes.iter().chain(Some(&reply)) {
+                    transport.send(frame)?;
+                }
+            }
+            ReactorStep::Offload { nonce, seq, call } => {
+                let reply = self.execute(transport, nonce, seq, call);
+                transport.send(&reply)?;
+            }
+            ReactorStep::Ignore => {}
+            ReactorStep::Close => return Ok(false),
+            ReactorStep::Escalate(other) => return Err(unexpected_frame(&other)),
+        }
+        Ok(true)
+    }
+
+    /// The serial driver: this thread reads, steps and writes, one
+    /// frame at a time, until the peer disconnects or sends `Shutdown`.
+    pub(crate) fn serve(&mut self, transport: &mut dyn Transport) -> Result<(), NrmiError> {
+        loop {
+            let frame = match transport.recv() {
+                Ok(frame) => frame,
+                Err(TransportError::Disconnected) => return Ok(()),
+                Err(e) => return Err(e.into()),
+            };
+            if !self.serve_frame(transport, frame)? {
+                return Ok(());
             }
         }
     }
 }
 
-/// Serves one connection until the peer disconnects or sends `Shutdown`.
-/// This is the server's main loop (one per connection; the paper's
-/// servers are single-threaded per client, multi-threaded across
-/// clients).
+/// Serves one connection against an exclusively held node until the
+/// peer disconnects or sends `Shutdown`: the serial driver of the serve
+/// core (one per connection; the paper's servers are single-threaded
+/// per client, multi-threaded across clients — see
+/// [`ServerPool`](crate::session::ServerPool) for the latter).
 ///
 /// # Errors
 /// Returns transport errors other than orderly disconnect.
@@ -1064,112 +992,8 @@ pub fn serve_connection(
     transport: &mut dyn Transport,
 ) -> Result<(), NrmiError> {
     let mut warm = crate::warm::WarmCaches::with_leases(server.leases.clone());
-    let result = serve_connection_inner(server, transport, &mut warm);
-    // Connection teardown (orderly or not) releases the cached session
-    // graphs — the warm analogue of DGC cleaning a disconnected client.
-    warm.release_all(&mut server.state.heap);
+    let mut conn = Connection::new(server, &mut warm);
+    let result = conn.serve(transport);
+    conn.release();
     result
-}
-
-fn serve_connection_inner(
-    server: &mut ServerNode,
-    transport: &mut dyn Transport,
-    warm: &mut crate::warm::WarmCaches,
-) -> Result<(), NrmiError> {
-    loop {
-        let frame = match transport.recv() {
-            Ok(frame) => frame,
-            Err(TransportError::Disconnected) => return Ok(()),
-            Err(e) => return Err(e.into()),
-        };
-        match frame {
-            Frame::Shutdown => return Ok(()),
-            // One dispatcher for warm calls and evictions, shared with
-            // every other serve loop. On a single-connection node the
-            // pushes repair sessions this connection's own calls staled
-            // through aliased server state (`serve_class` methods,
-            // exported-object calls touching a cached graph).
-            frame @ (Frame::CallRequestWarm { .. } | Frame::CacheEvict { .. }) => {
-                let out = crate::warm::dispatch_warm_frame(server, warm, transport, frame, true);
-                for reply in out {
-                    transport.send(&reply)?;
-                }
-            }
-            Frame::Lookup { name } => {
-                let found = server.is_bound(&name);
-                transport.send(&Frame::LookupReply { found })?;
-            }
-            Frame::CallRequest {
-                service,
-                method,
-                mode,
-                payload,
-            } => {
-                let reply = server_handle_call(
-                    server,
-                    transport,
-                    &method,
-                    Callee::Named(&service),
-                    mode,
-                    &payload,
-                );
-                transport.send(&reply)?;
-            }
-            Frame::CallObject {
-                key,
-                method,
-                mode,
-                payload,
-            } => {
-                let reply = server_handle_call(
-                    server,
-                    transport,
-                    &method,
-                    Callee::Exported(key),
-                    mode,
-                    &payload,
-                );
-                transport.send(&reply)?;
-            }
-            Frame::DgcClean { key } => {
-                server.state.exports.clean(key);
-            }
-            Frame::Tagged { nonce, seq, frame } => {
-                use crate::reliable::ReplyDecision;
-                let reply = match server.replies.begin(nonce, seq) {
-                    ReplyDecision::Replay(cached) => Some(Frame::ReplyCached {
-                        nonce,
-                        seq,
-                        frame: Box::new(cached),
-                    }),
-                    ReplyDecision::Evicted => Some(Frame::ReplyCached {
-                        nonce,
-                        seq,
-                        frame: Box::new(crate::reliable::evicted_reply()),
-                    }),
-                    // Unreachable on a single-threaded node (begin and
-                    // store never straddle a frame); drop for safety.
-                    ReplyDecision::InProgress => None,
-                    ReplyDecision::Fresh => {
-                        let reply = dispatch_tagged(server, warm, transport, *frame);
-                        server.replies.store(nonce, seq, &reply);
-                        Some(Frame::Tagged {
-                            nonce,
-                            seq,
-                            frame: Box::new(reply),
-                        })
-                    }
-                };
-                if let Some(reply) = reply {
-                    transport.send(&reply)?;
-                }
-            }
-            other => {
-                // Callbacks addressed at the server's exports (a client
-                // holding stubs to server objects between calls is not
-                // part of this protocol version).
-                return Err(NrmiError::Protocol(format!("unexpected frame {other:?}")));
-            }
-        }
-    }
 }

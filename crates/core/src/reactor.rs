@@ -7,18 +7,20 @@
 //! ## Division of labor
 //!
 //! * **The reactor thread** accepts, reads frames as they become
-//!   complete, classifies each one ([`reactor_classify`]), answers
-//!   cache hits and lookups inline, and queues fresh pipelineable cold
-//!   calls to a small **fixed worker pool** shared by *all* connections
-//!   (contrast the pipelined pooled loop, which spawns a writer plus
-//!   [`PIPELINE_WORKERS`](super::server) per connection).
-//! * **Workers** execute against per-worker private node state (the
-//!   same isolation a pooled connection gets), record replies in the
-//!   shared at-most-once cache, and hand the reply frame back to the
-//!   reactor through a completion channel, waking the poller.
+//!   complete, runs the serve core's node-free front half on each one
+//!   ([`reactor_classify`]), answers cache hits and lookups inline, and
+//!   queues fresh pipelineable cold calls to a small **fixed worker
+//!   pool** shared by *all* connections (contrast the pipelined driver,
+//!   which spawns a writer plus [`PIPELINE_WORKERS`](super::server) per
+//!   connection).
+//! * **Workers** finish offloaded calls with
+//!   [`Connection::execute`](crate::protocol::Connection::execute)
+//!   against per-worker private node state (the same isolation a pooled
+//!   connection gets) and hand the reply frame back to the reactor
+//!   through a completion channel, waking the poller.
 //! * **Exclusive traffic** — warm calls, object calls, remote-ref
 //!   calls, cache evictions, DGC cleans — *escalates* the connection to
-//!   a dedicated thread running the PR 5/6 blocking loop
+//!   a dedicated thread running the pooled driver over the full step
 //!   ([`serve_connection_escalated`](super::server)): the reactor stops
 //!   reading, waits for the connection's in-flight worker jobs to
 //!   complete and its output queue to drain (so no two threads ever
@@ -30,20 +32,20 @@
 //! ## Protocol invariants
 //!
 //! The reactor changes *who blocks*, never the protocol. The
-//! begin/execute/store discipline of the sharded reply cache is
-//! identical to the pooled loops — [`reactor_classify`] is the single
-//! place a reactor consults it, and escalation-triggering frames are
-//! handed over *before* any `begin`, so the escalated loop's own
-//! classification is the first and only one. Backpressure mirrors the
-//! bounded pipelined queues: a connection above its in-flight or
-//! queued-output watermark simply stops being read until it drains,
-//! leaving the excess in kernel socket buffers where the client's TCP
-//! window absorbs it.
+//! begin/execute/store discipline of the sharded reply cache is the
+//! same `admit` every driver goes through — [`reactor_classify`] is
+//! the single place a reactor consults it, and escalation-triggering
+//! frames are handed over *before* any `begin`, so the escalated
+//! connection's own step performs the first and only one.
+//! Backpressure mirrors the bounded pipelined queues: a connection
+//! above its in-flight or queued-output watermark simply stops being
+//! read until it drains, leaving the excess in kernel socket buffers
+//! where the client's TCP window absorbs it.
 
-// The classification step ([`ReactorStep`], [`reactor_classify`]) is
-// pure protocol logic and compiles everywhere — the model checker
-// enumerates it on any platform. Only the poll(2) event loop itself is
-// unix-only.
+// The step vocabulary and front half ([`ReactorStep`],
+// [`reactor_classify`]) are pure protocol logic and compile everywhere
+// — the model checker enumerates them on any platform. Only the poll(2)
+// event loop itself is unix-only.
 #[cfg(unix)]
 use std::collections::{HashMap, VecDeque};
 #[cfg(unix)]
@@ -65,7 +67,8 @@ use nrmi_transport::{PollableListener, ReactorIo, SendQueue};
 use crate::error::NrmiError;
 #[cfg(unix)]
 use crate::lockcheck::{LockClass, TrackedMutex};
-use crate::reliable::{evicted_reply, ReplyDecision};
+#[cfg(unix)]
+use crate::protocol::Connection;
 use crate::server::{is_pipelineable, SharedServer};
 #[cfg(unix)]
 use crate::server::{serve_connection_escalated, NoCallbackTransport};
@@ -100,16 +103,30 @@ const JOB_OVERFLOW_PAUSE: usize = 256;
 #[cfg(unix)]
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 
-/// What the reactor does with one decoded frame — the reactor's step
-/// function, factored out so the model checker can enumerate it
-/// directly (P010).
+/// What a serve driver does with one decoded frame: the vocabulary of
+/// the serve core's step function ([`Connection::step`]) and of its
+/// node-free front half ([`reactor_classify`]). Drivers only move bytes
+/// and queue frames; every protocol decision is already in the step.
+///
+/// [`Connection::step`]: crate::protocol::Connection::step
 #[derive(Debug)]
 pub enum ReactorStep {
-    /// Queue this reply on the connection immediately (lookup answers,
-    /// reply-cache hits, evicted-reply errors).
-    Reply(Frame),
-    /// Hand the call to the worker pool; the reply cache has marked
-    /// `(nonce, seq)` executing.
+    /// Write `pushes`, then `reply`, in that order. `pushes` are
+    /// `CacheStale` invalidations for other warm sessions of the same
+    /// connection that the call staled; they travel *ahead* of the reply
+    /// because a synchronous client consumes everything up to its reply
+    /// before it can issue another request, so a pushed patch can never
+    /// cross a request delta computed against pre-patch state. Empty
+    /// (and unallocated) for everything but untagged warm calls.
+    Reply {
+        /// Invalidations to write before `reply`.
+        pushes: Vec<Frame>,
+        /// The frame's own answer.
+        reply: Frame,
+    },
+    /// Hand the call to a worker, which finishes it with
+    /// [`Connection::execute`](crate::protocol::Connection::execute);
+    /// the reply cache has marked `(nonce, seq)` executing.
     Offload {
         /// Session nonce of the call id.
         nonce: u64,
@@ -118,48 +135,62 @@ pub enum ReactorStep {
         /// The inner (untagged) call frame to execute.
         call: Frame,
     },
-    /// Drop the frame unanswered: a duplicate of a call currently
-    /// executing (the client's next retransmission replays the stored
-    /// reply).
+    /// Nothing to write: a fire-and-forget frame (`DgcClean`,
+    /// `CacheEvict`), or a duplicate of a call currently executing (the
+    /// client's next retransmission replays the stored reply).
     Ignore,
-    /// Exclusive traffic: escalate the connection to a dedicated
-    /// blocking thread, handing this frame over unprocessed. The reply
-    /// cache has *not* been consulted — the escalated loop performs the
-    /// first and only `begin` for it.
+    /// This step has no rule for the frame; it comes back unprocessed
+    /// (the reply cache has *not* been consulted). From
+    /// [`reactor_classify`] that is exclusive traffic: the reactor
+    /// escalates the connection to a blocking driver, whose full step
+    /// performs the first and only `begin`. From the full step there is
+    /// nobody left to ask: drivers end the connection with a protocol
+    /// error.
     Escalate(Frame),
     /// Orderly end of the connection (`Shutdown`).
     Close,
 }
 
-/// Classifies one frame exactly as the reactor serve loop does. Public
-/// so the model checker enumerates the real step function rather than a
-/// transcription; `offload` is [`SharedServer::offloadable`] snapshotted
-/// at accept (false routes every tagged call to escalation, preserving
-/// single-thread execution for remote-ref schemas).
+impl ReactorStep {
+    /// A lone reply with nothing pushed ahead of it.
+    pub fn reply(reply: Frame) -> Self {
+        ReactorStep::Reply {
+            pushes: Vec::new(),
+            reply,
+        }
+    }
+
+    /// The frames this step puts on the wire, in order — pushes, then
+    /// the reply; nothing for the other steps. What an in-process link
+    /// (a test, a bench, the model checker) queues for its client.
+    pub fn into_replies(self) -> impl Iterator<Item = Frame> {
+        let (pushes, reply) = match self {
+            ReactorStep::Reply { pushes, reply } => (pushes, Some(reply)),
+            _ => (Vec::new(), None),
+        };
+        pushes.into_iter().chain(reply)
+    }
+}
+
+/// The node-free front half of the step: what a driver that owns no
+/// connection node (the reactor thread) can decide on its own — lookups,
+/// reply-cache hits, and offloading fresh pipelineable calls. Everything
+/// else escalates. Public so the model checker and the benchmark drive
+/// the production function; `offload` is [`SharedServer::offloadable`]
+/// snapshotted at accept (false routes every tagged call to escalation,
+/// preserving single-thread execution for remote-ref schemas).
 pub fn reactor_classify(shared: &SharedServer, offload: bool, frame: Frame) -> ReactorStep {
     match frame {
         Frame::Shutdown => ReactorStep::Close,
-        Frame::Lookup { name } => ReactorStep::Reply(Frame::LookupReply {
+        Frame::Lookup { name } => ReactorStep::reply(Frame::LookupReply {
             found: shared.is_bound(&name),
         }),
+        // The guard matters for ordering: only calls the reactor's own
+        // workers will execute are ever begun here.
         Frame::Tagged { nonce, seq, frame } if offload && is_pipelineable(&frame) => {
-            // Decide-mark-executing on the nonce's shard, execute with
-            // no shard lock held, store — the PR 4/5/6 discipline. The
-            // escalation guard above matters for ordering: only frames
-            // the reactor itself will execute are ever begun here.
-            match shared.replies.begin(nonce, seq) {
-                ReplyDecision::Replay(cached) => ReactorStep::Reply(Frame::ReplyCached {
-                    nonce,
-                    seq,
-                    frame: Box::new(cached),
-                }),
-                ReplyDecision::Evicted => ReactorStep::Reply(Frame::ReplyCached {
-                    nonce,
-                    seq,
-                    frame: Box::new(evicted_reply()),
-                }),
-                ReplyDecision::InProgress => ReactorStep::Ignore,
-                ReplyDecision::Fresh => ReactorStep::Offload {
+            match shared.replies.admit(nonce, seq) {
+                Some(step) => step,
+                None => ReactorStep::Offload {
                     nonce,
                     seq,
                     call: *frame,
@@ -259,29 +290,20 @@ where
             // service mutexes and reply-cache shards, like pooled
             // connections do.
             let mut node = shared.connection_node();
-            let mut warm = crate::warm::WarmCaches::new();
-            let mut io = NoCallbackTransport;
+            let mut warm = crate::warm::WarmCaches::with_leases(node.leases.clone());
+            let mut conn = Connection::new(&mut node, &mut warm);
             loop {
                 let job = job_rx.lock().recv();
                 let Ok((token, nonce, seq, call)) = job else {
                     break;
                 };
-                let reply = crate::protocol::dispatch_tagged(&mut node, &mut warm, &mut io, call);
-                shared.replies.store(nonce, seq, &reply);
-                let done = done_tx.send((
-                    token,
-                    Frame::Tagged {
-                        nonce,
-                        seq,
-                        frame: Box::new(reply),
-                    },
-                ));
-                if done.is_err() {
+                let reply = conn.execute(&mut NoCallbackTransport, nonce, seq, call);
+                if done_tx.send((token, reply)).is_err() {
                     break;
                 }
                 waker.wake();
             }
-            warm.release_all(&mut node.state.heap);
+            conn.release();
         }));
     }
     drop(done_tx);
@@ -596,8 +618,12 @@ fn read_burst<C: ReactorIo>(
             // An oversized reply cannot be framed: the stream is still
             // in sync (nothing was queued), but the call can never be
             // answered — close the connection rather than hang it.
-            ReactorStep::Reply(reply) => {
-                if conn.out.push(&reply).is_err() {
+            ReactorStep::Reply { pushes, reply } => {
+                if pushes
+                    .iter()
+                    .chain(Some(&reply))
+                    .any(|frame| conn.out.push(frame).is_err())
+                {
                     conn.closing = true;
                     return false;
                 }

@@ -1,12 +1,14 @@
 //! The fine-grained shared server: what several connection threads
 //! dispatch into *without* a one-big-lock [`ServerNode`].
 //!
-//! The old shared path (`serve_connection_shared`) funnels every
-//! connection through one `Mutex<ServerNode>` held across call
-//! execution — including mid-call callback traffic to the calling
-//! client — so one stalled client freezes every other connection
-//! (head-of-line blocking). This module splits that state by how it is
-//! actually shared:
+//! Funnelling every connection through one `Mutex<ServerNode>` (the
+//! baseline `tables -- scaling` still measures, kept in `nrmi-bench`)
+//! holds the lock across call execution — including mid-call callback
+//! traffic to the calling client — so one stalled client freezes every
+//! other connection (head-of-line blocking). This module splits that
+//! state by how it is actually shared, and hosts the pooled and
+//! pipelined *drivers* of the serve core; what a frame means is
+//! [`Connection::step`]'s business, not theirs:
 //!
 //! * **Bindings** (name → service, class → service) are read-mostly:
 //!   they live behind an [`RwLock`](crate::lockcheck::TrackedRwLock) and are
@@ -25,7 +27,8 @@
 //! * **The reply cache** (at-most-once, PR 4) must stay global: a
 //!   reconnect retransmits a call id on a *new* connection and must
 //!   still find the recorded reply or the in-progress marker. It
-//!   becomes a [`ShardedReplyCache`]: N independently locked
+//!   is a [`ShardedReplyCache`] — the one every [`ServerNode`] carries,
+//!   handed by `Arc` to each connection node: N independently locked
 //!   [`ReplyCache`] shards keyed by session nonce, so unrelated
 //!   sessions do not contend and no shard lock is ever held across
 //!   execution — the `begin`/`store` decide-mark-executing-store
@@ -52,6 +55,8 @@ use crate::error::NrmiError;
 use crate::lockcheck::{allow_blocking, LockClass, TrackedMutex, TrackedRwLock};
 use crate::node::{NodeState, ServerNode};
 use crate::profile::RuntimeProfile;
+use crate::protocol::{unexpected_frame, Connection};
+use crate::reactor::ReactorStep;
 use crate::reliable::{
     evicted_reply, ReplyCache, ReplyDecision, DEFAULT_REPLY_CACHE_BYTES, DEFAULT_REPLY_CACHE_NONCES,
 };
@@ -155,6 +160,27 @@ impl ShardedReplyCache {
         self.shard(nonce).lock().begin(nonce, seq)
     }
 
+    /// The at-most-once admit, the one place a serve path consults the
+    /// cache: [`begin`](Self::begin)s `(nonce, seq)` and returns the
+    /// step that disposes of a duplicate — replay the recorded reply,
+    /// answer the evicted-reply error, or drop a duplicate of a call
+    /// still executing — or `None` for a fresh call, which the caller
+    /// now owns: execute it (or offload it) and [`store`](Self::store)
+    /// the reply.
+    pub(crate) fn admit(&self, nonce: u64, seq: u64) -> Option<ReactorStep> {
+        let cached = match self.begin(nonce, seq) {
+            ReplyDecision::Fresh => return None,
+            ReplyDecision::InProgress => return Some(ReactorStep::Ignore),
+            ReplyDecision::Replay(cached) => cached,
+            ReplyDecision::Evicted => evicted_reply(),
+        };
+        Some(ReactorStep::reply(Frame::ReplyCached {
+            nonce,
+            seq,
+            frame: Box::new(cached),
+        }))
+    }
+
     /// Records the reply for an executed call and clears its executing
     /// marker.
     pub fn store(&self, nonce: u64, seq: u64, reply: &Frame) {
@@ -187,9 +213,9 @@ impl ShardedReplyCache {
     }
 }
 
-/// Name and class bindings, read-mostly behind one
-/// [`TrackedRwLock`] (class `bindings`): connection setup takes a read
-/// snapshot, [`SharedServer::bind`] takes the write lock.
+/// Name and class bindings, fixed once the server is built: connection
+/// setup snapshots them under a read lock of one [`TrackedRwLock`]
+/// (class `bindings`).
 struct Bindings {
     services: HashMap<String, ServiceHandle>,
     class_services: HashMap<ClassId, ServiceHandle>,
@@ -206,8 +232,10 @@ pub struct SharedServer {
     profile: RuntimeProfile,
     env: Option<SimEnv>,
     bindings: TrackedRwLock<Bindings>,
-    /// The global at-most-once reply cache (see [`ShardedReplyCache`]).
-    pub replies: ShardedReplyCache,
+    /// The global at-most-once reply cache (see [`ShardedReplyCache`]):
+    /// the node's own, shared with every connection node this server
+    /// mints.
+    pub replies: Arc<ShardedReplyCache>,
     /// The root node state the server was built from, returned by
     /// [`SharedServer::into_node`]. Connection workers never touch it.
     root: TrackedMutex<Option<NodeState>>,
@@ -223,15 +251,15 @@ impl std::fmt::Debug for SharedServer {
 
 impl SharedServer {
     /// Splits a configured [`ServerNode`] into shared server state:
-    /// each bound service moves behind its own mutex, the reply cache
-    /// becomes sharded, and the node state is kept aside for
-    /// [`SharedServer::into_node`].
+    /// each bound service moves behind its own mutex, the node's reply
+    /// cache becomes every connection's, and the node state is kept
+    /// aside for [`SharedServer::into_node`].
     pub fn from_node(node: ServerNode) -> Self {
         let ServerNode {
             state,
             services,
             class_services,
-            replies: _,
+            replies,
             leases: _,
         } = node;
         SharedServer {
@@ -252,18 +280,9 @@ impl SharedServer {
                         .collect(),
                 },
             ),
-            replies: ShardedReplyCache::default(),
+            replies,
             root: TrackedMutex::new(LockClass::NodeHeap, Some(state)),
         }
-    }
-
-    /// Binds `service` under `name` for connections accepted *after*
-    /// this call (each connection snapshots the bindings at accept).
-    pub fn bind(&self, name: impl Into<String>, service: Box<dyn RemoteService>) {
-        self.bindings
-            .write()
-            .services
-            .insert(name.into(), service_handle(service));
     }
 
     /// True if `name` is currently bound.
@@ -302,9 +321,7 @@ impl SharedServer {
                     )
                 })
                 .collect(),
-            // Unused by the pooled serve loop (tagged calls go through
-            // the shared `replies` shards), present for type uniformity.
-            replies: ReplyCache::default(),
+            replies: Arc::clone(&self.replies),
             // Each pooled connection has a private heap, so its warm
             // sessions never alias another connection's; a fresh table
             // per connection node is exact.
@@ -329,7 +346,12 @@ impl SharedServer {
     /// references to the service bindings); a binding still referenced
     /// elsewhere is dropped from the returned node.
     pub fn into_node(self) -> ServerNode {
-        let SharedServer { bindings, root, .. } = self;
+        let SharedServer {
+            bindings,
+            root,
+            replies,
+            ..
+        } = self;
         let Bindings {
             services,
             class_services,
@@ -341,7 +363,7 @@ impl SharedServer {
             state,
             services: HashMap::new(),
             class_services: HashMap::new(),
-            replies: ReplyCache::default(),
+            replies,
             leases: crate::warm::new_lease_table(),
         };
         for (name, svc) in services {
@@ -365,8 +387,8 @@ impl SharedServer {
 }
 
 /// Serves one connection against the lock-split [`SharedServer`] until
-/// the peer disconnects or sends `Shutdown`. This is the pooled
-/// replacement for `serve_connection_shared`: the connection's heap,
+/// the peer disconnects or sends `Shutdown`: mints a private connection
+/// node and runs the ordinary drivers over it. The connection's heap,
 /// warm caches, and codec scratch are private, so a stalled client —
 /// even one blocked mid-call inside a callback — holds nothing another
 /// connection waits on except the mutex of the service it is executing
@@ -379,7 +401,7 @@ impl SharedServer {
 /// call id), and — for schemas with no remote-marked classes — a small
 /// worker pool executes tagged cold calls concurrently. A client that
 /// keeps N calls in flight then pays one round-trip for the batch, not
-/// N. Transports that cannot split fall back to the serial loop.
+/// N. Transports that cannot split get the serial driver.
 ///
 /// # Errors
 /// Returns transport errors other than orderly disconnect.
@@ -387,20 +409,51 @@ pub fn serve_connection_pooled(
     shared: &SharedServer,
     transport: &mut dyn Transport,
 ) -> Result<(), NrmiError> {
-    let mut conn = shared.connection_node();
-    let mut warm = crate::warm::WarmCaches::with_leases(conn.leases.clone());
-    let result = match transport.split() {
-        Some((sender, receiver)) => {
-            serve_connection_pipelined(shared, &mut conn, &mut warm, sender, receiver)
-        }
-        None => serve_connection_pooled_inner(shared, &mut conn, &mut warm, transport),
-    };
+    serve_connection_escalated(shared, transport, Vec::new())
+}
+
+/// [`serve_connection_pooled`] for a connection the reactor escalated
+/// off its readiness loop: the frames it read ahead of the escalation
+/// trigger are served first (in arrival order, serially), then the
+/// transport — restored to blocking mode by the reactor — continues
+/// under the pooled discipline. The connection node and warm caches are
+/// created here, lazily: reactor-owned connections carry no node state
+/// until they need exclusive traffic.
+pub(crate) fn serve_connection_escalated(
+    shared: &SharedServer,
+    transport: &mut dyn Transport,
+    stash: Vec<Frame>,
+) -> Result<(), NrmiError> {
+    let mut node = shared.connection_node();
+    let mut warm = crate::warm::WarmCaches::with_leases(node.leases.clone());
+    let mut conn = Connection::new(&mut node, &mut warm);
+    let result = drive(shared, &mut conn, transport, stash);
     // Disconnect releases the connection's cached warm-session graphs;
     // the rest of the private heap (cold-call copies included) goes
-    // with the node itself, so a long-lived server no longer
-    // accumulates call copies across clients.
-    warm.release_all(&mut conn.state.heap);
+    // with the node itself, so a long-lived server does not accumulate
+    // call copies across clients.
+    conn.release();
     result
+}
+
+/// Replays `stash` through the serial driver, then hands the transport
+/// to the pipelined driver when it splits and the serial one when it
+/// does not.
+fn drive(
+    shared: &SharedServer,
+    conn: &mut Connection<'_>,
+    transport: &mut dyn Transport,
+    stash: Vec<Frame>,
+) -> Result<(), NrmiError> {
+    for frame in stash {
+        if !conn.serve_frame(transport, frame)? {
+            return Ok(());
+        }
+    }
+    match transport.split() {
+        Some((sender, receiver)) => serve_connection_pipelined(shared, conn, sender, receiver),
+        None => conn.serve(transport),
+    }
 }
 
 /// Workers executing tagged cold calls concurrently for one pipelined
@@ -469,7 +522,7 @@ impl Transport for NoCallbackTransport {
 /// exclusive call finishes — pipelined requests keep arriving mid-call
 /// without getting lost or misread as callback answers.
 struct ConnIo<'a> {
-    writer_tx: mpsc::SyncSender<Frame>,
+    writer_tx: &'a mpsc::SyncSender<Frame>,
     receiver: &'a mut dyn TransportReceiver,
     stash: &'a mut VecDeque<Frame>,
 }
@@ -521,13 +574,12 @@ impl Transport for ConnIo<'_> {
     }
 }
 
-/// The pipelined serve loop (see [`serve_connection_pooled`]): reader on
+/// The pipelined driver (see [`serve_connection_pooled`]): reader on
 /// this thread, replies through a dedicated writer thread, tagged cold
 /// calls offloaded to [`PIPELINE_WORKERS`] when the schema allows.
 fn serve_connection_pipelined(
     shared: &SharedServer,
-    conn: &mut ServerNode,
-    warm: &mut crate::warm::WarmCaches,
+    conn: &mut Connection<'_>,
     mut sender: Box<dyn TransportSender>,
     mut receiver: Box<dyn TransportReceiver>,
 ) -> Result<(), NrmiError> {
@@ -582,35 +634,22 @@ fn serve_connection_pipelined(
                 // Per-worker private node state, the same isolation a
                 // connection gets — workers of one connection contend
                 // only on service mutexes and reply-cache shards.
-                let mut conn = shared.connection_node();
-                let mut warm = crate::warm::WarmCaches::with_leases(conn.leases.clone());
-                let mut io = NoCallbackTransport;
+                let mut node = shared.connection_node();
+                let mut warm = crate::warm::WarmCaches::with_leases(node.leases.clone());
+                let mut conn = Connection::new(&mut node, &mut warm);
                 loop {
                     let job = job_rx.lock().recv();
-                    let Ok((nonce, seq, frame)) = job else {
+                    let Ok((nonce, seq, call)) = job else {
                         break;
                     };
-                    let reply =
-                        crate::protocol::dispatch_tagged(&mut conn, &mut warm, &mut io, frame);
-                    shared.replies.store(nonce, seq, &reply);
-                    let _ = worker_writer.send(Frame::Tagged {
-                        nonce,
-                        seq,
-                        frame: Box::new(reply),
-                    });
+                    let reply = conn.execute(&mut NoCallbackTransport, nonce, seq, call);
+                    let _ = worker_writer.send(reply);
                 }
-                warm.release_all(&mut conn.state.heap);
+                conn.release();
             });
         }
-        let result = pipelined_recv_loop(
-            shared,
-            conn,
-            warm,
-            receiver.as_mut(),
-            &writer_tx,
-            &job_tx,
-            workers > 0,
-        );
+        conn.offload = workers > 0;
+        let result = pipelined_recv_loop(conn, receiver.as_mut(), &writer_tx, &job_tx);
         // Reader done: closing the job queue drains the workers (they
         // finish queued calls and push the replies), and closing our
         // writer handle lets the writer exit once the last worker drops
@@ -631,31 +670,19 @@ fn serve_connection_pipelined(
     }
 }
 
-/// Reader side of the pipelined loop: classify each frame, answer
-/// duplicates from the reply cache, queue pipelineable fresh calls to
-/// the workers, and execute everything else exclusively in arrival
-/// order on this thread.
+/// Reader side of the pipelined driver: step each frame, queue what it
+/// answers to the writer and what it offloads to the workers. Whatever
+/// the step does not offload it has already executed, exclusively and
+/// in arrival order, on this thread.
 fn pipelined_recv_loop(
-    shared: &SharedServer,
-    conn: &mut ServerNode,
-    warm: &mut crate::warm::WarmCaches,
+    conn: &mut Connection<'_>,
     receiver: &mut dyn TransportReceiver,
     writer_tx: &mpsc::SyncSender<Frame>,
     job_tx: &mpsc::SyncSender<PipelineJob>,
-    offload: bool,
 ) -> Result<(), NrmiError> {
     // Frames that arrived while an exclusive call was waiting on its
     // callback replies; processed before reading the socket again.
     let mut stash: VecDeque<Frame> = VecDeque::new();
-    // A send into the writer channel only fails after the writer hit a
-    // connection error; `writer_err` carries the cause, so stop cleanly.
-    macro_rules! write_out {
-        ($frame:expr) => {
-            if writer_tx.send($frame).is_err() {
-                return Ok(());
-            }
-        };
-    }
     loop {
         let frame = match stash.pop_front() {
             Some(frame) => frame,
@@ -665,267 +692,29 @@ fn pipelined_recv_loop(
                 Err(e) => return Err(e.into()),
             },
         };
-        match frame {
-            Frame::Shutdown => return Ok(()),
-            Frame::Tagged { nonce, seq, frame } => {
-                // Decide-mark-executing on the nonce's shard, execute
-                // with no shard lock held, store. A duplicate arriving
-                // mid-execution — on this connection or another — reads
-                // InProgress and is dropped unanswered; the client's
-                // next retransmission replays the stored reply.
-                match shared.replies.begin(nonce, seq) {
-                    ReplyDecision::Replay(cached) => write_out!(Frame::ReplyCached {
-                        nonce,
-                        seq,
-                        frame: Box::new(cached),
-                    }),
-                    ReplyDecision::Evicted => write_out!(Frame::ReplyCached {
-                        nonce,
-                        seq,
-                        frame: Box::new(evicted_reply()),
-                    }),
-                    ReplyDecision::InProgress => {}
-                    ReplyDecision::Fresh if offload && is_pipelineable(&frame) => {
-                        // Cannot fail while this loop holds `job_tx`.
-                        let _ = job_tx.send((nonce, seq, *frame));
-                    }
-                    ReplyDecision::Fresh => {
-                        let reply = {
-                            let mut io = ConnIo {
-                                writer_tx: writer_tx.clone(),
-                                receiver,
-                                stash: &mut stash,
-                            };
-                            crate::protocol::dispatch_tagged(conn, warm, &mut io, *frame)
-                        };
-                        shared.replies.store(nonce, seq, &reply);
-                        write_out!(Frame::Tagged {
-                            nonce,
-                            seq,
-                            frame: Box::new(reply),
-                        });
-                    }
-                }
-            }
-            // Untagged traffic is executed exclusively, in arrival
-            // order, exactly as the serial loop would — only the reply
-            // leaves through the writer. Warm-protocol frames share one
-            // dispatcher with the other serve loops; it returns pushed
-            // `CacheStale` invalidations (for sibling sessions the call
-            // staled) ahead of the call's own reply, already ordered.
-            frame @ (Frame::CallRequestWarm { .. } | Frame::CacheEvict { .. }) => {
-                let out = {
-                    let mut io = ConnIo {
-                        writer_tx: writer_tx.clone(),
-                        receiver,
-                        stash: &mut stash,
-                    };
-                    crate::warm::dispatch_warm_frame(conn, warm, &mut io, frame, true)
-                };
-                for reply in out {
-                    write_out!(reply);
-                }
-            }
-            Frame::Lookup { name } => {
-                write_out!(Frame::LookupReply {
-                    found: shared.is_bound(&name),
-                });
-            }
-            Frame::CallRequest {
-                service,
-                method,
-                mode,
-                payload,
-            } => {
-                let reply = {
-                    let mut io = ConnIo {
-                        writer_tx: writer_tx.clone(),
-                        receiver,
-                        stash: &mut stash,
-                    };
-                    crate::protocol::server_handle_named_call(
-                        conn, &mut io, &service, &method, mode, &payload,
-                    )
-                };
-                write_out!(reply);
-            }
-            Frame::CallObject {
-                key,
-                method,
-                mode,
-                payload,
-            } => {
-                let reply = {
-                    let mut io = ConnIo {
-                        writer_tx: writer_tx.clone(),
-                        receiver,
-                        stash: &mut stash,
-                    };
-                    crate::protocol::server_handle_object_call(
-                        conn, &mut io, key, &method, mode, &payload,
-                    )
-                };
-                write_out!(reply);
-            }
-            Frame::DgcClean { key } => {
-                conn.state.exports.clean(key);
-            }
-            other => {
-                return Err(NrmiError::Protocol(format!("unexpected frame {other:?}")));
-            }
-        }
-    }
-}
-
-/// Serves a connection the reactor escalated off its readiness loop:
-/// the stashed frames it read ahead of the escalation trigger are
-/// processed first (in arrival order, exclusively), then the transport
-/// — restored to blocking mode by the reactor — continues under the
-/// normal pooled discipline (pipelined when it splits). The connection
-/// node and warm caches are created here, lazily: reactor-owned
-/// connections carry no node state until they need exclusive traffic.
-pub(crate) fn serve_connection_escalated(
-    shared: &SharedServer,
-    transport: &mut dyn Transport,
-    stash: Vec<Frame>,
-) -> Result<(), NrmiError> {
-    let mut conn = shared.connection_node();
-    let mut warm = crate::warm::WarmCaches::with_leases(conn.leases.clone());
-    let mut result = Ok(());
-    let mut stopped = false;
-    for frame in stash {
-        match handle_exclusive_frame(shared, &mut conn, &mut warm, transport, frame) {
-            Ok(true) => {}
-            Ok(false) => {
-                stopped = true;
-                break;
-            }
-            Err(e) => {
-                result = Err(e);
-                stopped = true;
-                break;
-            }
-        }
-    }
-    if !stopped {
-        result = match transport.split() {
-            Some((sender, receiver)) => {
-                serve_connection_pipelined(shared, &mut conn, &mut warm, sender, receiver)
-            }
-            None => serve_connection_pooled_inner(shared, &mut conn, &mut warm, transport),
+        let mut io = ConnIo {
+            writer_tx,
+            receiver: &mut *receiver,
+            stash: &mut stash,
         };
-    }
-    warm.release_all(&mut conn.state.heap);
-    result
-}
-
-/// Handles one frame exclusively on the connection thread — the shared
-/// body of the serial pooled loop and the escalated stash replay.
-/// Returns `Ok(false)` when the frame ends the connection (`Shutdown`),
-/// `Ok(true)` to continue.
-fn handle_exclusive_frame(
-    shared: &SharedServer,
-    conn: &mut ServerNode,
-    warm: &mut crate::warm::WarmCaches,
-    transport: &mut dyn Transport,
-    frame: Frame,
-) -> Result<bool, NrmiError> {
-    {
-        match frame {
-            Frame::Shutdown => return Ok(false),
-            Frame::Tagged { nonce, seq, frame } => {
-                // Decide-mark-executing on the nonce's shard, execute
-                // with no shard lock held, store. A duplicate arriving
-                // on another connection mid-execution reads InProgress
-                // and is dropped unanswered — the client's next
-                // retransmission replays the stored reply.
-                let reply = match shared.replies.begin(nonce, seq) {
-                    ReplyDecision::Replay(cached) => Some(Frame::ReplyCached {
-                        nonce,
-                        seq,
-                        frame: Box::new(cached),
-                    }),
-                    ReplyDecision::Evicted => Some(Frame::ReplyCached {
-                        nonce,
-                        seq,
-                        frame: Box::new(evicted_reply()),
-                    }),
-                    ReplyDecision::InProgress => None,
-                    ReplyDecision::Fresh => {
-                        let reply = crate::protocol::dispatch_tagged(conn, warm, transport, *frame);
-                        shared.replies.store(nonce, seq, &reply);
-                        Some(Frame::Tagged {
-                            nonce,
-                            seq,
-                            frame: Box::new(reply),
-                        })
+        match conn.step(&mut io, frame) {
+            ReactorStep::Reply { pushes, reply } => {
+                // A send into the writer channel only fails after the
+                // writer hit a connection error; `writer_err` carries
+                // the cause, so stop cleanly.
+                for frame in pushes.into_iter().chain(Some(reply)) {
+                    if writer_tx.send(frame).is_err() {
+                        return Ok(());
                     }
-                };
-                if let Some(reply) = reply {
-                    transport.send(&reply)?;
                 }
             }
-            // Everything untagged touches only per-connection state (and
-            // the callee's service mutex) — identical to the exclusive
-            // single-connection loop. The warm dispatcher returns pushed
-            // `CacheStale` invalidations ahead of the call's own reply.
-            frame @ (Frame::CallRequestWarm { .. } | Frame::CacheEvict { .. }) => {
-                let out = crate::warm::dispatch_warm_frame(conn, warm, transport, frame, true);
-                for reply in out {
-                    transport.send(&reply)?;
-                }
+            ReactorStep::Offload { nonce, seq, call } => {
+                // Cannot fail while this loop holds `job_tx`.
+                let _ = job_tx.send((nonce, seq, call));
             }
-            Frame::Lookup { name } => {
-                let found = shared.is_bound(&name);
-                transport.send(&Frame::LookupReply { found })?;
-            }
-            Frame::CallRequest {
-                service,
-                method,
-                mode,
-                payload,
-            } => {
-                let reply = crate::protocol::server_handle_named_call(
-                    conn, transport, &service, &method, mode, &payload,
-                );
-                transport.send(&reply)?;
-            }
-            Frame::CallObject {
-                key,
-                method,
-                mode,
-                payload,
-            } => {
-                let reply = crate::protocol::server_handle_object_call(
-                    conn, transport, key, &method, mode, &payload,
-                );
-                transport.send(&reply)?;
-            }
-            Frame::DgcClean { key } => {
-                conn.state.exports.clean(key);
-            }
-            other => {
-                return Err(NrmiError::Protocol(format!("unexpected frame {other:?}")));
-            }
-        }
-    }
-    Ok(true)
-}
-
-fn serve_connection_pooled_inner(
-    shared: &SharedServer,
-    conn: &mut ServerNode,
-    warm: &mut crate::warm::WarmCaches,
-    transport: &mut dyn Transport,
-) -> Result<(), NrmiError> {
-    loop {
-        let frame = match transport.recv() {
-            Ok(frame) => frame,
-            Err(TransportError::Disconnected) => return Ok(()),
-            Err(e) => return Err(e.into()),
-        };
-        if !handle_exclusive_frame(shared, conn, warm, transport, frame)? {
-            return Ok(());
+            ReactorStep::Ignore => {}
+            ReactorStep::Close => return Ok(()),
+            ReactorStep::Escalate(other) => return Err(unexpected_frame(&other)),
         }
     }
 }
@@ -1068,9 +857,10 @@ mod tests {
                 seq: 0,
             });
             std::thread::spawn(move || {
-                let mut conn = shared.connection_node();
+                let mut node = shared.connection_node();
                 let mut warm = crate::warm::WarmCaches::new();
-                serve_connection_pipelined(&shared, &mut conn, &mut warm, sender, receiver)
+                let mut conn = Connection::new(&mut node, &mut warm);
+                serve_connection_pipelined(&shared, &mut conn, sender, receiver)
             })
         };
 

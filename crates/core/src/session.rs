@@ -3,9 +3,8 @@
 //!
 //! A [`Session`] spawns the server on its own thread, connected to the
 //! client by an in-process channel transport (optionally accounting
-//! simulated time). TCP helpers ([`serve_tcp`], [`Session::connect_tcp`])
-//! run the identical protocol across real sockets for genuine
-//! distribution.
+//! simulated time). [`ServerPool`] and [`Session::connect_tcp`] run the
+//! identical protocol across real sockets for genuine distribution.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -14,8 +13,8 @@ use std::time::Duration;
 
 use nrmi_heap::{DenseObjSet, Heap, LinearMap, ObjId, SharedRegistry, Value};
 use nrmi_transport::{
-    channel_pair, ChannelTransport, Frame, LinkSpec, Listener, MachineSpec, SimEnv,
-    TcpListenerTransport, TcpTransport, Transport, TransportError,
+    channel_pair, ChannelTransport, Frame, LinkSpec, Listener, MachineSpec, SimEnv, TcpTransport,
+    Transport, TransportError,
 };
 
 use crate::error::NrmiError;
@@ -524,48 +523,6 @@ impl Drop for Session {
     }
 }
 
-/// Serves connections accepted from `listener` until `max_connections`
-/// have been handled (servers in examples/tests typically serve one).
-/// Each connection runs the full protocol against the same server node —
-/// sequential, like a single-threaded RMI dispatch queue.
-///
-/// # Errors
-/// Socket or protocol failures.
-pub fn serve_tcp(
-    server: &mut ServerNode,
-    listener: &TcpListenerTransport,
-    max_connections: usize,
-) -> Result<(), NrmiError> {
-    for _ in 0..max_connections {
-        let mut transport = listener.accept()?;
-        serve_connection(server, &mut transport)?;
-    }
-    Ok(())
-}
-
-/// Serves `max_connections` connections **concurrently** over the
-/// lock-split [`SharedServer`](crate::server::SharedServer), then
-/// returns the server node once every connection has ended. A
-/// compatibility wrapper over [`ServerPool`] for callers that know
-/// their connection count up front; everyone else should hold a
-/// [`ServeHandle`] and call [`ServeHandle::shutdown`] when done.
-///
-/// # Errors
-/// Socket failures on accept (surfaced after in-flight connections
-/// drain, without tearing them down); per-connection protocol errors
-/// end that connection only.
-pub fn serve_tcp_concurrent(
-    server: ServerNode,
-    listener: TcpListenerTransport,
-    max_connections: usize,
-) -> Result<ServerNode, NrmiError> {
-    ServerPool::new()
-        .max_live_connections(max_connections.max(1))
-        .max_total_connections(max_connections)
-        .serve(server, listener)
-        .join()
-}
-
 /// Configures and launches a multi-client serve loop: an accept thread
 /// plus one worker thread per live connection, all dispatching into the
 /// lock-split [`SharedServer`](crate::server::SharedServer) — no
@@ -736,8 +693,8 @@ impl ServerPool {
     /// inline and handing fresh pipelineable cold calls to
     /// [`ServerPool::reactor_workers`] shared worker threads. Exclusive
     /// traffic (warm, object, and remote-reference calls) escalates that
-    /// connection to a dedicated blocking thread with PR 5/6 semantics
-    /// intact, so the modes are behaviorally interchangeable — this one
+    /// connection to a dedicated blocking thread running the same step
+    /// function, so the modes are behaviorally interchangeable — this one
     /// holds thousands of mostly-idle connections at a fixed thread
     /// count.
     ///

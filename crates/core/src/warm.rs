@@ -966,7 +966,7 @@ fn revalidate_entry(
 /// reply path instead. Entries whose graphs were freed or recycled
 /// out-of-band are dropped (unfreed) — the client discovers the loss as
 /// an ordinary `CacheMiss` on its next call.
-pub fn collect_stale_pushes(server: &mut ServerNode, caches: &mut WarmCaches) -> Vec<Frame> {
+pub(crate) fn collect_stale_pushes(server: &mut ServerNode, caches: &mut WarmCaches) -> Vec<Frame> {
     let mut out = Vec::new();
     let ids: Vec<u64> = caches.entries.keys().copied().collect();
     for cache_id in ids {
@@ -1010,75 +1010,10 @@ pub fn collect_stale_pushes(server: &mut ServerNode, caches: &mut WarmCaches) ->
     out
 }
 
-/// Dispatches one warm-protocol frame — a warm/seed call or an eviction
-/// notice — against an exclusively borrowed node: the shared body of
-/// every serve loop's warm arms. Returns the frames to send **in
-/// order**: pushed `CacheStale` invalidations for other sessions of this
-/// connection that went stale behind their backs (when `push` is set),
-/// then the call's own reply. Pushes travel *before* the reply on
-/// purpose: a synchronous client consumes everything up to its reply
-/// before it can issue another request, so a pushed patch can never
-/// cross a request delta computed against pre-patch state.
-///
-/// An eviction notice produces no reply of its own — and no pushes
-/// either, even with `push` set: the client is not necessarily
-/// receiving after a fire-and-forget evict, and an unsolicited frame
-/// would derail its next non-call exchange (e.g. a lookup). Nothing is
-/// lost: an eviction only frees objects *no* session covers, so it
-/// cannot stale any session, and staleness predating the evict is
-/// pushed with the next warm call's reply.
-pub fn dispatch_warm_frame(
-    server: &mut ServerNode,
-    caches: &mut WarmCaches,
-    transport: &mut dyn Transport,
-    frame: Frame,
-    push: bool,
-) -> Vec<Frame> {
-    let push = push && matches!(frame, Frame::CallRequestWarm { .. });
-    let reply = match frame {
-        Frame::CallRequestWarm {
-            service,
-            method,
-            mode,
-            cache_id,
-            generation,
-            payload,
-        } => Some(server_handle_warm_call(
-            server, caches, transport, &service, &method, mode, cache_id, generation, &payload,
-        )),
-        Frame::CacheEvict { cache_id } => {
-            caches.evict(&mut server.state.heap, cache_id);
-            None
-        }
-        other => Some(Frame::CallError {
-            message: format!("not a warm-protocol frame: {other:?}"),
-        }),
-    };
-    let mut out = if push {
-        collect_stale_pushes(server, caches)
-    } else {
-        Vec::new()
-    };
-    out.extend(reply);
-    out
-}
-
-/// Shared-node variant of [`dispatch_warm_frame`]: locks the node for
-/// the whole dispatch, like every big-lock arm does.
-pub fn dispatch_warm_frame_shared(
-    server: &TrackedMutex<ServerNode>,
-    caches: &mut WarmCaches,
-    transport: &mut dyn Transport,
-    frame: Frame,
-    push: bool,
-) -> Vec<Frame> {
-    dispatch_warm_frame(&mut server.lock(), caches, transport, frame, push)
-}
-
 /// Handles one `CallRequestWarm` frame on the server. Returns the frame
 /// to send back: `CallReply`, `CacheStale`, `CacheMiss`, or `CallError`.
 #[allow(clippy::too_many_arguments)]
-pub fn server_handle_warm_call(
+pub(crate) fn server_handle_warm_call(
     server: &mut ServerNode,
     caches: &mut WarmCaches,
     transport: &mut dyn Transport,
@@ -1330,35 +1265,6 @@ fn full_reply_fallback(
     Ok(Frame::CallReply { payload: enc.bytes })
 }
 
-/// Shared-server warm dispatch: locks the node per request, like
-/// [`serve_connection_shared`](crate::protocol::serve_connection_shared)
-/// does for cold calls. The caches stay per-connection even though the
-/// node is shared.
-#[allow(clippy::too_many_arguments)]
-pub fn server_handle_warm_call_shared(
-    server: &crate::lockcheck::TrackedMutex<ServerNode>,
-    caches: &mut WarmCaches,
-    transport: &mut dyn Transport,
-    service: &str,
-    method: &str,
-    mode_byte: u8,
-    cache_id: u64,
-    generation: u64,
-    payload: &[u8],
-) -> Frame {
-    server_handle_warm_call(
-        &mut server.lock(),
-        caches,
-        transport,
-        service,
-        method,
-        mode_byte,
-        cache_id,
-        generation,
-        payload,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use std::collections::VecDeque;
@@ -1388,10 +1294,10 @@ mod tests {
         }
     }
 
-    /// Client and server joined in process, pushes enabled: `send` runs
-    /// the frame through [`dispatch_warm_frame`] and queues everything it
-    /// returns — pushed `CacheStale` patches ahead of the reply, exactly
-    /// the order the serve loops write to the socket.
+    /// Client and server joined in process: `send` runs the frame
+    /// through the serve core's step and queues everything it answers —
+    /// pushed `CacheStale` patches ahead of the reply, exactly the order
+    /// the drivers write to the socket.
     struct Link {
         server: ServerNode,
         caches: WarmCaches,
@@ -1400,14 +1306,9 @@ mod tests {
 
     impl Transport for Link {
         fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
-            let out = dispatch_warm_frame(
-                &mut self.server,
-                &mut self.caches,
-                &mut Sink,
-                frame.clone(),
-                true,
-            );
-            self.replies.extend(out);
+            let mut conn = crate::protocol::Connection::new(&mut self.server, &mut self.caches);
+            let step = conn.step(&mut Sink, frame.clone());
+            self.replies.extend(step.into_replies());
             Ok(())
         }
         fn recv(&mut self) -> nrmi_transport::Result<Frame> {

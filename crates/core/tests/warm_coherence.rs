@@ -24,8 +24,8 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use nrmi_core::{
-    client_evict_warm, client_invoke_warm_with_stats, dispatch_warm_frame, ClientNode, FnService,
-    NrmiError, RemoteService, ServerNode, Session, WarmCaches,
+    client_evict_warm, client_invoke_warm_with_stats, ClientNode, Connection, FnService, NrmiError,
+    RemoteService, ServerNode, Session, WarmCaches,
 };
 use nrmi_heap::graph::isomorphic;
 use nrmi_heap::{ClassRegistry, Heap, HeapAccess, ObjId, SharedRegistry, Value};
@@ -253,8 +253,8 @@ impl Transport for Sink {
     }
 }
 
-/// Client and server joined in process with pushes enabled, exactly the
-/// frame order the serve loops produce.
+/// Client and server joined in process through the serve core's step,
+/// exactly the frame order the serve drivers produce.
 struct Link {
     server: ServerNode,
     caches: WarmCaches,
@@ -263,14 +263,9 @@ struct Link {
 
 impl Transport for Link {
     fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
-        let out = dispatch_warm_frame(
-            &mut self.server,
-            &mut self.caches,
-            &mut Sink,
-            frame.clone(),
-            true,
-        );
-        self.replies.extend(out);
+        let mut conn = Connection::new(&mut self.server, &mut self.caches);
+        let step = conn.step(&mut Sink, frame.clone());
+        self.replies.extend(step.into_replies());
         Ok(())
     }
     fn recv(&mut self) -> nrmi_transport::Result<Frame> {

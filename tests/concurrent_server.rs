@@ -5,7 +5,7 @@
 
 use std::thread;
 
-use nrmi::core::{serve_tcp_concurrent, FnService, NrmiError, ServerNode, ServerPool, Session};
+use nrmi::core::{FnService, NrmiError, ServerNode, ServerPool, Session};
 use nrmi::heap::tree::{self};
 use nrmi::heap::{ClassRegistry, SharedRegistry, Value};
 use nrmi::transport::{MachineSpec, TcpListenerTransport};
@@ -92,7 +92,12 @@ fn concurrent_copy_restore_calls_do_not_interfere() {
                 Ok(Value::Null)
             })),
         );
-        serve_tcp_concurrent(server, listener, CLIENTS).expect("serve")
+        ServerPool::new()
+            .max_live_connections(CLIENTS)
+            .max_total_connections(CLIENTS)
+            .serve(server, listener)
+            .join()
+            .expect("serve")
     });
 
     let mut client_threads = Vec::new();

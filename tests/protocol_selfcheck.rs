@@ -1,0 +1,32 @@
+//! Tier-1 coverage for the protocol model checker: root `cargo test -q`
+//! builds only the facade package, so without this test a regression in
+//! the serve core's step function would surface only in CI's
+//! `--workspace` and `tables -- check` jobs. Every world runs at a
+//! reduced depth — all seven alphabets, every invariant P001–P011,
+//! against the production step — which stays within a few seconds in a
+//! debug build.
+//!
+//! Not built under `--features sanitize`: there the core world's
+//! `Call → Prune → Graft → Call` traps `NRMI-Z003` in the *client's*
+//! request-delta encoder (a pruned slot recycled by the graft is read
+//! through the encoder's dense map), at the parent commit as well. That
+//! is a wire-layer finding of its own, not a serve-core one.
+
+#![cfg(not(feature = "sanitize"))]
+
+use nrmi::check::{self_check, ModelCheckConfig};
+
+#[test]
+fn reduced_depth_self_check_is_clean() {
+    let report = self_check(&ModelCheckConfig {
+        core_depth: 4,
+        adversarial_depth: 4,
+        reliability_depth: 4,
+        shared_depth: 4,
+        shared_graph_depth: 4,
+        pipelined_depth: 4,
+        reactor_depth: 4,
+        max_errors: 25,
+    });
+    assert!(!report.has_errors(), "{}", report.render());
+}

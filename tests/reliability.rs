@@ -19,9 +19,9 @@ use std::time::{Duration, Instant};
 
 use nrmi::core::{
     client_invoke, client_invoke_warm_with_stats, client_marshal_call, serve_connection,
-    serve_connection_pooled, serve_tcp_concurrent, CallOptions, ClientNode, FnService, NrmiError,
-    PassMode, PipelinedCall, ReliableTransport, ReplyCache, ReplyDecision, RetryPolicy, ServerNode,
-    Session, SharedServer, REPLY_EVICTED,
+    serve_connection_pooled, CallOptions, ClientNode, FnService, NrmiError, PassMode,
+    PipelinedCall, ReliableTransport, ReplyCache, ReplyDecision, RetryPolicy, ServerNode,
+    ServerPool, Session, SharedServer, REPLY_EVICTED,
 };
 use nrmi::heap::{ClassRegistry, HeapAccess, SharedRegistry, Value};
 use nrmi::transport::{
@@ -166,7 +166,12 @@ fn tcp_reconnect_retransmits_and_executes_exactly_once() {
     let server = thread::spawn(move || {
         let mut node = ServerNode::new(server_registry, MachineSpec::fast());
         bind_digit_service(&mut node);
-        serve_tcp_concurrent(node, listener, 2).expect("serve")
+        ServerPool::new()
+            .max_live_connections(2)
+            .max_total_connections(2)
+            .serve(node, listener)
+            .join()
+            .expect("serve")
     });
 
     let mut client = ClientNode::new(registry, MachineSpec::fast());
@@ -240,7 +245,12 @@ fn warm_sessions_fall_back_to_a_cold_reseed_across_reconnect() {
                 Ok(Value::Long(i64::from(d)))
             })),
         );
-        serve_tcp_concurrent(node, listener, 2).expect("serve")
+        ServerPool::new()
+            .max_live_connections(2)
+            .max_total_connections(2)
+            .serve(node, listener)
+            .join()
+            .expect("serve")
     });
 
     let mut client = ClientNode::new(registry.clone(), MachineSpec::fast());
@@ -536,7 +546,12 @@ fn duplicate_on_second_connection_mid_execution_runs_once() {
                 Ok(Value::Long(i64::from(d)))
             })),
         );
-        serve_tcp_concurrent(node, listener, 2).expect("serve")
+        ServerPool::new()
+            .max_live_connections(2)
+            .max_total_connections(2)
+            .serve(node, listener)
+            .join()
+            .expect("serve")
     });
 
     let mut client = ClientNode::new(registry.clone(), MachineSpec::fast());

@@ -4,7 +4,9 @@
 
 use std::thread;
 
-use nrmi::core::{serve_tcp, CallOptions, FnService, NrmiError, PassMode, ServerNode, Session};
+use nrmi::core::{
+    serve_connection, CallOptions, FnService, NrmiError, PassMode, ServerNode, ServerPool, Session,
+};
 use nrmi::heap::tree::{self};
 use nrmi::heap::{ClassRegistry, HeapAccess, SharedRegistry, Value};
 use nrmi::transport::{MachineSpec, TcpListenerTransport};
@@ -13,6 +15,16 @@ fn registry() -> SharedRegistry {
     let mut reg = ClassRegistry::new();
     let _ = tree::register_tree_classes(&mut reg);
     reg.snapshot()
+}
+
+/// Serves exactly one connection, then returns the node.
+fn serve_one(server: ServerNode, listener: TcpListenerTransport) -> ServerNode {
+    ServerPool::new()
+        .max_live_connections(1)
+        .max_total_connections(1)
+        .serve(server, listener)
+        .join()
+        .expect("serve")
 }
 
 fn spawn_server(
@@ -35,8 +47,7 @@ fn spawn_server(
                 other => Err(NrmiError::app(format!("no method {other}"))),
             })),
         );
-        serve_tcp(&mut server, &listener, 1).expect("serve");
-        server
+        serve_one(server, listener)
     });
     (addr, handle)
 }
@@ -146,7 +157,7 @@ fn factory_pattern_works_over_tcp() {
                 }
             })),
         );
-        nrmi::core::serve_tcp(&mut node, &listener, 1).expect("serve");
+        serve_one(node, listener);
     });
 
     let mut client = Session::connect_tcp(registry, addr).expect("connect");
@@ -186,7 +197,12 @@ fn sequential_clients_share_one_server() {
                 Ok(Value::Int(counter))
             })),
         );
-        serve_tcp(&mut server, &listener, 3).expect("serve");
+        // One node — heap and service state — across sequential
+        // connections, like a single-threaded RMI dispatch queue.
+        for _ in 0..3 {
+            let mut transport = listener.accept().expect("accept");
+            serve_connection(&mut server, &mut transport).expect("serve");
+        }
     });
     for expected in 1..=3 {
         let mut client = Session::connect_tcp(registry.clone(), addr).expect("connect");

@@ -5,7 +5,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 
 use nrmi::core::{
-    serve_tcp_concurrent, CallOptions, FnService, NrmiError, RemoteService, ServerNode, Session,
+    CallOptions, FnService, NrmiError, RemoteService, ServerNode, ServerPool, Session,
 };
 use nrmi::heap::tree::{self, TreeClasses};
 use nrmi::heap::validate::assert_valid;
@@ -391,7 +391,12 @@ fn warm_sessions_are_isolated_per_tcp_client() {
     let server_thread = thread::spawn(move || {
         let mut server = ServerNode::new(server_registry, MachineSpec::fast());
         server.bind("bump", bump_service());
-        serve_tcp_concurrent(server, listener, CLIENTS).expect("serve")
+        ServerPool::new()
+            .max_live_connections(CLIENTS)
+            .max_total_connections(CLIENTS)
+            .serve(server, listener)
+            .join()
+            .expect("serve")
     });
 
     let mut client_threads = Vec::new();
