@@ -25,18 +25,19 @@
 //! bytes-copied-per-call to (near) zero — [`hotpath_violations`] gates
 //! on it, alongside the warm allocation budget.
 
-use std::sync::Arc;
+use std::sync::atomic::Ordering::Relaxed;
 use std::thread;
 use std::time::Instant;
 
 use nrmi_core::{
-    serve_connection_pooled, CallOptions, FnService, NrmiError, RemoteService, ServerNode, Session,
-    SharedServer,
+    serve_connection_pooled, CallOptions, FnService, NrmiError, ReliableTransport, RemoteService,
+    RemoteSession, ServerNode, Session, SharedServer,
 };
 use nrmi_heap::{HeapAccess, Value};
-use nrmi_transport::{MachineSpec, TcpListenerTransport};
+use nrmi_transport::{MachineSpec, Transport};
 
 use crate::alloc_count;
+use crate::per_write::{tcp_loopback_pair, PerWriteTcp};
 use crate::tables::SEED;
 use crate::workload::{bench_classes, build_workload, walk_tree, Scenario};
 
@@ -76,9 +77,8 @@ pub struct HotpathReport {
     pub warm_steady: HotpathPoint,
 }
 
-/// Wire-copy metering for one call mode under one batching toggle state
-/// (both ends in one process, so the counters see client and server
-/// traffic combined).
+/// Wire-copy metering for one call mode on one wire (both ends in one
+/// process, so the counters see client and server traffic combined).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WirePoint {
     /// Payload bytes memmoved into contiguous frame bodies per call.
@@ -91,8 +91,9 @@ pub struct WirePoint {
 }
 
 /// The wire-copy ablation over real TCP: cold and steady-warm calls,
-/// each measured with wire batching off (a contiguous encode and its
-/// own `write` per frame) and on (vectored scatter-gather trains).
+/// each measured on the per-write baseline (a contiguous encode and its
+/// own `write` per frame) and on the production wire (vectored
+/// scatter-gather trains).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WireReport {
     /// Tree size measured.
@@ -213,43 +214,31 @@ pub fn run_hotpath(size: usize) -> HotpathReport {
     }
 }
 
-/// Restores the wire-batching default even when a measurement panics.
-struct BatchingGuard;
-
-impl Drop for BatchingGuard {
-    fn drop(&mut self) {
-        nrmi_transport::set_wire_batching(true);
-    }
-}
-
-/// One wire-copy cell: the hotpath workload over loopback TCP with the
-/// batching toggle pinned, metering copied payload bytes and wire
-/// syscalls per measured call.
-fn measure_wire(size: usize, warm: bool, batching: bool) -> WirePoint {
+/// One wire-copy cell: the hotpath workload over the connected pair
+/// `(client, server)`, with `meter` snapshotting (copied payload bytes,
+/// writes, reads) for whichever wire the pair speaks.
+fn measure_wire<T: Transport + 'static>(
+    size: usize,
+    warm: bool,
+    (client, mut server_conn): (T, T),
+    meter: impl Fn() -> [u64; 3],
+) -> WirePoint {
     let classes = bench_classes();
-    let listener = TcpListenerTransport::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
     let mut server = ServerNode::new(classes.registry.clone(), MachineSpec::fast());
     server.bind("sum", sum_service());
-    let shared = Arc::new(SharedServer::from_node(server));
-    let server_thread = {
-        let shared = Arc::clone(&shared);
-        thread::spawn(move || {
-            let mut conn = listener.accept().expect("accept");
-            let _ = serve_connection_pooled(&shared, &mut conn);
-        })
-    };
+    let shared = SharedServer::from_node(server);
+    let server_thread = thread::spawn(move || {
+        let _ = serve_connection_pooled(&shared, &mut server_conn);
+    });
 
-    let mut session = Session::connect_tcp_reliable(
+    let mut session = RemoteSession::over(
         classes.registry.clone(),
-        addr,
-        nrmi_core::RetryPolicy::default(),
-    )
-    .expect("connect");
+        ReliableTransport::new(client, nrmi_core::RetryPolicy::default()),
+    );
     let w = build_workload(session.heap(), &classes, Scenario::I, size, SEED).expect("workload");
     let args = [Value::Ref(w.root)];
     let opts = CallOptions::copy_restore_delta();
-    let call = |session: &mut nrmi_core::RemoteSession<_>| {
+    let call = |session: &mut RemoteSession<_>| {
         if warm {
             session.call_warm("sum", "sum", &args).expect("warm call");
         } else {
@@ -259,39 +248,51 @@ fn measure_wire(size: usize, warm: bool, batching: bool) -> WirePoint {
         }
     };
 
-    let _restore = BatchingGuard;
-    nrmi_transport::set_wire_batching(batching);
     for _ in 0..WARMUP {
         call(&mut session);
     }
-    let copied0 = nrmi_transport::bytes_copied();
-    let (w0, r0) = nrmi_transport::wire_syscalls();
+    let before = meter();
     for _ in 0..CALLS {
         call(&mut session);
     }
-    let copied1 = nrmi_transport::bytes_copied();
-    let (w1, r1) = nrmi_transport::wire_syscalls();
-    nrmi_transport::set_wire_batching(true);
+    let [copied, writes, reads] = {
+        let after = meter();
+        [0, 1, 2].map(|i| after[i] - before[i])
+    };
     let _ = session.close();
     server_thread.join().expect("server thread");
 
     let n = CALLS as u64;
     WirePoint {
-        bytes_copied_per_call: (copied1 - copied0) / n,
-        write_syscalls_per_call: (w1 - w0) as f64 / n as f64,
-        read_syscalls_per_call: (r1 - r0) as f64 / n as f64,
+        bytes_copied_per_call: copied / n,
+        write_syscalls_per_call: writes as f64 / n as f64,
+        read_syscalls_per_call: reads as f64 / n as f64,
     }
 }
 
-/// Runs the wire-copy ablation on a `size`-node tree over loopback TCP.
+/// Runs the wire-copy ablation on a `size`-node tree over loopback TCP:
+/// the production wire read off the transport crate's process-wide
+/// meters, the [`PerWriteTcp`] baseline off its own.
 pub fn run_wire(size: usize) -> WireReport {
+    let per_write = |warm: bool| {
+        let (pair, counts) = PerWriteTcp::loopback_pair();
+        measure_wire(size, warm, pair, move || {
+            [&counts.copied, &counts.writes, &counts.reads].map(|c| c.load(Relaxed))
+        })
+    };
+    let batched = |warm: bool| {
+        measure_wire(size, warm, tcp_loopback_pair(), || {
+            let (writes, reads) = nrmi_transport::wire_syscalls();
+            [nrmi_transport::bytes_copied(), writes, reads]
+        })
+    };
     WireReport {
         size,
         calls: CALLS,
-        cold_per_write: measure_wire(size, false, false),
-        cold_batched: measure_wire(size, false, true),
-        warm_per_write: measure_wire(size, true, false),
-        warm_batched: measure_wire(size, true, true),
+        cold_per_write: per_write(false),
+        cold_batched: batched(false),
+        warm_per_write: per_write(true),
+        warm_batched: batched(true),
     }
 }
 
@@ -472,7 +473,7 @@ fn report_json(r: &HotpathReport) -> String {
 /// payload bytes per call and wire syscalls per call, cold and warm.
 pub fn to_json(before: &HotpathReport, after: &HotpathReport, wire: &WireReport) -> String {
     format!(
-        "{{\n  \"workload\": \"scenario I tree, read-only sum service, delta replies\",\n  \"before\": {},\n  \"after\": {},\n  \"wire\": {},\n  \"wire_notes\": \"loopback TCP, both ends in one process; bytes_copied_per_call = payload bytes memmoved into contiguous frame bodies (the copy the scatter-gather encode eliminates); per_write = wire batching disabled (a write and a contiguous encode per frame), batched = vectored frame trains (the default)\"\n}}\n",
+        "{{\n  \"workload\": \"scenario I tree, read-only sum service, delta replies\",\n  \"before\": {},\n  \"after\": {},\n  \"wire\": {},\n  \"wire_notes\": \"loopback TCP, both ends in one process; bytes_copied_per_call = payload bytes memmoved into contiguous frame bodies (the copy the scatter-gather encode eliminates); per_write = the bench-side PerWriteTcp baseline (a write and a contiguous encode per frame), batched = the production wire (vectored frame trains)\"\n}}\n",
         report_json(before),
         report_json(after),
         wire_json(wire)
@@ -514,10 +515,6 @@ mod tests {
             wire.cold_batched.bytes_copied_per_call <= WIRE_BYTES_COPIED_MAX,
             "the vectored encode must reference payloads in place, copied {} bytes/call",
             wire.cold_batched.bytes_copied_per_call
-        );
-        assert!(
-            nrmi_transport::wire_batching_enabled(),
-            "measurement must restore the batching default"
         );
         assert!(
             hotpath_violations(&run_hotpath(64), &wire).is_empty(),

@@ -40,6 +40,7 @@ pub mod leak;
 pub mod manual;
 pub mod observations;
 pub mod paper;
+pub mod per_write;
 pub mod scaling;
 pub mod semantics_matrix;
 pub mod sensitivity;

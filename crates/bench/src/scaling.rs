@@ -27,12 +27,12 @@
 //! must beat depth 1 by at least 2x or the gate fails.
 //!
 //! A fourth axis isolates the **batched wire path**: the same pipelined
-//! workload against *instant* echo services, measured once with wire
-//! batching disabled (a `write` per frame) and once with vectored frame
-//! trains (one `writev` per train, the default). With no service time
-//! in the way, the cell measures framing and syscalls themselves; at
-//! depth [`BATCHED_WIRE_DEPTHS`] the train must pay at least
-//! [`BATCHED_WIRE_MIN_SPEEDUP`].
+//! workload against *instant* echo services, measured once over the
+//! bench-side [`PerWriteTcp`] baseline (a `write` per frame) and once
+//! over the production wire (one `writev` per frame train). With no
+//! service time in the way, the cell measures framing and syscalls
+//! themselves; at depth [`BATCHED_WIRE_DEPTHS`] the train must pay at
+//! least [`BATCHED_WIRE_MIN_SPEEDUP`].
 //!
 //! A fifth axis measures **shared-graph contention**: N warm readers
 //! each hold a leased [`CONTENTION_GRAPH_NODES`]-node chain on one
@@ -64,13 +64,15 @@ use std::time::{Duration, Instant};
 use nrmi_core::{
     allow_blocking, client_evict_warm, client_invoke, client_invoke_warm_with_stats,
     serve_connection_pooled, CallOptions, ClientNode, Connection, FnService, LockClass, NrmiError,
-    PassMode, PipelinedCall, ReactorStep, ServerNode, Session, SharedServer, TrackedMutex,
-    WarmCaches,
+    PassMode, PipelinedCall, ReactorStep, ReliableTransport, RemoteSession, ServerNode, Session,
+    SharedServer, TrackedMutex, WarmCaches,
 };
 use nrmi_heap::{ClassId, ClassRegistry, HeapAccess, ObjId, SharedRegistry, Value};
 use nrmi_transport::{
     Frame, MachineSpec, TcpListenerTransport, TcpTransport, Transport, TransportError,
 };
+
+use crate::per_write::{tcp_loopback_pair, PerWriteTcp};
 
 /// Client counts swept for the throughput measurement.
 pub const CLIENT_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -90,12 +92,12 @@ pub const PIPELINE_SERVICE_TIME: Duration = Duration::from_micros(500);
 /// Remote-ref calls each client issues per throughput cell.
 pub const CALLS_PER_CLIENT: usize = 10;
 
-/// Calls per batched-wire measurement (per toggle state). The services
+/// Calls per batched-wire measurement (per wire). The services
 /// are instant echoes: with no service time in the way, what the cell
 /// measures is the wire path itself — marshal, syscalls, and framing.
 pub const BATCHED_WIRE_CALLS: usize = 4096;
 
-/// Measurement repetitions per toggle state; the cell keeps the best
+/// Measurement repetitions per wire; the cell keeps the best
 /// run of each. Throughput noise on a shared machine is one-sided (a
 /// scheduler preemption only ever *subtracts* calls/sec), so best-of-N
 /// is the estimator that converges on the workload's real rate instead
@@ -111,7 +113,7 @@ pub const BATCHED_WIRE_DEPTHS: [usize; 2] = [1, 16];
 /// on one connection, or `tables -- scaling` fails.
 ///
 /// Calibration: batching eliminates nearly all wire syscalls (measured
-/// ~8.0 → ~0.5 syscalls per call at depth 16), but both toggle states
+/// ~8.0 → ~0.5 syscalls per call at depth 16), but both wires
 /// share the RPC stack's dispatch cost — marshal, request-map
 /// bookkeeping, worker-pool handoffs — which bounds the end-to-end
 /// ratio below the raw syscall ratio. Release builds (how `tables --
@@ -199,14 +201,14 @@ pub struct PipelinePoint {
 }
 
 /// One batched-wire cell: the same pipelined workload measured twice —
-/// once with wire batching disabled (every frame pays its own `write`)
-/// and once with vectored frame trains (the default) — on one TCP
-/// connection against instant echo services.
+/// once over the per-write baseline (every frame pays its own `write`)
+/// and once over the production wire's vectored frame trains — on one
+/// TCP connection against instant echo services.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BatchedPoint {
     /// Calls in flight per train.
     pub depth: usize,
-    /// Calls completed per toggle state.
+    /// Calls completed per wire.
     pub calls: usize,
     /// Throughput with a `write` syscall per frame.
     pub per_write_calls_per_sec: f64,
@@ -720,24 +722,17 @@ fn pipeline_cell(depth: usize) -> PipelinePoint {
     }
 }
 
-/// Restores the process-global wire-batching toggle on drop, so a
-/// panicking measurement cannot leave the per-call-write mode on for
-/// everything that runs after it.
-struct BatchingGuard;
-
-impl Drop for BatchingGuard {
-    fn drop(&mut self) {
-        nrmi_transport::set_wire_batching(true);
-    }
-}
-
 /// One run of the batched-wire workload: [`BATCHED_WIRE_CALLS`] calls
 /// at `depth` through the request-map client against the pipelined
-/// serve loop, services answering instantly. With `batching` off every
-/// request and reply frame pays its own `write`; with it on the client
-/// flushes each train with one `writev` and the server's reply writer
-/// drains its queue into vectored trains.
-fn batched_wire_run(depth: usize, batching: bool) -> f64 {
+/// serve loop, services answering instantly, over the connected pair
+/// `(client, server)`. On [`PerWriteTcp`] every request and reply frame
+/// pays its own `write`; on the production wire the client flushes each
+/// train with one `writev` and the server's reply writer drains its
+/// queue into vectored trains.
+fn batched_wire_run<T: Transport + 'static>(
+    depth: usize,
+    (client, mut server_conn): (T, T),
+) -> f64 {
     let mut reg = ClassRegistry::new();
     reg.define("Payload")
         .field_int("v")
@@ -745,8 +740,6 @@ fn batched_wire_run(depth: usize, batching: bool) -> f64 {
         .register();
     let registry = reg.snapshot();
 
-    let listener = TcpListenerTransport::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
     let mut server = ServerNode::new(registry.clone(), MachineSpec::fast());
     for s in 0..PIPELINE_SERVICES {
         server.bind(
@@ -756,23 +749,18 @@ fn batched_wire_run(depth: usize, batching: bool) -> f64 {
             })),
         );
     }
-    let shared = Arc::new(SharedServer::from_node(server));
-    let server_thread = {
-        let shared = Arc::clone(&shared);
-        thread::spawn(move || {
-            let mut conn = listener.accept().expect("accept");
-            let _ = serve_connection_pooled(&shared, &mut conn);
-        })
-    };
+    let shared = SharedServer::from_node(server);
+    let server_thread = thread::spawn(move || {
+        let _ = serve_connection_pooled(&shared, &mut server_conn);
+    });
 
-    let mut session =
-        Session::connect_tcp_reliable(registry, addr, nrmi_core::RetryPolicy::default())
-            .expect("connect");
+    let mut session = RemoteSession::over(
+        registry,
+        ReliableTransport::new(client, nrmi_core::RetryPolicy::default()),
+    );
     let warmup = [PipelinedCall::new("echo0", "inc", vec![Value::Int(-1)])];
     session.call_pipelined(&warmup).expect("warmup");
 
-    let _restore = BatchingGuard;
-    nrmi_transport::set_wire_batching(batching);
     let started = Instant::now();
     let mut done = 0usize;
     while done < BATCHED_WIRE_CALLS {
@@ -796,7 +784,6 @@ fn batched_wire_run(depth: usize, batching: bool) -> f64 {
         done += batch.len();
     }
     let elapsed = started.elapsed();
-    nrmi_transport::set_wire_batching(true);
     let _ = session.close();
     server_thread.join().expect("server thread");
 
@@ -805,15 +792,11 @@ fn batched_wire_run(depth: usize, batching: bool) -> f64 {
 
 /// One batched-wire cell: per-call-write baseline, then the vectored
 /// train, same depth and budget — best of [`BATCHED_WIRE_REPS`] runs
-/// per toggle state.
+/// per wire.
 fn batched_wire_cell(depth: usize) -> BatchedPoint {
-    let best = |batching: bool| {
-        (0..BATCHED_WIRE_REPS)
-            .map(|_| batched_wire_run(depth, batching))
-            .fold(0.0_f64, f64::max)
-    };
-    let per_write = best(false);
-    let batched = best(true);
+    let best = |run: &dyn Fn() -> f64| (0..BATCHED_WIRE_REPS).map(|_| run()).fold(0.0, f64::max);
+    let per_write = best(&|| batched_wire_run(depth, PerWriteTcp::loopback_pair().0));
+    let batched = best(&|| batched_wire_run(depth, tcp_loopback_pair()));
     BatchedPoint {
         depth,
         calls: BATCHED_WIRE_CALLS,
@@ -1427,7 +1410,7 @@ pub fn render_scaling(report: &ScalingReport) -> String {
     }
     let _ = writeln!(
         out,
-        "\nBatched wire — one connection, {} instant echo calls per toggle state:",
+        "\nBatched wire — one connection, {} instant echo calls per wire:",
         BATCHED_WIRE_CALLS
     );
     let _ = writeln!(
@@ -1910,22 +1893,17 @@ mod tests {
         );
     }
 
-    /// Smoke: the batched-wire cell completes under both toggle states
-    /// — the run itself asserts every reply routes to the right slot —
-    /// and leaves the process-global batching toggle back on. (The
-    /// 1.5x gate runs in the `tables -- scaling` regeneration, where
-    /// the measurement is long enough to be stable.)
+    /// Smoke: the batched-wire cell completes on both wires — the run
+    /// itself asserts every reply routes to the right slot. (The 1.5x
+    /// gate runs in the `tables -- scaling` regeneration, where the
+    /// measurement is long enough to be stable.)
     #[test]
-    fn batched_wire_cell_round_trips_and_restores_toggle() {
+    fn batched_wire_cell_round_trips_on_both_wires() {
         let p = batched_wire_cell(4);
         assert_eq!(p.depth, 4);
         assert_eq!(p.calls, BATCHED_WIRE_CALLS);
         assert!(p.per_write_calls_per_sec > 0.0);
         assert!(p.batched_calls_per_sec > 0.0);
-        assert!(
-            nrmi_transport::wire_batching_enabled(),
-            "measurement must restore the batching default"
-        );
     }
 
     /// Smoke: one small fleet cell per server core completes with the

@@ -21,8 +21,8 @@
 //! * **`NRMI-L002`** (error, or info when covered by
 //!   [`allow_blocking`](nrmi_core::allow_blocking)) — a tracked lock
 //!   was held while entering a blocking transport operation
-//!   (`tcp.recv`, `framed.write_frame`, `poller.wait`, …). Holding a
-//!   lock across peer-controlled I/O lets one stalled client convoy
+//!   (`socket.recv`, `framed.write_frames_vectored`, `poller.wait`, …).
+//!   Holding a lock across peer-controlled I/O lets one stalled client convoy
 //!   every thread that needs the class — the PR 5 head-of-line bug
 //!   class. Designed-in holds carry a reason string and report at info
 //!   severity.

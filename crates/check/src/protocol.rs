@@ -341,7 +341,9 @@ struct World {
     next_data: i32,
 }
 
-impl World {
+impl WorldModel for World {
+    type Action = Action;
+
     fn new() -> Self {
         let mut reg = ClassRegistry::new();
         reg.define("Node")
@@ -405,7 +407,9 @@ impl World {
         self.check_heaps(report);
         self.check_lockstep(report);
     }
+}
 
+impl World {
     /// Mirrors the coherence merge rule into the twin: a `MutateServer`
     /// poke of the root becomes visible to the next call exactly when
     /// the warm session is live on both sides **and** the client has not
@@ -855,7 +859,9 @@ struct ReliableWorld {
     expected_executions: usize,
 }
 
-impl ReliableWorld {
+impl WorldModel for ReliableWorld {
+    type Action = ReliabilityAction;
+
     fn new() -> Self {
         let mut reg = ClassRegistry::new();
         reg.define("Node")
@@ -943,7 +949,9 @@ impl ReliableWorld {
         self.check_heaps(report);
         self.check_at_most_once(report);
     }
+}
 
+impl ReliableWorld {
     fn do_call(&mut self, report: &mut Report) {
         let warm = client_invoke_warm_with_stats(
             &mut self.client,
@@ -1063,44 +1071,7 @@ impl ReliableWorld {
 /// Runs one reliability action sequence against a fresh world, returning
 /// all violations (panics become `NRMI-P006`, as in [`check_sequence`]).
 pub fn check_reliability_sequence(actions: &[ReliabilityAction]) -> Report {
-    let trace = actions
-        .iter()
-        .map(|a| format!("{a:?}"))
-        .collect::<Vec<_>>()
-        .join(" → ");
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut world = ReliableWorld::new();
-        let mut report = Report::new();
-        for (i, &action) in actions.iter().enumerate() {
-            world.step(action, &mut report);
-            if report.has_errors() {
-                return (report, Some(i));
-            }
-        }
-        (report, None)
-    }));
-    match outcome {
-        Ok((mut report, failed_at)) => {
-            if let Some(i) = failed_at {
-                report = report
-                    .diagnostics()
-                    .iter()
-                    .cloned()
-                    .map(|d| d.with("trace", &trace).with("failed_at_step", i))
-                    .collect();
-            }
-            report
-        }
-        Err(payload) => {
-            let msg = panic_message(&payload);
-            let mut report = Report::new();
-            report.push(
-                Diagnostic::error("NRMI-P006", format!("sequence panicked: {msg}"))
-                    .with("trace", &trace),
-            );
-            report
-        }
-    }
+    run_sequence::<ReliableWorld>(actions)
 }
 
 // ---------------------------------------------------------------------------
@@ -1188,7 +1159,9 @@ struct SharedWorld {
     executions: Arc<std::sync::atomic::AtomicUsize>,
 }
 
-impl SharedWorld {
+impl WorldModel for SharedWorld {
+    type Action = SharedAction;
+
     fn new() -> Self {
         let mut reg = ClassRegistry::new();
         reg.define("Node")
@@ -1271,7 +1244,9 @@ impl SharedWorld {
         self.check_heaps(report);
         self.check_exactly_once(report);
     }
+}
 
+impl SharedWorld {
     fn do_call(ep: &mut SharedEndpoint, who: &str, report: &mut Report) {
         let warm = client_invoke_warm_with_stats(
             &mut ep.client,
@@ -1403,44 +1378,7 @@ impl SharedWorld {
 /// Runs one two-connection action sequence against a fresh shared world,
 /// returning all violations (panics become `NRMI-P006`).
 pub fn check_shared_sequence(actions: &[SharedAction]) -> Report {
-    let trace = actions
-        .iter()
-        .map(|a| format!("{a:?}"))
-        .collect::<Vec<_>>()
-        .join(" → ");
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut world = SharedWorld::new();
-        let mut report = Report::new();
-        for (i, &action) in actions.iter().enumerate() {
-            world.step(action, &mut report);
-            if report.has_errors() {
-                return (report, Some(i));
-            }
-        }
-        (report, None)
-    }));
-    match outcome {
-        Ok((mut report, failed_at)) => {
-            if let Some(i) = failed_at {
-                report = report
-                    .diagnostics()
-                    .iter()
-                    .cloned()
-                    .map(|d| d.with("trace", &trace).with("failed_at_step", i))
-                    .collect();
-            }
-            report
-        }
-        Err(payload) => {
-            let msg = panic_message(&payload);
-            let mut report = Report::new();
-            report.push(
-                Diagnostic::error("NRMI-P006", format!("sequence panicked: {msg}"))
-                    .with("trace", &trace),
-            );
-            report
-        }
-    }
+    run_sequence::<SharedWorld>(actions)
 }
 
 // ---------------------------------------------------------------------------
@@ -1562,7 +1500,9 @@ struct SharedGraphWorld {
 /// distinctive so a stale read stands out from the ×3+1 service values.
 const SG_POKE: i32 = 100;
 
-impl SharedGraphWorld {
+impl WorldModel for SharedGraphWorld {
+    type Action = SharedGraphAction;
+
     fn new() -> Self {
         let mut reg = ClassRegistry::new();
         reg.define("Node")
@@ -1656,7 +1596,9 @@ impl SharedGraphWorld {
         self.check_lease_liveness(report);
         self.check_heaps(report);
     }
+}
 
+impl SharedGraphWorld {
     /// The oracle's visibility rule, as in the single-client [`World`]:
     /// a peer's poke becomes visible to this endpoint's next call iff
     /// its warm session is live in generation lockstep (the repair path
@@ -1861,44 +1803,7 @@ impl SharedGraphWorld {
 /// Runs one two-client shared-graph action sequence against a fresh
 /// world, returning all violations (panics become `NRMI-P006`).
 pub fn check_shared_graph_sequence(actions: &[SharedGraphAction]) -> Report {
-    let trace = actions
-        .iter()
-        .map(|a| format!("{a:?}"))
-        .collect::<Vec<_>>()
-        .join(" → ");
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut world = SharedGraphWorld::new();
-        let mut report = Report::new();
-        for (i, &action) in actions.iter().enumerate() {
-            world.step(action, &mut report);
-            if report.has_errors() {
-                return (report, Some(i));
-            }
-        }
-        (report, None)
-    }));
-    match outcome {
-        Ok((mut report, failed_at)) => {
-            if let Some(i) = failed_at {
-                report = report
-                    .diagnostics()
-                    .iter()
-                    .cloned()
-                    .map(|d| d.with("trace", &trace).with("failed_at_step", i))
-                    .collect();
-            }
-            report
-        }
-        Err(payload) => {
-            let msg = panic_message(&payload);
-            let mut report = Report::new();
-            report.push(
-                Diagnostic::error("NRMI-P006", format!("sequence panicked: {msg}"))
-                    .with("trace", &trace),
-            );
-            report
-        }
-    }
+    run_sequence::<SharedGraphWorld>(actions)
 }
 
 // ---------------------------------------------------------------------------
@@ -1997,7 +1902,9 @@ struct PipelinedWorld {
     issued: usize,
 }
 
-impl PipelinedWorld {
+impl WorldModel for PipelinedWorld {
+    type Action = PipelinedAction;
+
     fn new() -> Self {
         let mut reg = ClassRegistry::new();
         reg.define("Node")
@@ -2093,7 +2000,9 @@ impl PipelinedWorld {
         self.check_heaps(report);
         self.check_exactly_once(report);
     }
+}
 
+impl PipelinedWorld {
     fn do_issue(&mut self, which: usize, who: &str, report: &mut Report) {
         if self.slots[which].pending.is_some() {
             return;
@@ -2257,44 +2166,7 @@ impl PipelinedWorld {
 /// Runs one pipelined action sequence against a fresh world, returning
 /// all violations (panics become `NRMI-P006`).
 pub fn check_pipelined_sequence(actions: &[PipelinedAction]) -> Report {
-    let trace = actions
-        .iter()
-        .map(|a| format!("{a:?}"))
-        .collect::<Vec<_>>()
-        .join(" → ");
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut world = PipelinedWorld::new();
-        let mut report = Report::new();
-        for (i, &action) in actions.iter().enumerate() {
-            world.step(action, &mut report);
-            if report.has_errors() {
-                return (report, Some(i));
-            }
-        }
-        (report, None)
-    }));
-    match outcome {
-        Ok((mut report, failed_at)) => {
-            if let Some(i) = failed_at {
-                report = report
-                    .diagnostics()
-                    .iter()
-                    .cloned()
-                    .map(|d| d.with("trace", &trace).with("failed_at_step", i))
-                    .collect();
-            }
-            report
-        }
-        Err(payload) => {
-            let msg = panic_message(&payload);
-            let mut report = Report::new();
-            report.push(
-                Diagnostic::error("NRMI-P006", format!("sequence panicked: {msg}"))
-                    .with("trace", &trace),
-            );
-            report
-        }
-    }
+    run_sequence::<PipelinedWorld>(actions)
 }
 
 // ---------------------------------------------------------------------------
@@ -2376,7 +2248,9 @@ struct ReactorWorld {
     dispatched: usize,
 }
 
-impl ReactorWorld {
+impl WorldModel for ReactorWorld {
+    type Action = ReactorAction;
+
     fn new() -> Self {
         let mut reg = ClassRegistry::new();
         reg.define("Node")
@@ -2459,7 +2333,9 @@ impl ReactorWorld {
         self.check_heaps(report);
         self.check_exactly_once(report);
     }
+}
 
+impl ReactorWorld {
     fn do_issue(&mut self, which: usize, who: &str, report: &mut Report) {
         if self.conns[which].pending.is_some() {
             return;
@@ -2693,44 +2569,7 @@ impl ReactorWorld {
 /// Runs one reactor action sequence against a fresh world, returning
 /// all violations (panics become `NRMI-P006`).
 pub fn check_reactor_sequence(actions: &[ReactorAction]) -> Report {
-    let trace = actions
-        .iter()
-        .map(|a| format!("{a:?}"))
-        .collect::<Vec<_>>()
-        .join(" → ");
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut world = ReactorWorld::new();
-        let mut report = Report::new();
-        for (i, &action) in actions.iter().enumerate() {
-            world.step(action, &mut report);
-            if report.has_errors() {
-                return (report, Some(i));
-            }
-        }
-        (report, None)
-    }));
-    match outcome {
-        Ok((mut report, failed_at)) => {
-            if let Some(i) = failed_at {
-                report = report
-                    .diagnostics()
-                    .iter()
-                    .cloned()
-                    .map(|d| d.with("trace", &trace).with("failed_at_step", i))
-                    .collect();
-            }
-            report
-        }
-        Err(payload) => {
-            let msg = panic_message(&payload);
-            let mut report = Report::new();
-            report.push(
-                Diagnostic::error("NRMI-P006", format!("sequence panicked: {msg}"))
-                    .with("trace", &trace),
-            );
-            report
-        }
-    }
+    run_sequence::<ReactorWorld>(actions)
 }
 
 // ---------------------------------------------------------------------------
@@ -2787,35 +2626,49 @@ impl Default for ModelCheckConfig {
     }
 }
 
-/// Runs one action sequence against a fresh world, returning all
-/// violations. Panics inside the sequence are caught and reported as
-/// `NRMI-P006` with the action trace.
-pub fn check_sequence(actions: &[Action]) -> Report {
-    let trace = trace_of(actions);
+/// What the enumerator needs from a model: a fresh state, and one
+/// transition per action that reports violations of the model's
+/// invariants. Each world keeps its own state, oracle and alphabet;
+/// sequencing, failure tagging and panic capture are [`run_sequence`]'s.
+trait WorldModel: Sized {
+    /// The world's alphabet.
+    type Action: Copy + std::fmt::Debug;
+
+    fn new() -> Self;
+
+    /// Applies one action, reporting violations into `report`.
+    fn step(&mut self, action: Self::Action, report: &mut Report);
+}
+
+/// Runs one action sequence against a fresh `W`, returning all
+/// violations: stops at the first failing step and tags its findings
+/// with the trace and the step; a panic inside the sequence is caught
+/// and reported as `NRMI-P006` with the trace.
+fn run_sequence<W: WorldModel>(actions: &[W::Action]) -> Report {
+    let trace = actions
+        .iter()
+        .map(|a| format!("{a:?}"))
+        .collect::<Vec<_>>()
+        .join(" → ");
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut world = World::new();
+        let mut world = W::new();
         let mut report = Report::new();
         for (i, &action) in actions.iter().enumerate() {
             world.step(action, &mut report);
             if report.has_errors() {
-                // Tag findings with how far in the failure appeared.
                 return (report, Some(i));
             }
         }
         (report, None)
     }));
     match outcome {
-        Ok((mut report, failed_at)) => {
-            if let Some(i) = failed_at {
-                report = report
-                    .diagnostics()
-                    .iter()
-                    .cloned()
-                    .map(|d| d.with("trace", &trace).with("failed_at_step", i))
-                    .collect();
-            }
-            report
-        }
+        Ok((report, None)) => report,
+        Ok((report, Some(i))) => report
+            .diagnostics()
+            .iter()
+            .cloned()
+            .map(|d| d.with("trace", &trace).with("failed_at_step", i))
+            .collect(),
         Err(payload) => {
             let msg = panic_message(&payload);
             let mut report = Report::new();
@@ -2828,12 +2681,11 @@ pub fn check_sequence(actions: &[Action]) -> Report {
     }
 }
 
-fn trace_of(actions: &[Action]) -> String {
-    actions
-        .iter()
-        .map(|a| format!("{a:?}"))
-        .collect::<Vec<_>>()
-        .join(" → ")
+/// Runs one action sequence against a fresh core world, returning all
+/// violations. Panics inside the sequence are caught and reported as
+/// `NRMI-P006` with the action trace.
+pub fn check_sequence(actions: &[Action]) -> Report {
+    run_sequence::<World>(actions)
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -2861,69 +2713,26 @@ pub fn model_check(cfg: &ModelCheckConfig) -> Report {
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut inner = Report::new();
-        let mut count = 0usize;
-        for (alphabet, depth) in [
-            (&CORE_ALPHABET[..], cfg.core_depth),
-            (&ADVERSARIAL_ALPHABET[..], cfg.adversarial_depth),
-        ] {
-            enumerate(
-                alphabet,
-                depth,
-                cfg.max_errors,
-                &mut inner,
-                &mut count,
-                check_sequence,
-            );
-        }
-        enumerate(
-            &RELIABILITY_ALPHABET[..],
-            cfg.reliability_depth,
-            cfg.max_errors,
-            &mut inner,
-            &mut count,
-            check_reliability_sequence,
-        );
-        enumerate(
-            &SHARED_ALPHABET[..],
-            cfg.shared_depth,
-            cfg.max_errors,
-            &mut inner,
-            &mut count,
-            check_shared_sequence,
-        );
-        enumerate(
-            &SHARED_GRAPH_ALPHABET[..],
-            cfg.shared_graph_depth,
-            cfg.max_errors,
-            &mut inner,
-            &mut count,
-            check_shared_graph_sequence,
-        );
-        enumerate(
-            &PIPELINED_ALPHABET[..],
-            cfg.pipelined_depth,
-            cfg.max_errors,
-            &mut inner,
-            &mut count,
-            check_pipelined_sequence,
-        );
-        enumerate(
-            &REACTOR_ALPHABET[..],
-            cfg.reactor_depth,
-            cfg.max_errors,
-            &mut inner,
-            &mut count,
-            check_reactor_sequence,
-        );
-        (inner, count)
+        let mut run = Enumeration {
+            max_errors: cfg.max_errors,
+            report: Report::new(),
+            sequences: 0,
+        };
+        run.all::<World>(&CORE_ALPHABET, cfg.core_depth);
+        run.all::<World>(&ADVERSARIAL_ALPHABET, cfg.adversarial_depth);
+        run.all::<ReliableWorld>(&RELIABILITY_ALPHABET, cfg.reliability_depth);
+        run.all::<SharedWorld>(&SHARED_ALPHABET, cfg.shared_depth);
+        run.all::<SharedGraphWorld>(&SHARED_GRAPH_ALPHABET, cfg.shared_graph_depth);
+        run.all::<PipelinedWorld>(&PIPELINED_ALPHABET, cfg.pipelined_depth);
+        run.all::<ReactorWorld>(&REACTOR_ALPHABET, cfg.reactor_depth);
+        run
     }));
     std::panic::set_hook(prev_hook);
 
     match result {
-        Ok((inner, count)) => {
-            report.merge(inner);
-            sequences = count;
+        Ok(run) => {
+            report.merge(run.report);
+            sequences = run.sequences;
         }
         Err(_) => report.push(Diagnostic::error(
             "NRMI-P006",
@@ -2954,42 +2763,47 @@ pub fn model_check(cfg: &ModelCheckConfig) -> Report {
     report
 }
 
-/// Odometer-style enumeration of all `|alphabet|^depth` sequences,
-/// running each through `run` (one of the per-sequence checkers).
-fn enumerate<A: Copy>(
-    alphabet: &[A],
-    depth: usize,
+/// The findings and sequence count of one [`model_check`] run.
+struct Enumeration {
     max_errors: usize,
-    report: &mut Report,
-    sequences: &mut usize,
-    run: impl Fn(&[A]) -> Report,
-) {
-    if depth == 0 {
-        return;
-    }
-    let mut digits = vec![0usize; depth];
-    loop {
-        let actions: Vec<A> = digits.iter().map(|&d| alphabet[d]).collect();
-        report.merge(run(&actions));
-        *sequences += 1;
-        if report.counts().0 >= max_errors {
-            report.push(Diagnostic::warning(
-                "NRMI-P000",
-                format!("stopped after {max_errors} errors; enumeration incomplete"),
-            ));
+    report: Report,
+    sequences: usize,
+}
+
+impl Enumeration {
+    /// Odometer-style enumeration of all `|alphabet|^depth` sequences,
+    /// each run against a fresh `W`.
+    fn all<W: WorldModel>(&mut self, alphabet: &[W::Action], depth: usize) {
+        if depth == 0 {
             return;
         }
-        // Advance the odometer.
-        let mut i = 0;
+        let mut digits = vec![0usize; depth];
         loop {
-            digits[i] += 1;
-            if digits[i] < alphabet.len() {
-                break;
-            }
-            digits[i] = 0;
-            i += 1;
-            if i == depth {
+            let actions: Vec<W::Action> = digits.iter().map(|&d| alphabet[d]).collect();
+            self.report.merge(run_sequence::<W>(&actions));
+            self.sequences += 1;
+            if self.report.counts().0 >= self.max_errors {
+                self.report.push(Diagnostic::warning(
+                    "NRMI-P000",
+                    format!(
+                        "stopped after {} errors; enumeration incomplete",
+                        self.max_errors
+                    ),
+                ));
                 return;
+            }
+            // Advance the odometer.
+            let mut i = 0;
+            loop {
+                digits[i] += 1;
+                if digits[i] < alphabet.len() {
+                    break;
+                }
+                digits[i] = 0;
+                i += 1;
+                if i == depth {
+                    return;
+                }
             }
         }
     }

@@ -174,7 +174,7 @@ pub struct EdgeRecord {
 /// locks held.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BlockingRecord {
-    /// The transport marker's region name (e.g. `"tcp.recv"`).
+    /// The transport marker's region name (e.g. `"socket.recv"`).
     pub region: &'static str,
     /// The classes held at entry, innermost last.
     pub held: Vec<LockClass>,

@@ -860,11 +860,16 @@ impl WarmCaches {
 }
 
 /// Probes each sync position's current mutation version; positions whose
-/// object is gone probe as `u64::MAX` (always incoherent).
-fn versions_of(heap: &Heap, sync: &[ObjId]) -> Vec<u64> {
-    sync.iter()
-        .map(|&id| heap.version_if_live(id).unwrap_or(u64::MAX))
-        .collect()
+/// object is gone probe as `u64::MAX` (always incoherent). The result
+/// is built in `reuse`'s storage — an entry hands in its previous
+/// vector, so a steady warm call allocates nothing here.
+fn versions_of(heap: &Heap, sync: &[ObjId], mut reuse: Vec<u64>) -> Vec<u64> {
+    reuse.clear();
+    reuse.extend(
+        sync.iter()
+            .map(|&id| heap.version_if_live(id).unwrap_or(u64::MAX)),
+    );
+    reuse
 }
 
 /// True if every synchronized object still exists untouched since the
@@ -946,7 +951,11 @@ fn revalidate_entry(
             + enc.bytes.len() as f64 * cost.per_byte_us,
     );
     entry.sync.extend_from_slice(&enc.new_objects);
-    entry.versions = versions_of(&state.heap, &entry.sync);
+    entry.versions = versions_of(
+        &state.heap,
+        &entry.sync,
+        std::mem::take(&mut entry.versions),
+    );
     entry.version += 1;
     let version = entry.version;
     caches.put_entry(cache_id, entry);
@@ -968,7 +977,15 @@ fn revalidate_entry(
 /// an ordinary `CacheMiss` on its next call.
 pub(crate) fn collect_stale_pushes(server: &mut ServerNode, caches: &mut WarmCaches) -> Vec<Frame> {
     let mut out = Vec::new();
-    let ids: Vec<u64> = caches.entries.keys().copied().collect();
+    // Only incoherent entries need the mutable pass; when every session
+    // is clean (the steady state) this collects nothing and allocates
+    // nothing.
+    let ids: Vec<u64> = caches
+        .entries
+        .iter()
+        .filter(|(_, entry)| !coherent(&server.state.heap, entry))
+        .map(|(&id, _)| id)
+        .collect();
     for cache_id in ids {
         let Some(entry) = caches.entries.get(&cache_id) else {
             continue;
@@ -992,7 +1009,11 @@ pub(crate) fn collect_stale_pushes(server: &mut ServerNode, caches: &mut WarmCac
                         + enc.bytes.len() as f64 * cost.per_byte_us,
                 );
                 let mut entry = caches.take_entry(cache_id).expect("present above");
-                entry.versions = versions_of(&state.heap, &entry.sync);
+                entry.versions = versions_of(
+                    &state.heap,
+                    &entry.sync,
+                    std::mem::take(&mut entry.versions),
+                );
                 entry.version += 1;
                 let version = entry.version;
                 caches.put_entry(cache_id, entry);
@@ -1133,7 +1154,7 @@ fn server_seed_call(
             );
             let mut sync = server_map.order().to_vec();
             sync.extend_from_slice(&delta.new_objects);
-            let versions = versions_of(&state.heap, &sync);
+            let versions = versions_of(&state.heap, &sync, Vec::new());
             caches.put_entry(
                 cache_id,
                 ServerWarmEntry {
@@ -1209,7 +1230,7 @@ fn server_warm_call(
             );
             let mut sync = sync2;
             sync.extend_from_slice(&delta.new_objects);
-            let versions = versions_of(&state.heap, &sync);
+            let versions = versions_of(&state.heap, &sync, entry.versions);
             caches.put_entry(
                 cache_id,
                 ServerWarmEntry {
@@ -1412,7 +1433,7 @@ mod tests {
         let mut conn_b = WarmCaches::with_leases(Arc::clone(&leases));
         let entry = |heap: &Heap, sync: Vec<ObjId>| ServerWarmEntry {
             generation: 1,
-            versions: versions_of(heap, &sync),
+            versions: versions_of(heap, &sync, Vec::new()),
             sync,
             version: 0,
             snapshot: GraphSnapshot::default(),

@@ -17,14 +17,14 @@
 //! and the validator.
 //!
 //! Marked sites: the framed blocking write ([`crate::framed`]), the
-//! blocking receive paths of the TCP, Unix-domain, and in-process
-//! channel transports, and the reactor's `poll(2)` wait. Non-blocking
+//! blocking receive paths of the socket ([`crate::socket`]) and
+//! in-process channel transports, and the reactor's `poll(2)` wait. Non-blocking
 //! paths (`try_read_frame`, `SendQueue::flush`, unbounded channel
 //! sends) are deliberately unmarked: they cannot park the thread, so
 //! holding a lock across them is not an I/O-wait hazard.
 
 /// The hook signature: receives the marker's region name (e.g.
-/// `"tcp.recv"`). Installed once per process; invoked on *entry* to
+/// `"socket.recv"`). Installed once per process; invoked on *entry* to
 /// every marked blocking region, on the blocking thread.
 #[cfg(feature = "lockcheck")]
 pub type BlockingHook = fn(region: &'static str);

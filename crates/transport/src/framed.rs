@@ -1,11 +1,12 @@
 //! Length-prefixed framing shared by the socket transports.
 //!
 //! A frame travels as a 4-byte big-endian length followed by the encoded
-//! frame body. Both halves are built in one pooled buffer and shipped
-//! with a single `write_all`, so the prefix and body never straddle
-//! separate writes (small frames leave in one packet even without
-//! Nagle's algorithm) and steady-state sends reuse the buffer
-//! allocation.
+//! frame body. The send side ([`write_frames_vectored`]) encodes every
+//! frame's `[length][prefix]` into one pooled scratch buffer and hands
+//! the kernel an iovec that references each payload in place, so a
+//! single frame or a whole train leaves in one `writev` — the prefix and
+//! body never straddle separate writes, payloads are never memmoved, and
+//! steady-state sends reuse the scratch allocation.
 //!
 //! The receive side is a [`FrameReader`]: a resumable parser that keeps
 //! the in-flight frame's partial state across calls. That matters for
@@ -31,44 +32,28 @@
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice, Read, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use nrmi_wire::ByteWriter;
 
 use crate::message::Frame;
-use crate::tcp::MAX_FRAME;
 use crate::{Result, TransportError};
+
+/// Largest accepted frame (64 MiB) — far above any benchmark payload,
+/// low enough to fail fast on corrupt length prefixes. Enforced on both
+/// sides of the wire: no write path emits a larger body, and the reader
+/// rejects a larger declared length before allocating for it.
+pub const MAX_FRAME: usize = 64 << 20;
 
 /// Largest single `read` we issue while the body is incomplete; also the
 /// buffer growth step. A peer that declares a huge length but sends
 /// nothing costs us at most this much memory.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Process-wide switch for the batched/vectored wire path (on by
-/// default). Off, every frame is encoded contiguously and shipped with
-/// its own `write` — the per-call-write baseline the batching ablation
-/// measures against. The flag is read per send with relaxed ordering;
-/// flip it only between measurement cells, not mid-connection.
-static WIRE_BATCHING: AtomicBool = AtomicBool::new(true);
-
 /// Payload bytes memmoved into contiguous frame bodies since process
 /// start (the copy the scatter-gather path eliminates). Monotonic;
 /// difference snapshots of [`bytes_copied`] around a region to meter it.
 static PAYLOAD_BYTES_COPIED: AtomicU64 = AtomicU64::new(0);
-
-/// Enables (default) or disables the batched wire path process-wide:
-/// scatter-gather vectored writes AND chunked read-ahead. Off, every
-/// frame pays its own `write` and its own prefix+body reads — the
-/// pre-batching wire, which benches measure the batched path against
-/// in one process.
-pub fn set_wire_batching(on: bool) {
-    WIRE_BATCHING.store(on, Ordering::Relaxed);
-}
-
-/// True when the batched/vectored wire path is enabled.
-pub fn wire_batching_enabled() -> bool {
-    WIRE_BATCHING.load(Ordering::Relaxed)
-}
 
 /// Total payload bytes copied into contiguous frame bodies so far.
 /// Vectored sends reference payloads in place and count nothing here.
@@ -112,62 +97,6 @@ fn is_connection_fatal(kind: ErrorKind) -> bool {
     )
 }
 
-/// Ships one frame as `[length][frame]`. With batching enabled this is
-/// the single-frame case of [`write_frames_vectored`] — the payload is
-/// referenced in place; with it disabled the frame is encoded
-/// contiguously into `buf` (reusing its storage) and shipped with a
-/// single write. The buffer is handed back through `buf` even when the
-/// write fails. Returns the frame body length, for transfer accounting.
-///
-/// # Errors
-/// [`TransportError::FrameTooLarge`] if the encoded body would exceed
-/// [`MAX_FRAME`] — rejected before any byte reaches the stream, so the
-/// stream never carries a truncated (wrapped-u32) length prefix.
-pub(crate) fn write_frame(
-    stream: &mut impl Write,
-    frame: &Frame,
-    buf: &mut Vec<u8>,
-) -> Result<usize> {
-    if wire_batching_enabled() {
-        return write_frames_vectored(stream, &[frame], buf);
-    }
-    // A full socket send buffer parks this thread in write_all below.
-    crate::blocking::blocking_region("framed.write_frame");
-    // Cheap pre-check: don't build a >64 MiB contiguous buffer just to
-    // reject it. The exact post-encode check below still guards frames
-    // whose header fields (not payload) push them over.
-    if frame.payload_len() > MAX_FRAME {
-        return Err(TransportError::FrameTooLarge {
-            len: frame.payload_len(),
-            max: MAX_FRAME,
-        });
-    }
-    let mut w = ByteWriter::with_buffer(std::mem::take(buf));
-    w.put_slice(&[0u8; 4]);
-    frame.encode_into(&mut w);
-    let mut bytes = w.into_bytes();
-    let body_len = bytes.len() - 4;
-    if body_len > MAX_FRAME {
-        bytes.clear();
-        bytes.shrink_to_fit();
-        *buf = bytes;
-        return Err(TransportError::FrameTooLarge {
-            len: body_len,
-            max: MAX_FRAME,
-        });
-    }
-    note_payload_copied(frame.payload_len());
-    bytes[..4].copy_from_slice(&(body_len as u32).to_be_bytes());
-    WIRE_WRITE_CALLS.fetch_add(1, Ordering::Relaxed);
-    let outcome = stream.write_all(&bytes).and_then(|()| stream.flush());
-    *buf = bytes;
-    match outcome {
-        Ok(()) => Ok(body_len),
-        Err(e) if is_connection_fatal(e.kind()) => Err(TransportError::Disconnected),
-        Err(e) => Err(e.into()),
-    }
-}
-
 /// Ships a train of frames with vectored writes: every frame's
 /// `[length][prefix]` is encoded into one pooled scratch buffer (`buf`,
 /// whose storage is reused and handed back even on failure) while each
@@ -176,7 +105,7 @@ pub(crate) fn write_frame(
 /// iovecs, with zero payload memmoves.
 ///
 /// Returns the summed frame body lengths (excluding the 4-byte
-/// prefixes), for transfer accounting.
+/// prefixes).
 ///
 /// # Errors
 /// [`TransportError::FrameTooLarge`] if any frame's body would exceed
@@ -466,13 +395,10 @@ impl ReadAhead {
     /// bytes first, one chunk-sized stream read only when empty. Reads
     /// for `dest`s of a full chunk or more bypass the buffer entirely
     /// (large bodies should land in their own storage, not be copied
-    /// twice), as does every read while wire batching is disabled —
-    /// the ablation baseline is the whole pre-batching wire, per-frame
-    /// reads included, not just per-frame writes. Errors — timeouts
-    /// included — leave the buffer intact.
+    /// twice). Errors — timeouts included — leave the buffer intact.
     fn read(&mut self, stream: &mut impl Read, dest: &mut [u8]) -> std::io::Result<usize> {
         if self.pos == self.len {
-            if dest.len() >= READ_CHUNK || !wire_batching_enabled() {
+            if dest.len() >= READ_CHUNK {
                 WIRE_READ_CALLS.fetch_add(1, Ordering::Relaxed);
                 return stream.read(dest);
             }
@@ -917,28 +843,11 @@ mod tests {
         };
         let mut wire = Vec::new();
         let mut pool = Vec::new();
-        let body_len = write_frame(&mut wire, &frame, &mut pool).unwrap();
+        let body_len = write_frames_vectored(&mut wire, &[&frame], &mut pool).unwrap();
         assert_eq!(body_len + 4, wire.len());
         let mut stream = Script::new(vec![ScriptStep::Data(wire)]);
         let mut reader = FrameReader::new();
         assert_eq!(reader.read_frame(&mut stream).unwrap(), frame);
-    }
-
-    /// Serializes the tests that flip the process-wide batching toggle,
-    /// and restores it afterwards even on panic.
-    fn with_batching<R>(on: bool, f: impl FnOnce() -> R) -> R {
-        use std::sync::Mutex;
-        static TOGGLE: Mutex<()> = Mutex::new(());
-        let _guard = TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
-        struct Restore;
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                set_wire_batching(true);
-            }
-        }
-        let _restore = Restore;
-        set_wire_batching(on);
-        f()
     }
 
     /// One frame per wire shape the vectored path must handle: payload
@@ -1044,21 +953,16 @@ mod tests {
         }
     }
 
-    /// `write_frame` must emit identical bytes whether the toggle picks
-    /// the contiguous or the vectored single-frame path.
+    /// A single send is the one-frame train: its bytes must be exactly
+    /// the reference `[len] ++ Frame::encode()`, for every frame shape.
     #[test]
-    fn write_frame_bytes_identical_across_toggle() {
+    fn single_frame_write_matches_reference_encoding() {
+        let mut pool = Vec::new();
         for frame in all_frame_shapes() {
-            let mut pool = Vec::new();
-            let mut batched = Vec::new();
-            with_batching(true, || {
-                write_frame(&mut batched, &frame, &mut pool).unwrap()
-            });
-            let mut contiguous = Vec::new();
-            with_batching(false, || {
-                write_frame(&mut contiguous, &frame, &mut pool).unwrap()
-            });
-            assert_eq!(batched, contiguous, "{frame:?}");
+            let mut wire = Vec::new();
+            let body_len = write_frames_vectored(&mut wire, &[&frame], &mut pool).unwrap();
+            assert_eq!(wire, framed_bytes(&frame), "{frame:?}");
+            assert_eq!(body_len + 4, wire.len(), "{frame:?}");
         }
     }
 
@@ -1192,9 +1096,8 @@ mod tests {
 
     /// Satellite regression: an encoded body larger than [`MAX_FRAME`]
     /// must be rejected with a typed error *before* any byte reaches the
-    /// stream — on the contiguous path, the vectored path, and the
-    /// reactor's send queue — instead of silently truncating the length
-    /// prefix.
+    /// stream — as a single send, inside a train, and on the reactor's
+    /// send queue — instead of silently truncating the length prefix.
     #[test]
     fn oversize_frame_rejected_on_every_write_path() {
         let oversize = Frame::CallReply {
@@ -1202,22 +1105,15 @@ mod tests {
         };
         let ok = Frame::Ack;
 
-        for batching in [true, false] {
-            let mut wire = Vec::new();
-            let mut pool = Vec::new();
-            let err = with_batching(batching, || {
-                write_frame(&mut wire, &oversize, &mut pool).unwrap_err()
-            });
-            assert!(
-                matches!(err, TransportError::FrameTooLarge { len, max }
-                    if len > MAX_FRAME && max == MAX_FRAME),
-                "batching={batching}: {err:?}"
-            );
-            assert!(
-                wire.is_empty(),
-                "batching={batching}: bytes leaked before the guard"
-            );
-        }
+        let mut wire = Vec::new();
+        let mut pool = Vec::new();
+        let err = write_frames_vectored(&mut wire, &[&oversize], &mut pool).unwrap_err();
+        assert!(
+            matches!(err, TransportError::FrameTooLarge { len, max }
+                if len > MAX_FRAME && max == MAX_FRAME),
+            "{err:?}"
+        );
+        assert!(wire.is_empty(), "bytes leaked before the guard");
 
         // Vectored train: one bad frame poisons nothing — the train is
         // rejected atomically, before any sibling frame's bytes leave.
@@ -1330,39 +1226,31 @@ mod tests {
         );
     }
 
-    /// The copy counter meters contiguous payload memmoves and stays
-    /// silent on the vectored path.
+    /// The copy counter meters the one contiguous encoder left (the
+    /// reactor's send queue) and stays silent on the vectored path.
     #[test]
     fn copy_counter_meters_contiguous_payloads_only() {
         let frame = Frame::CallReply {
             payload: vec![4; 4096],
         };
-        with_batching(false, || {
-            let before = bytes_copied();
-            let mut wire = Vec::new();
-            let mut pool = Vec::new();
-            write_frame(&mut wire, &frame, &mut pool).unwrap();
-            assert!(
-                bytes_copied() - before >= 4096,
-                "contiguous write must meter its payload copy"
-            );
-        });
-        with_batching(true, || {
-            // The vectored path must not add this frame's payload; other
-            // threads may meter their own copies concurrently, so write
-            // through a private counter-free assertion: a single huge
-            // payload would dominate any concurrent noise.
-            let huge = Frame::CallReply {
-                payload: vec![4; 8 << 20],
-            };
-            let before = bytes_copied();
-            let mut wire = Vec::new();
-            let mut pool = Vec::new();
-            write_frame(&mut wire, &huge, &mut pool).unwrap();
-            assert!(
-                bytes_copied() - before < (8 << 20),
-                "vectored write memmoved its payload"
-            );
-        });
+        let before = bytes_copied();
+        SendQueue::new().push(&frame).unwrap();
+        assert!(
+            bytes_copied() - before >= 4096,
+            "contiguous encode must meter its payload copy"
+        );
+        // Other tests meter their own copies concurrently, so the
+        // vectored check uses a payload large enough to dominate them.
+        let huge = Frame::CallReply {
+            payload: vec![4; 8 << 20],
+        };
+        let before = bytes_copied();
+        let mut wire = Vec::new();
+        let mut pool = Vec::new();
+        write_frames_vectored(&mut wire, &[&huge], &mut pool).unwrap();
+        assert!(
+            bytes_copied() - before < (8 << 20),
+            "vectored write memmoved its payload"
+        );
     }
 }

@@ -5,8 +5,12 @@
 //! environment in two layers:
 //!
 //! * **Real transports** — [`ChannelTransport`] (in-process, crossbeam
-//!   channels) and [`TcpTransport`] (framed `std::net` sockets) carry the
-//!   protocol [`Frame`]s for actual execution.
+//!   channels) and the one framed-socket transport
+//!   ([`socket::SocketTransport`], named [`TcpTransport`] over `std::net`
+//!   and [`UdsTransport`] over Unix-domain sockets) carry the protocol
+//!   [`Frame`]s for actual execution. Every socket send is one vectored
+//!   frame train and every receive goes through one read-ahead; there is
+//!   no switch that selects another wire.
 //! * **Simulated time** — a [`SimEnv`] deterministically accounts CPU
 //!   microseconds (scaled per [`MachineSpec`]) and transfer microseconds
 //!   (latency + bytes over a [`LinkSpec`]'s bandwidth). Benchmarks read
@@ -33,6 +37,7 @@ pub mod message;
 #[cfg(unix)]
 pub mod poller;
 pub mod simnet;
+pub mod socket;
 pub mod tcp;
 #[cfg(unix)]
 pub mod uds;
@@ -47,9 +52,7 @@ pub use endpoint::{
 pub use endpoint::{PollableListener, ReactorIo};
 pub use error::TransportError;
 pub use fault::{Fault, FaultPlan, FaultyTransport};
-pub use framed::{
-    bytes_copied, set_wire_batching, wire_batching_enabled, wire_syscalls, SendQueue,
-};
+pub use framed::{bytes_copied, wire_syscalls, SendQueue};
 pub use message::{decode_rvals, encode_rvals, Frame, RVal};
 #[cfg(unix)]
 pub use poller::{Event, Interest, Poller, Token, Waker};

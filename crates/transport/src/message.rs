@@ -382,9 +382,27 @@ impl Frame {
     }
 
     /// Encodes the frame into `w`, appended after whatever `w` already
-    /// holds. Socket transports use this to build `[length][frame]` in
-    /// one reusable buffer and ship it with a single write.
+    /// holds: the prefix ([`Frame::encode_prefix_into`]) followed by the
+    /// payload bytes, copied in.
     pub fn encode_into(&self, w: &mut ByteWriter) {
+        if let Some(payload) = self.encode_prefix_into(w) {
+            w.put_slice(payload);
+        }
+    }
+
+    /// Encodes everything *except* the trailing payload bytes into `w` —
+    /// the tag, the header fields, and the payload's varint length — and
+    /// returns the payload slice to be shipped as its own iovec. Every
+    /// payload-carrying frame writes its payload as the final field, so
+    /// the written prefix concatenated with the returned slice is the
+    /// frame's complete encoding. `None` means the frame has no payload
+    /// tail and the prefix *is* the complete encoding.
+    ///
+    /// This is the one place a frame's byte layout is written: the
+    /// socket transports hand the returned payload to `writev` in place
+    /// (large graph and delta payloads stay in their pooled codec
+    /// segments), and [`Frame::encode_into`] copies it after the prefix.
+    pub fn encode_prefix_into<'a>(&'a self, w: &mut ByteWriter) -> Option<&'a [u8]> {
         match self {
             Frame::CallRequest {
                 service,
@@ -397,7 +415,7 @@ impl Frame {
                 w.put_str(method);
                 w.put_u8(*mode);
                 w.put_varint(payload.len() as u64);
-                w.put_slice(payload);
+                return Some(payload);
             }
             Frame::CallObject {
                 key,
@@ -410,12 +428,52 @@ impl Frame {
                 w.put_str(method);
                 w.put_u8(*mode);
                 w.put_varint(payload.len() as u64);
-                w.put_slice(payload);
+                return Some(payload);
             }
             Frame::CallReply { payload } => {
                 w.put_u8(F_CALL_REPLY);
                 w.put_varint(payload.len() as u64);
-                w.put_slice(payload);
+                return Some(payload);
+            }
+            Frame::CallRequestWarm {
+                service,
+                method,
+                mode,
+                cache_id,
+                generation,
+                payload,
+            } => {
+                w.put_u8(F_CALL_REQUEST_WARM);
+                w.put_str(service);
+                w.put_str(method);
+                w.put_u8(*mode);
+                w.put_varint(*cache_id);
+                w.put_varint(*generation);
+                w.put_varint(payload.len() as u64);
+                return Some(payload);
+            }
+            Frame::CacheStale {
+                cache_id,
+                version,
+                payload,
+            } => {
+                w.put_u8(F_CACHE_STALE);
+                w.put_varint(*cache_id);
+                w.put_varint(*version);
+                w.put_varint(payload.len() as u64);
+                return Some(payload);
+            }
+            Frame::Tagged { nonce, seq, frame } => {
+                w.put_u8(F_TAGGED);
+                w.put_varint(*nonce);
+                w.put_varint(*seq);
+                return frame.encode_prefix_into(w);
+            }
+            Frame::ReplyCached { nonce, seq, frame } => {
+                w.put_u8(F_REPLY_CACHED);
+                w.put_varint(*nonce);
+                w.put_varint(*seq);
+                return frame.encode_prefix_into(w);
             }
             Frame::CallError { message } => {
                 w.put_u8(F_CALL_ERROR);
@@ -481,145 +539,13 @@ impl Frame {
             }
             Frame::Ack => w.put_u8(F_ACK),
             Frame::Shutdown => w.put_u8(F_SHUTDOWN),
-            Frame::CallRequestWarm {
-                service,
-                method,
-                mode,
-                cache_id,
-                generation,
-                payload,
-            } => {
-                w.put_u8(F_CALL_REQUEST_WARM);
-                w.put_str(service);
-                w.put_str(method);
-                w.put_u8(*mode);
-                w.put_varint(*cache_id);
-                w.put_varint(*generation);
-                w.put_varint(payload.len() as u64);
-                w.put_slice(payload);
-            }
             Frame::CacheMiss => w.put_u8(F_CACHE_MISS),
             Frame::CacheEvict { cache_id } => {
                 w.put_u8(F_CACHE_EVICT);
                 w.put_varint(*cache_id);
             }
-            Frame::Tagged { nonce, seq, frame } => {
-                w.put_u8(F_TAGGED);
-                w.put_varint(*nonce);
-                w.put_varint(*seq);
-                frame.encode_into(w);
-            }
-            Frame::ReplyCached { nonce, seq, frame } => {
-                w.put_u8(F_REPLY_CACHED);
-                w.put_varint(*nonce);
-                w.put_varint(*seq);
-                frame.encode_into(w);
-            }
-            Frame::CacheStale {
-                cache_id,
-                version,
-                payload,
-            } => {
-                w.put_u8(F_CACHE_STALE);
-                w.put_varint(*cache_id);
-                w.put_varint(*version);
-                w.put_varint(payload.len() as u64);
-                w.put_slice(payload);
-            }
         }
-    }
-
-    /// Encodes everything *except* the trailing payload bytes into `w` —
-    /// the tag, the header fields, and the payload's varint length — and
-    /// returns the payload slice to be shipped as its own iovec. Every
-    /// payload-carrying frame writes its payload as the final field, so
-    /// the written prefix concatenated with the returned slice is
-    /// byte-identical to [`Frame::encode_into`] (differential-tested in
-    /// the transport's framing layer). `None` means the frame has no
-    /// payload tail and the prefix *is* the complete encoding.
-    ///
-    /// This is the scatter-gather half of the wire path: large graph and
-    /// delta payloads stay in their pooled codec segments and are handed
-    /// to `writev` in place instead of being memmoved into a contiguous
-    /// frame body.
-    pub fn encode_prefix_into<'a>(&'a self, w: &mut ByteWriter) -> Option<&'a [u8]> {
-        match self {
-            Frame::CallRequest {
-                service,
-                method,
-                mode,
-                payload,
-            } => {
-                w.put_u8(F_CALL_REQUEST);
-                w.put_str(service);
-                w.put_str(method);
-                w.put_u8(*mode);
-                w.put_varint(payload.len() as u64);
-                Some(payload)
-            }
-            Frame::CallObject {
-                key,
-                method,
-                mode,
-                payload,
-            } => {
-                w.put_u8(F_CALL_OBJECT);
-                w.put_varint(*key);
-                w.put_str(method);
-                w.put_u8(*mode);
-                w.put_varint(payload.len() as u64);
-                Some(payload)
-            }
-            Frame::CallReply { payload } => {
-                w.put_u8(F_CALL_REPLY);
-                w.put_varint(payload.len() as u64);
-                Some(payload)
-            }
-            Frame::CallRequestWarm {
-                service,
-                method,
-                mode,
-                cache_id,
-                generation,
-                payload,
-            } => {
-                w.put_u8(F_CALL_REQUEST_WARM);
-                w.put_str(service);
-                w.put_str(method);
-                w.put_u8(*mode);
-                w.put_varint(*cache_id);
-                w.put_varint(*generation);
-                w.put_varint(payload.len() as u64);
-                Some(payload)
-            }
-            Frame::Tagged { nonce, seq, frame } => {
-                w.put_u8(F_TAGGED);
-                w.put_varint(*nonce);
-                w.put_varint(*seq);
-                frame.encode_prefix_into(w)
-            }
-            Frame::ReplyCached { nonce, seq, frame } => {
-                w.put_u8(F_REPLY_CACHED);
-                w.put_varint(*nonce);
-                w.put_varint(*seq);
-                frame.encode_prefix_into(w)
-            }
-            Frame::CacheStale {
-                cache_id,
-                version,
-                payload,
-            } => {
-                w.put_u8(F_CACHE_STALE);
-                w.put_varint(*cache_id);
-                w.put_varint(*version);
-                w.put_varint(payload.len() as u64);
-                Some(payload)
-            }
-            other => {
-                other.encode_into(w);
-                None
-            }
-        }
+        None
     }
 
     /// Length of the frame's trailing payload (zero when it has none):

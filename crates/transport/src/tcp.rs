@@ -1,44 +1,58 @@
-//! Real TCP transport with length-prefixed framing.
+//! TCP: the [`socket`](crate::socket) transport over `std::net`.
 //!
 //! The simulated environment regenerates the paper's numbers; this
 //! transport demonstrates that the middleware genuinely distributes —
 //! client and server can run in different processes or on different
-//! machines. Framing is a 4-byte big-endian length followed by the
-//! encoded frame; a size cap guards against corrupt peers, and the
-//! resumable [`framed::FrameReader`] keeps the stream in sync across
-//! receive timeouts.
+//! machines.
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::endpoint::{Transport, TransportReceiver, TransportSender};
-use crate::framed::{self, FrameReader};
-use crate::message::Frame;
-use crate::simnet::{LinkSpec, SimEnv};
-use crate::{Result, TransportError};
-
-/// Largest accepted frame (64 MiB) — far above any benchmark payload,
-/// low enough to fail fast on corrupt length prefixes.
-pub const MAX_FRAME: usize = 64 << 20;
+pub use crate::framed::MAX_FRAME;
+use crate::socket::{Acceptor, Socket, SocketListener, SocketTransport};
+use crate::Result;
 
 /// A connected TCP frame transport.
-pub struct TcpTransport {
-    stream: TcpStream,
-    /// The dialed address, kept so [`Transport::reconnect`] can re-dial.
-    /// `None` for accepted (server-side) streams, which cannot dial the
-    /// client back.
-    peer: Option<SocketAddr>,
-    env: Option<SimEnv>,
-    link: LinkSpec,
-    send_buf: Vec<u8>,
-    reader: FrameReader,
+pub type TcpTransport = SocketTransport<TcpStream>;
+
+/// A listener that accepts [`TcpTransport`] connections.
+pub type TcpListenerTransport = SocketListener<TcpListener>;
+
+/// Small frames must leave at once, not wait out Nagle's algorithm.
+fn configured(stream: TcpStream) -> std::io::Result<TcpStream> {
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
-impl std::fmt::Debug for TcpTransport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpTransport")
-            .field("peer", &self.stream.peer_addr().ok())
-            .finish()
+impl Socket for TcpStream {
+    type Addr = SocketAddr;
+
+    fn dial(addr: &SocketAddr) -> std::io::Result<Self> {
+        configured(TcpStream::connect(addr)?)
+    }
+
+    fn try_clone(&self) -> std::io::Result<Self> {
+        TcpStream::try_clone(self)
+    }
+
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        TcpStream::set_read_timeout(self, timeout)
+    }
+
+    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
+        TcpStream::set_nonblocking(self, nonblocking)
+    }
+}
+
+impl Acceptor for TcpListener {
+    type Stream = TcpStream;
+
+    fn accept(&self) -> std::io::Result<TcpStream> {
+        configured(TcpListener::accept(self)?.0)
+    }
+
+    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
+        TcpListener::set_nonblocking(self, nonblocking)
     }
 }
 
@@ -48,201 +62,12 @@ impl TcpTransport {
     /// # Errors
     /// Propagates socket errors.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
+        // `addr` may resolve to several addresses; std tries each, and
+        // a reconnect re-dials the one that answered.
+        let stream = configured(TcpStream::connect(addr)?)?;
         let peer = stream.peer_addr().ok();
-        Ok(TcpTransport {
-            stream,
-            peer,
-            env: None,
-            link: LinkSpec::free(),
-            send_buf: Vec::new(),
-            reader: FrameReader::new(),
-        })
+        Ok(SocketTransport::new(stream, peer))
     }
-
-    /// Wraps an accepted stream.
-    ///
-    /// # Errors
-    /// Propagates socket errors.
-    pub fn from_stream(stream: TcpStream) -> Result<Self> {
-        stream.set_nodelay(true)?;
-        Ok(TcpTransport {
-            stream,
-            peer: None,
-            env: None,
-            link: LinkSpec::free(),
-            send_buf: Vec::new(),
-            reader: FrameReader::new(),
-        })
-    }
-
-    /// Attaches simulated-cost accounting (in addition to the real
-    /// network the bytes actually traverse).
-    pub fn with_sim(mut self, env: SimEnv, link: LinkSpec) -> Self {
-        self.env = Some(env);
-        self.link = link;
-        self
-    }
-}
-
-impl Transport for TcpTransport {
-    fn send(&mut self, frame: &Frame) -> Result<()> {
-        let body_len = framed::write_frame(&mut self.stream, frame, &mut self.send_buf)?;
-        if let Some(env) = &self.env {
-            env.charge_transfer(&self.link, body_len);
-        }
-        Ok(())
-    }
-
-    fn send_batch(&mut self, frames: &[&Frame]) -> Result<()> {
-        // Simulated links charge per frame (which needs each body's
-        // size), so they keep the per-frame path; real links flush the
-        // whole train with one vectored write.
-        if frames.len() <= 1 || self.env.is_some() || !framed::wire_batching_enabled() {
-            for frame in frames {
-                self.send(frame)?;
-            }
-            return Ok(());
-        }
-        framed::write_frames_vectored(&mut self.stream, frames, &mut self.send_buf).map(|_| ())
-    }
-
-    fn recv(&mut self) -> Result<Frame> {
-        // Fast path: a frame already sitting in the read-ahead needs no
-        // syscalls at all (not even the timeout-reset setsockopt).
-        if let Some(result) = self.reader.read_frame_buffered() {
-            return result;
-        }
-        crate::blocking::blocking_region("tcp.recv");
-        self.stream.set_read_timeout(None)?;
-        self.recv_inner()
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Frame> {
-        if let Some(result) = self.reader.read_frame_buffered() {
-            return result;
-        }
-        crate::blocking::blocking_region("tcp.recv_timeout");
-        self.stream.set_read_timeout(Some(timeout))?;
-        let result = self.recv_inner();
-        let _ = self.stream.set_read_timeout(None);
-        match result {
-            Err(TransportError::Io(e))
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                Err(TransportError::Timeout)
-            }
-            other => other,
-        }
-    }
-
-    fn reconnect(&mut self) -> Result<bool> {
-        let Some(addr) = self.peer else {
-            return Ok(false);
-        };
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        self.stream = stream;
-        self.reader.reset();
-        Ok(true)
-    }
-
-    fn split(&mut self) -> Option<(Box<dyn TransportSender>, Box<dyn TransportReceiver>)> {
-        // A TCP socket duplicates into independent handles; the receiver
-        // half inherits the resumable reader so bytes buffered across an
-        // earlier recv_timeout are not lost.
-        let send_stream = self.stream.try_clone().ok()?;
-        let recv_stream = self.stream.try_clone().ok()?;
-        let sender = TcpSenderHalf {
-            stream: send_stream,
-            env: self.env.clone(),
-            link: self.link,
-            send_buf: std::mem::take(&mut self.send_buf),
-        };
-        let receiver = TcpReceiverHalf {
-            stream: recv_stream,
-            reader: std::mem::take(&mut self.reader),
-        };
-        Some((Box::new(sender), Box::new(receiver)))
-    }
-}
-
-impl TcpTransport {
-    fn recv_inner(&mut self) -> Result<Frame> {
-        self.reader.read_frame(&mut self.stream)
-    }
-}
-
-/// Write half of a split [`TcpTransport`].
-struct TcpSenderHalf {
-    stream: TcpStream,
-    env: Option<SimEnv>,
-    link: LinkSpec,
-    send_buf: Vec<u8>,
-}
-
-impl TransportSender for TcpSenderHalf {
-    fn send(&mut self, frame: &Frame) -> Result<()> {
-        let body_len = framed::write_frame(&mut self.stream, frame, &mut self.send_buf)?;
-        if let Some(env) = &self.env {
-            env.charge_transfer(&self.link, body_len);
-        }
-        Ok(())
-    }
-
-    fn send_batch(&mut self, frames: &[&Frame]) -> Result<()> {
-        if frames.len() <= 1 || self.env.is_some() || !framed::wire_batching_enabled() {
-            for frame in frames {
-                self.send(frame)?;
-            }
-            return Ok(());
-        }
-        framed::write_frames_vectored(&mut self.stream, frames, &mut self.send_buf).map(|_| ())
-    }
-}
-
-/// Read half of a split [`TcpTransport`].
-struct TcpReceiverHalf {
-    stream: TcpStream,
-    reader: FrameReader,
-}
-
-impl TransportReceiver for TcpReceiverHalf {
-    fn recv(&mut self) -> Result<Frame> {
-        if let Some(result) = self.reader.read_frame_buffered() {
-            return result;
-        }
-        crate::blocking::blocking_region("tcp.recv");
-        self.stream.set_read_timeout(None)?;
-        self.reader.read_frame(&mut self.stream)
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Frame> {
-        if let Some(result) = self.reader.read_frame_buffered() {
-            return result;
-        }
-        crate::blocking::blocking_region("tcp.recv_timeout");
-        self.stream.set_read_timeout(Some(timeout))?;
-        let result = self.reader.read_frame(&mut self.stream);
-        let _ = self.stream.set_read_timeout(None);
-        match result {
-            Err(TransportError::Io(e))
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                Err(TransportError::Timeout)
-            }
-            other => other,
-        }
-    }
-}
-
-/// A listener that accepts [`TcpTransport`] connections.
-#[derive(Debug)]
-pub struct TcpListenerTransport {
-    listener: TcpListener,
 }
 
 impl TcpListenerTransport {
@@ -251,8 +76,8 @@ impl TcpListenerTransport {
     /// # Errors
     /// Propagates socket errors.
     pub fn bind(addr: impl ToSocketAddrs) -> Result<Self> {
-        Ok(TcpListenerTransport {
-            listener: TcpListener::bind(addr)?,
+        Ok(SocketListener {
+            acceptor: TcpListener::bind(addr)?,
         })
     }
 
@@ -260,277 +85,7 @@ impl TcpListenerTransport {
     ///
     /// # Errors
     /// Propagates socket errors.
-    pub fn local_addr(&self) -> Result<std::net::SocketAddr> {
-        Ok(self.listener.local_addr()?)
-    }
-
-    /// Blocks until a client connects.
-    ///
-    /// # Errors
-    /// Propagates socket errors.
-    pub fn accept(&self) -> Result<TcpTransport> {
-        self.listener.set_nonblocking(false)?;
-        let (stream, _) = self.listener.accept()?;
-        TcpTransport::from_stream(stream)
-    }
-
-    /// Waits up to `timeout` for a client. `std` listeners have no
-    /// native accept deadline, so this polls a non-blocking accept (the
-    /// shared loop in `crate::listen`) — coarse, but it lets a serve
-    /// loop check a shutdown flag between waits instead of blocking in
-    /// `accept` forever.
-    ///
-    /// # Errors
-    /// [`TransportError::Timeout`] if nobody connected in time;
-    /// otherwise propagates socket errors.
-    pub fn accept_timeout(&self, timeout: Duration) -> Result<TcpTransport> {
-        let stream = crate::listen::poll_accept(
-            |nb| self.listener.set_nonblocking(nb),
-            || self.listener.accept().map(|(stream, _)| stream),
-            timeout,
-        )?;
-        // Accepted sockets may inherit the listener's non-blocking flag
-        // (platform-dependent); undo it.
-        stream.set_nonblocking(false)?;
-        TcpTransport::from_stream(stream)
-    }
-}
-
-impl crate::endpoint::Listener for TcpListenerTransport {
-    type Conn = TcpTransport;
-
-    fn accept(&self) -> Result<TcpTransport> {
-        TcpListenerTransport::accept(self)
-    }
-
-    fn accept_timeout(&self, timeout: Duration) -> Result<TcpTransport> {
-        TcpListenerTransport::accept_timeout(self, timeout)
-    }
-}
-
-#[cfg(unix)]
-impl crate::endpoint::ReactorIo for TcpTransport {
-    fn raw_fd(&self) -> std::os::unix::io::RawFd {
-        use std::os::unix::io::AsRawFd;
-        self.stream.as_raw_fd()
-    }
-
-    fn set_nonblocking(&self, nonblocking: bool) -> Result<()> {
-        Ok(self.stream.set_nonblocking(nonblocking)?)
-    }
-
-    fn try_read_frame(&mut self) -> Result<Option<Frame>> {
-        // The resumable reader keeps its cursor across WouldBlock, so a
-        // frame straddling readiness events assembles incrementally.
-        match self.reader.read_frame(&mut self.stream) {
-            Ok(frame) => Ok(Some(frame)),
-            Err(TransportError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn has_buffered_input(&self) -> bool {
-        self.reader.has_buffered_input()
-    }
-
-    fn flush_queue(&mut self, queue: &mut crate::SendQueue) -> Result<bool> {
-        queue.flush(&mut self.stream)
-    }
-}
-
-#[cfg(unix)]
-impl crate::endpoint::PollableListener for TcpListenerTransport {
-    fn raw_fd(&self) -> std::os::unix::io::RawFd {
-        use std::os::unix::io::AsRawFd;
-        self.listener.as_raw_fd()
-    }
-
-    fn set_nonblocking(&self, nonblocking: bool) -> Result<()> {
-        Ok(self.listener.set_nonblocking(nonblocking)?)
-    }
-
-    fn try_accept(&self) -> Result<Option<TcpTransport>> {
-        match self.listener.accept() {
-            Ok((stream, _)) => TcpTransport::from_stream(stream).map(Some),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e.into()),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::thread;
-
-    #[test]
-    fn tcp_roundtrip() {
-        let listener = TcpListenerTransport::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = thread::spawn(move || {
-            let mut t = listener.accept().unwrap();
-            let f = t.recv().unwrap();
-            assert_eq!(
-                f,
-                Frame::Lookup {
-                    name: "echo".into()
-                }
-            );
-            t.send(&Frame::LookupReply { found: true }).unwrap();
-            // Large frame across the socket.
-            let big = t.recv().unwrap();
-            match big {
-                Frame::CallRequest { payload, .. } => assert_eq!(payload.len(), 100_000),
-                other => panic!("unexpected {other:?}"),
-            }
-            t.send(&Frame::CallReply {
-                payload: vec![7; 10],
-            })
-            .unwrap();
-        });
-        let mut client = TcpTransport::connect(addr).unwrap();
-        client
-            .send(&Frame::Lookup {
-                name: "echo".into(),
-            })
-            .unwrap();
-        assert_eq!(client.recv().unwrap(), Frame::LookupReply { found: true });
-        client
-            .send(&Frame::CallRequest {
-                service: "s".into(),
-                method: "m".into(),
-                mode: 0,
-                payload: vec![1; 100_000],
-            })
-            .unwrap();
-        assert_eq!(
-            client.recv().unwrap(),
-            Frame::CallReply {
-                payload: vec![7; 10]
-            }
-        );
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn disconnect_detected() {
-        let listener = TcpListenerTransport::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = thread::spawn(move || {
-            let t = listener.accept().unwrap();
-            drop(t);
-        });
-        let mut client = TcpTransport::connect(addr).unwrap();
-        server.join().unwrap();
-        assert!(matches!(client.recv(), Err(TransportError::Disconnected)));
-    }
-
-    #[test]
-    fn recv_timeout_fires() {
-        let listener = TcpListenerTransport::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let _keepalive = thread::spawn(move || {
-            let t = listener.accept().unwrap();
-            thread::sleep(Duration::from_millis(300));
-            drop(t);
-        });
-        let mut client = TcpTransport::connect(addr).unwrap();
-        let err = client.recv_timeout(Duration::from_millis(20)).unwrap_err();
-        assert!(matches!(err, TransportError::Timeout), "{err:?}");
-    }
-
-    #[test]
-    fn timeout_mid_frame_then_completion() {
-        // Regression for the stream-desync bug: the server sends the
-        // length prefix, pauses past the client's deadline, then sends
-        // the body. The client's first recv times out; the second must
-        // deliver the frame intact instead of misreading body bytes as
-        // a fresh length.
-        use std::io::Write;
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let body = Frame::CallReply {
-                payload: vec![0x42; 2000],
-            }
-            .encode();
-            let prefix = (body.len() as u32).to_be_bytes();
-            stream.write_all(&prefix).unwrap();
-            stream.write_all(&body[..10]).unwrap();
-            stream.flush().unwrap();
-            thread::sleep(Duration::from_millis(150));
-            stream.write_all(&body[10..]).unwrap();
-            stream.flush().unwrap();
-            // Hold the connection until the client is done reading.
-            thread::sleep(Duration::from_millis(200));
-        });
-        let mut client = TcpTransport::connect(addr).unwrap();
-        let err = client.recv_timeout(Duration::from_millis(30)).unwrap_err();
-        assert!(matches!(err, TransportError::Timeout), "{err:?}");
-        let frame = client.recv().unwrap();
-        assert_eq!(
-            frame,
-            Frame::CallReply {
-                payload: vec![0x42; 2000]
-            }
-        );
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn reconnect_redials_the_listener() {
-        let listener = TcpListenerTransport::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = thread::spawn(move || {
-            // First connection: answer one frame, then drop.
-            let mut t = listener.accept().unwrap();
-            let _ = t.recv().unwrap();
-            t.send(&Frame::Ack).unwrap();
-            drop(t);
-            // Second connection after the client reconnects.
-            let mut t = listener.accept().unwrap();
-            let _ = t.recv().unwrap();
-            t.send(&Frame::CountReply(2)).unwrap();
-        });
-        let mut client = TcpTransport::connect(addr).unwrap();
-        client.send(&Frame::Ack).unwrap();
-        assert_eq!(client.recv().unwrap(), Frame::Ack);
-        // Wait for the server to drop the first connection.
-        assert!(matches!(client.recv(), Err(TransportError::Disconnected)));
-        assert!(client.reconnect().unwrap());
-        client.send(&Frame::Ack).unwrap();
-        assert_eq!(client.recv().unwrap(), Frame::CountReply(2));
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn accepted_streams_do_not_reconnect() {
-        let listener = TcpListenerTransport::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = thread::spawn(move || {
-            let _t = TcpTransport::connect(addr).unwrap();
-            thread::sleep(Duration::from_millis(50));
-        });
-        let mut server_side = listener.accept().unwrap();
-        assert!(!server_side.reconnect().unwrap());
-        client.join().unwrap();
-    }
-
-    #[test]
-    fn sim_accounting_attaches() {
-        let listener = TcpListenerTransport::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = thread::spawn(move || {
-            let mut t = listener.accept().unwrap();
-            let _ = t.recv().unwrap();
-        });
-        let env = SimEnv::new();
-        let mut client = TcpTransport::connect(addr)
-            .unwrap()
-            .with_sim(env.clone(), LinkSpec::lan_100mbps());
-        client.send(&Frame::Ack).unwrap();
-        server.join().unwrap();
-        assert_eq!(env.report().messages, 1);
+    pub fn local_addr(&self) -> Result<SocketAddr> {
+        Ok(self.acceptor.local_addr()?)
     }
 }

@@ -1,31 +1,74 @@
-//! Unix-domain-socket transport: same-host IPC with the same framing as
-//! TCP — the natural fit for the paper's Table 3 configuration (two
-//! runtimes on one machine, no network adapter in the path).
+//! Unix-domain sockets: the [`socket`](crate::socket) transport for
+//! same-host IPC — the natural fit for the paper's Table 3
+//! configuration (two runtimes on one machine, no network adapter in
+//! the path).
 
 #![cfg(unix)]
 
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use crate::endpoint::{Transport, TransportReceiver, TransportSender};
-use crate::framed::{self, FrameReader};
-use crate::message::Frame;
+use crate::socket::{Acceptor, Socket, SocketListener, SocketTransport};
 use crate::{Result, TransportError};
 
 /// A connected Unix-domain-socket frame transport.
-pub struct UdsTransport {
-    stream: UnixStream,
-    /// The dialed path, kept so [`Transport::reconnect`] can re-dial.
-    /// `None` for accepted (server-side) streams.
-    peer: Option<PathBuf>,
-    send_buf: Vec<u8>,
-    reader: FrameReader,
+pub type UdsTransport = SocketTransport<UnixStream>;
+
+/// A listener accepting [`UdsTransport`] connections at a filesystem
+/// path. The socket file is removed on drop.
+pub type UdsListenerTransport = SocketListener<BoundPath>;
+
+impl Socket for UnixStream {
+    type Addr = PathBuf;
+
+    fn dial(path: &PathBuf) -> std::io::Result<Self> {
+        UnixStream::connect(path)
+    }
+
+    fn try_clone(&self) -> std::io::Result<Self> {
+        UnixStream::try_clone(self)
+    }
+
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        UnixStream::set_read_timeout(self, timeout)
+    }
+
+    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
+        UnixStream::set_nonblocking(self, nonblocking)
+    }
 }
 
-impl std::fmt::Debug for UdsTransport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("UdsTransport").finish()
+/// A `UnixListener` that owns its socket file: the kernel never unlinks
+/// the path, so dropping the listener does.
+#[derive(Debug)]
+pub struct BoundPath {
+    listener: UnixListener,
+    path: PathBuf,
+}
+
+impl Drop for BoundPath {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
+impl AsRawFd for BoundPath {
+    fn as_raw_fd(&self) -> RawFd {
+        self.listener.as_raw_fd()
+    }
+}
+
+impl Acceptor for BoundPath {
+    type Stream = UnixStream;
+
+    fn accept(&self) -> std::io::Result<UnixStream> {
+        Ok(self.listener.accept()?.0)
+    }
+
+    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
+        self.listener.set_nonblocking(nonblocking)
     }
 }
 
@@ -35,165 +78,8 @@ impl UdsTransport {
     /// # Errors
     /// Propagates socket errors.
     pub fn connect(path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        Ok(UdsTransport {
-            stream: UnixStream::connect(&path)?,
-            peer: Some(path),
-            send_buf: Vec::new(),
-            reader: FrameReader::new(),
-        })
+        SocketTransport::dial(path.as_ref().to_path_buf())
     }
-
-    /// Wraps an accepted stream.
-    pub fn from_stream(stream: UnixStream) -> Self {
-        UdsTransport {
-            stream,
-            peer: None,
-            send_buf: Vec::new(),
-            reader: FrameReader::new(),
-        }
-    }
-
-    fn recv_inner(&mut self) -> Result<Frame> {
-        self.reader.read_frame(&mut self.stream)
-    }
-}
-
-impl Transport for UdsTransport {
-    fn send(&mut self, frame: &Frame) -> Result<()> {
-        framed::write_frame(&mut self.stream, frame, &mut self.send_buf)?;
-        Ok(())
-    }
-
-    fn send_batch(&mut self, frames: &[&Frame]) -> Result<()> {
-        if frames.len() <= 1 || !framed::wire_batching_enabled() {
-            for frame in frames {
-                self.send(frame)?;
-            }
-            return Ok(());
-        }
-        framed::write_frames_vectored(&mut self.stream, frames, &mut self.send_buf).map(|_| ())
-    }
-
-    fn recv(&mut self) -> Result<Frame> {
-        // Fast path: a frame already sitting in the read-ahead needs no
-        // syscalls at all (not even the timeout-reset setsockopt).
-        if let Some(result) = self.reader.read_frame_buffered() {
-            return result;
-        }
-        crate::blocking::blocking_region("uds.recv");
-        self.stream.set_read_timeout(None)?;
-        self.recv_inner()
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Frame> {
-        if let Some(result) = self.reader.read_frame_buffered() {
-            return result;
-        }
-        crate::blocking::blocking_region("uds.recv_timeout");
-        self.stream.set_read_timeout(Some(timeout))?;
-        let result = self.recv_inner();
-        let _ = self.stream.set_read_timeout(None);
-        match result {
-            Err(TransportError::Io(e))
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                Err(TransportError::Timeout)
-            }
-            other => other,
-        }
-    }
-
-    fn reconnect(&mut self) -> Result<bool> {
-        let Some(path) = &self.peer else {
-            return Ok(false);
-        };
-        self.stream = UnixStream::connect(path)?;
-        self.reader.reset();
-        Ok(true)
-    }
-
-    fn split(&mut self) -> Option<(Box<dyn TransportSender>, Box<dyn TransportReceiver>)> {
-        let send_stream = self.stream.try_clone().ok()?;
-        let recv_stream = self.stream.try_clone().ok()?;
-        let sender = UdsSenderHalf {
-            stream: send_stream,
-            send_buf: std::mem::take(&mut self.send_buf),
-        };
-        let receiver = UdsReceiverHalf {
-            stream: recv_stream,
-            reader: std::mem::take(&mut self.reader),
-        };
-        Some((Box::new(sender), Box::new(receiver)))
-    }
-}
-
-/// Write half of a split [`UdsTransport`].
-struct UdsSenderHalf {
-    stream: UnixStream,
-    send_buf: Vec<u8>,
-}
-
-impl TransportSender for UdsSenderHalf {
-    fn send(&mut self, frame: &Frame) -> Result<()> {
-        framed::write_frame(&mut self.stream, frame, &mut self.send_buf)?;
-        Ok(())
-    }
-
-    fn send_batch(&mut self, frames: &[&Frame]) -> Result<()> {
-        if frames.len() <= 1 || !framed::wire_batching_enabled() {
-            for frame in frames {
-                self.send(frame)?;
-            }
-            return Ok(());
-        }
-        framed::write_frames_vectored(&mut self.stream, frames, &mut self.send_buf).map(|_| ())
-    }
-}
-
-/// Read half of a split [`UdsTransport`].
-struct UdsReceiverHalf {
-    stream: UnixStream,
-    reader: FrameReader,
-}
-
-impl TransportReceiver for UdsReceiverHalf {
-    fn recv(&mut self) -> Result<Frame> {
-        if let Some(result) = self.reader.read_frame_buffered() {
-            return result;
-        }
-        crate::blocking::blocking_region("uds.recv");
-        self.stream.set_read_timeout(None)?;
-        self.reader.read_frame(&mut self.stream)
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Frame> {
-        if let Some(result) = self.reader.read_frame_buffered() {
-            return result;
-        }
-        crate::blocking::blocking_region("uds.recv_timeout");
-        self.stream.set_read_timeout(Some(timeout))?;
-        let result = self.reader.read_frame(&mut self.stream);
-        let _ = self.stream.set_read_timeout(None);
-        match result {
-            Err(TransportError::Io(e))
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                Err(TransportError::Timeout)
-            }
-            other => other,
-        }
-    }
-}
-
-/// A listener accepting [`UdsTransport`] connections at a filesystem
-/// path. The socket file is removed on drop.
-#[derive(Debug)]
-pub struct UdsListenerTransport {
-    listener: UnixListener,
-    path: std::path::PathBuf,
 }
 
 impl UdsListenerTransport {
@@ -226,148 +112,29 @@ impl UdsListenerTransport {
                 }
             }
         }
-        Ok(UdsListenerTransport {
-            listener: UnixListener::bind(&path)?,
-            path,
+        Ok(SocketListener {
+            acceptor: BoundPath {
+                listener: UnixListener::bind(&path)?,
+                path,
+            },
         })
     }
 
     /// The bound filesystem path.
     pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Blocks until a client connects.
-    ///
-    /// # Errors
-    /// Propagates socket errors.
-    pub fn accept(&self) -> Result<UdsTransport> {
-        self.listener.set_nonblocking(false)?;
-        let (stream, _) = self.listener.accept()?;
-        Ok(UdsTransport::from_stream(stream))
-    }
-
-    /// Waits up to `timeout` for a client by polling a non-blocking
-    /// accept (see
-    /// [`TcpListenerTransport::accept_timeout`](crate::tcp::TcpListenerTransport::accept_timeout)).
-    ///
-    /// # Errors
-    /// [`TransportError::Timeout`] if nobody connected in time;
-    /// otherwise propagates socket errors.
-    pub fn accept_timeout(&self, timeout: Duration) -> Result<UdsTransport> {
-        let stream = crate::listen::poll_accept(
-            |nb| self.listener.set_nonblocking(nb),
-            || self.listener.accept().map(|(stream, _)| stream),
-            timeout,
-        )?;
-        stream.set_nonblocking(false)?;
-        Ok(UdsTransport::from_stream(stream))
-    }
-}
-
-impl crate::endpoint::Listener for UdsListenerTransport {
-    type Conn = UdsTransport;
-
-    fn accept(&self) -> Result<UdsTransport> {
-        UdsListenerTransport::accept(self)
-    }
-
-    fn accept_timeout(&self, timeout: Duration) -> Result<UdsTransport> {
-        UdsListenerTransport::accept_timeout(self, timeout)
-    }
-}
-
-impl crate::endpoint::ReactorIo for UdsTransport {
-    fn raw_fd(&self) -> std::os::unix::io::RawFd {
-        use std::os::unix::io::AsRawFd;
-        self.stream.as_raw_fd()
-    }
-
-    fn set_nonblocking(&self, nonblocking: bool) -> Result<()> {
-        Ok(self.stream.set_nonblocking(nonblocking)?)
-    }
-
-    fn try_read_frame(&mut self) -> Result<Option<Frame>> {
-        match self.reader.read_frame(&mut self.stream) {
-            Ok(frame) => Ok(Some(frame)),
-            Err(TransportError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn has_buffered_input(&self) -> bool {
-        self.reader.has_buffered_input()
-    }
-
-    fn flush_queue(&mut self, queue: &mut crate::SendQueue) -> Result<bool> {
-        queue.flush(&mut self.stream)
-    }
-}
-
-impl crate::endpoint::PollableListener for UdsListenerTransport {
-    fn raw_fd(&self) -> std::os::unix::io::RawFd {
-        use std::os::unix::io::AsRawFd;
-        self.listener.as_raw_fd()
-    }
-
-    fn set_nonblocking(&self, nonblocking: bool) -> Result<()> {
-        Ok(self.listener.set_nonblocking(nonblocking)?)
-    }
-
-    fn try_accept(&self) -> Result<Option<UdsTransport>> {
-        match self.listener.accept() {
-            Ok((stream, _)) => Ok(Some(UdsTransport::from_stream(stream))),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e.into()),
-        }
-    }
-}
-
-impl Drop for UdsListenerTransport {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
+        &self.acceptor.path
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::endpoint::Transport;
+    use crate::message::Frame;
     use std::thread;
 
     fn socket_path(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("nrmi-uds-test-{tag}-{}", std::process::id()))
-    }
-
-    #[test]
-    fn uds_roundtrip() {
-        let path = socket_path("roundtrip");
-        let listener = UdsListenerTransport::bind(&path).unwrap();
-        let server = thread::spawn(move || {
-            let mut t = listener.accept().unwrap();
-            let f = t.recv().unwrap();
-            assert_eq!(f, Frame::Lookup { name: "svc".into() });
-            t.send(&Frame::LookupReply { found: true }).unwrap();
-        });
-        let mut client = UdsTransport::connect(&path).unwrap();
-        client.send(&Frame::Lookup { name: "svc".into() }).unwrap();
-        assert_eq!(client.recv().unwrap(), Frame::LookupReply { found: true });
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn uds_disconnect_and_timeout() {
-        let path = socket_path("disconnect");
-        let listener = UdsListenerTransport::bind(&path).unwrap();
-        let server = thread::spawn(move || {
-            let t = listener.accept().unwrap();
-            thread::sleep(Duration::from_millis(100));
-            drop(t);
-        });
-        let mut client = UdsTransport::connect(&path).unwrap();
-        let err = client.recv_timeout(Duration::from_millis(10)).unwrap_err();
-        assert!(matches!(err, TransportError::Timeout), "{err:?}");
-        server.join().unwrap();
-        assert!(matches!(client.recv(), Err(TransportError::Disconnected)));
     }
 
     #[test]
@@ -413,24 +180,5 @@ mod tests {
         // The live listener still works afterwards.
         assert!(path.exists());
         drop(live);
-    }
-
-    #[test]
-    fn uds_reconnect_redials_the_listener() {
-        let path = socket_path("reconnect");
-        let listener = UdsListenerTransport::bind(&path).unwrap();
-        let server = thread::spawn(move || {
-            let t = listener.accept().unwrap();
-            drop(t);
-            let mut t = listener.accept().unwrap();
-            let _ = t.recv().unwrap();
-            t.send(&Frame::CountReply(7)).unwrap();
-        });
-        let mut client = UdsTransport::connect(&path).unwrap();
-        assert!(matches!(client.recv(), Err(TransportError::Disconnected)));
-        assert!(client.reconnect().unwrap());
-        client.send(&Frame::Ack).unwrap();
-        assert_eq!(client.recv().unwrap(), Frame::CountReply(7));
-        server.join().unwrap();
     }
 }
