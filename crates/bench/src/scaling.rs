@@ -21,7 +21,7 @@
 //!
 //! A third axis measures **in-flight depth** on a single connection:
 //! one client issues [`PIPELINE_TOTAL_CALLS`] copy-mode calls in batches
-//! of 1/4/16/64 through [`Session::call_pipelined`]'s request-map
+//! of 1/4/16/64 through [`RemoteSession::call_pipelined`]'s request-map
 //! multiplexing against the pipelined serve loop. Depth 1 pays one
 //! network round trip per call; deeper batches amortize it, so depth 16
 //! must beat depth 1 by at least 2x or the gate fails.

@@ -230,19 +230,4 @@ mod tests {
             );
         }
     }
-
-    #[test]
-    fn low_churn_warm_calls_are_faster() {
-        // Wall-clock, so keep the margin generous: at δ ≤ 10% a warm
-        // call skips marshalling ~90% of a 1k-node graph and must not be
-        // slower than the cold call in aggregate.
-        let rows = run_warm_ablation(1024);
-        let clean = &rows[0];
-        assert!(
-            clean.warm.steady_us < clean.cold.steady_us,
-            "δ=0: warm {}µs vs cold {}µs",
-            clean.warm.steady_us,
-            clean.cold.steady_us
-        );
-    }
 }

@@ -18,15 +18,35 @@
 //!   service runs against a [`RemoteHeapProxy`] and the client answers
 //!   field-access callbacks mid-call (Figure 3).
 //!
-//! The client's receive loop doubles as the callback server, so graphs
-//! that mix semantics (a copied graph containing remote-marked objects)
-//! work too.
+//! ## One call pipeline
+//!
+//! Every call — cold, the seed of a warm session, or a warm call proper
+//! ([`crate::warm`]) — runs the same steps, each written once here:
+//!
+//! | step | client | server |
+//! |---|---|---|
+//! | marshal / unmarshal | `client_marshal_target` (graph or export keys) | `server_call` (the same payload, decoded) |
+//! | deliver | `client_collect_reply`, the one receive loop | [`Connection::step`] |
+//! | execute + reply | — | `invoke_and_reply` (delta against a snapshot, else annotated full reply) |
+//! | restore | `apply_reply_payload` over a `ReplyOrder` | — |
+//!
+//! A seed is a cold `copy_restore_delta` call in a `CallRequestWarm`
+//! envelope whose order and snapshot both sides keep; a warm call swaps
+//! only the request payload (a request delta against the kept order)
+//! and passes the advanced order where a cold call passes its linear
+//! map. The receive loop doubles as the callback server and as the
+//! consumer of pushed coherence patches, so graphs that mix semantics
+//! (a copied graph containing remote-marked objects) work too.
 //!
 //! [`RemoteHeapProxy`]: crate::proxy::RemoteHeapProxy
 
-use nrmi_heap::{Heap, LinearMap, ObjId, SharedRegistry, Value};
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::time::Duration;
+
+use nrmi_heap::{ClassId, Heap, LinearMap, ObjId, Value};
 use nrmi_transport::{decode_rvals, encode_rvals, Frame, Transport, TransportError};
-use nrmi_wire::{apply_delta, deserialize_graph_with};
+use nrmi_wire::{apply_delta, deserialize_graph_with, GraphSnapshot, WireError};
 
 use crate::error::NrmiError;
 use crate::node::{ClientNode, NodeHooks, NodeState, ServerNode};
@@ -34,16 +54,17 @@ use crate::proxy::{handle_callback, RemoteHeapProxy};
 use crate::reactor::ReactorStep;
 use crate::restore::apply_restore;
 use crate::semantics::{CallOptions, PassMode};
+use crate::service::RemoteService;
 
 /// Determines which argument objects are copy-restore roots for a call.
 /// Both sides compute this identically (same registry, same argument
 /// order), which is what makes the two linear maps correspond.
 pub(crate) fn restore_roots_of(
-    registry: &SharedRegistry,
     heap: &Heap,
     opts: CallOptions,
     args: &[Value],
 ) -> Result<Vec<ObjId>, NrmiError> {
+    let registry = heap.registry_handle();
     let refs = args.iter().filter_map(Value::as_ref_id);
     match opts.mode_override {
         Some(PassMode::Copy) | Some(PassMode::RemoteRef) => Ok(Vec::new()),
@@ -83,7 +104,8 @@ pub struct CallStats {
     pub request_bytes: usize,
     /// Objects materialized from the reply.
     pub reply_objects: usize,
-    /// Reply payload bytes.
+    /// Reply payload bytes, coherence patches consumed on the way
+    /// included.
     pub reply_bytes: usize,
     /// Old objects restored in place (steps 4–6).
     pub restored_objects: usize,
@@ -97,12 +119,91 @@ pub struct CallStats {
     pub stale_patches: u64,
 }
 
-/// What a call is addressed to: a registry-named service, or a
-/// first-class remote object in the server's export table.
+/// What a call is addressed to, which is also the envelope its request
+/// travels in: a registry-named service, a first-class remote object in
+/// the server's export table, or a warm session with a named service
+/// (generation 0 seeds it with an ordinary graph request; later
+/// generations carry request deltas).
 #[derive(Clone, Copy, Debug)]
-enum CallTarget<'a> {
+pub(crate) enum CallTarget<'a> {
     Named(&'a str),
     Exported(u64),
+    Session {
+        service: &'a str,
+        cache_id: u64,
+        generation: u64,
+    },
+}
+
+impl CallTarget<'_> {
+    /// Wraps a marshalled request payload in the target's envelope.
+    pub(crate) fn frame(self, method: &str, opts: CallOptions, payload: Vec<u8>) -> Frame {
+        let (method, mode) = (method.to_owned(), opts.to_wire());
+        match self {
+            CallTarget::Named(service) => Frame::CallRequest {
+                service: service.to_owned(),
+                method,
+                mode,
+                payload,
+            },
+            CallTarget::Exported(key) => Frame::CallObject {
+                key,
+                method,
+                mode,
+                payload,
+            },
+            CallTarget::Session {
+                service,
+                cache_id,
+                generation,
+            } => Frame::CallRequestWarm {
+                service: service.to_owned(),
+                method,
+                mode,
+                cache_id,
+                generation,
+                payload,
+            },
+        }
+    }
+
+    /// The warm session this call is in flight for, if any: the one
+    /// session whose `CacheMiss`/`CacheStale` answers resolve the call
+    /// instead of being applied on the side.
+    fn in_flight(self) -> Option<u64> {
+        match self {
+            CallTarget::Session { cache_id, .. } => Some(cache_id),
+            CallTarget::Named(_) | CallTarget::Exported(_) => None,
+        }
+    }
+}
+
+/// The object order a reply is encoded against on the server and applied
+/// through on the client: position `i` names the same object on both
+/// sides. A cold or seed call has step 1's linear map; a warm call has
+/// its session's advanced sync list, whose delta replies need no
+/// position index — only the annotated full reply (the warm path's rare
+/// fallback) does, and builds it on demand.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum ReplyOrder<'a> {
+    Map(&'a LinearMap),
+    List(&'a [ObjId]),
+}
+
+impl<'a> ReplyOrder<'a> {
+    fn ids(self) -> &'a [ObjId] {
+        match self {
+            ReplyOrder::Map(map) => map.order(),
+            ReplyOrder::List(ids) => ids,
+        }
+    }
+
+    fn map(self) -> Cow<'a, LinearMap> {
+        match self {
+            ReplyOrder::Map(map) => Cow::Borrowed(map),
+            ReplyOrder::List(ids) => Cow::Owned(LinearMap::from_order(ids.to_vec())),
+        }
+    }
 }
 
 /// Invokes `service.method(args)` over `transport` and returns the
@@ -135,14 +236,8 @@ pub fn client_invoke_with_stats(
     args: &[Value],
     opts: CallOptions,
 ) -> Result<(Value, CallStats), NrmiError> {
-    client_invoke_target(
-        client,
-        transport,
-        CallTarget::Named(service),
-        method,
-        args,
-        opts,
-    )
+    let target = CallTarget::Named(service);
+    client_invoke_target(client, transport, target, method, args, opts).map(value_and_stats)
 }
 
 /// Invokes a method ON a remote object the client holds a stub for —
@@ -167,33 +262,34 @@ pub fn client_invoke_on_object_with_stats(
         .heap
         .stub_key(stub)?
         .ok_or_else(|| NrmiError::InvalidArgument(format!("{stub} is not a remote stub")))?;
-    client_invoke_target(
-        client,
-        transport,
-        CallTarget::Exported(key),
-        method,
-        args,
-        opts,
-    )
+    let target = CallTarget::Exported(key);
+    client_invoke_target(client, transport, target, method, args, opts).map(value_and_stats)
 }
 
-fn client_invoke_target(
+/// The whole client pipeline for one graph (or export-key) request:
+/// marshal → send → collect → apply. Returns what the reply changed and
+/// the call's state — its linear map and final statistics — which is
+/// what a seed keeps as the session's first sync list.
+pub(crate) fn client_invoke_target(
     client: &mut ClientNode,
     transport: &mut dyn Transport,
     target: CallTarget<'_>,
     method: &str,
     args: &[Value],
     opts: CallOptions,
-) -> Result<(Value, CallStats), NrmiError> {
+) -> Result<(AppliedReply, PendingCall), NrmiError> {
     let (request, mut pending) = client_marshal_target(client, target, method, args, opts)?;
     transport.send(&request)?;
-    let reply_payload = client_collect_reply(
+    let in_flight = target.in_flight();
+    let payload = client_collect_reply(
         client,
         transport,
         opts.timeout,
-        &mut pending.stats.callbacks_served,
-    )?;
-    client_apply_reply(client, pending, &reply_payload)
+        in_flight,
+        &mut pending.stats,
+    )?
+    .into_reply()?;
+    apply_pending(client, pending, &payload)
 }
 
 /// The client half of a call between marshal and restore: the linear
@@ -207,10 +303,10 @@ fn client_invoke_target(
 /// `ReliableTransport::send_call`/`recv_reply`).
 #[derive(Debug)]
 pub struct PendingCall {
-    client_map: LinearMap,
+    pub(crate) client_map: LinearMap,
     remote_ref: bool,
     opts: CallOptions,
-    stats: CallStats,
+    pub(crate) stats: CallStats,
 }
 
 impl PendingCall {
@@ -261,7 +357,6 @@ fn client_marshal_target(
     let cost = state.profile.cost();
     let mut stats = CallStats::default();
 
-    let registry = state.heap.registry_handle().clone();
     let remote_ref_mode = opts.mode_override == Some(PassMode::RemoteRef);
 
     let (payload, client_map) = if remote_ref_mode {
@@ -274,7 +369,7 @@ fn client_marshal_target(
         (encode_rvals(&rvals), LinearMap::empty())
     } else {
         // Step 1: the client's linear map over the restorable roots.
-        let restore_roots = restore_roots_of(&registry, &state.heap, opts, args)?;
+        let restore_roots = restore_roots_of(&state.heap, opts, args)?;
         let client_map = LinearMap::build(&state.heap, &restore_roots)?;
         // Step 2 (first half): serialize everything reachable from the
         // arguments. The traversal IS the linear-map walk (§5.2.1). The
@@ -299,22 +394,8 @@ fn client_marshal_target(
         (enc.bytes, client_map)
     };
 
-    let request = match target {
-        CallTarget::Named(service) => Frame::CallRequest {
-            service: service.to_owned(),
-            method: method.to_owned(),
-            mode: opts.to_wire(),
-            payload,
-        },
-        CallTarget::Exported(key) => Frame::CallObject {
-            key,
-            method: method.to_owned(),
-            mode: opts.to_wire(),
-            payload,
-        },
-    };
     Ok((
-        request,
+        target.frame(method, opts, payload),
         PendingCall {
             client_map,
             remote_ref: remote_ref_mode,
@@ -324,36 +405,66 @@ fn client_marshal_target(
     ))
 }
 
-/// Receives frames until the call's reply payload arrives, serving
-/// remote-pointer callbacks on the way (the client's receive loop
-/// doubles as the callback server).
-fn client_collect_reply(
+/// How the one receive loop resolved a call.
+pub(crate) enum Collected {
+    /// The reply payload.
+    Reply(Vec<u8>),
+    /// The server cannot honor the in-flight session's generation: the
+    /// client reseeds.
+    Miss,
+    /// The server repaired the in-flight session instead of executing:
+    /// apply the patch and re-issue at the same generation.
+    Stale { version: u64, payload: Vec<u8> },
+}
+
+impl Collected {
+    /// The reply payload of a call that carries a full request — cold or
+    /// seed — which the server has nothing to miss or repair on.
+    fn into_reply(self) -> Result<Vec<u8>, NrmiError> {
+        match self {
+            Collected::Reply(payload) => Ok(payload),
+            Collected::Miss | Collected::Stale { .. } => Err(NrmiError::Protocol(
+                "cache miss or repair answering a full request".into(),
+            )),
+        }
+    }
+}
+
+/// The one client receive loop: receives frames until the call resolves,
+/// serving remote-pointer callbacks on the way (the loop doubles as the
+/// callback server) and applying pushed coherence patches for idle
+/// sessions on the spot. `in_flight` names the warm session the call
+/// belongs to, if any: only a `CacheMiss`/`CacheStale` for *that*
+/// session resolves the call.
+pub(crate) fn client_collect_reply(
     client: &mut ClientNode,
     transport: &mut dyn Transport,
-    timeout: Option<std::time::Duration>,
-    callbacks_served: &mut u64,
-) -> Result<Vec<u8>, NrmiError> {
+    timeout: Option<Duration>,
+    in_flight: Option<u64>,
+    stats: &mut CallStats,
+) -> Result<Collected, NrmiError> {
     loop {
         let frame = match timeout {
             Some(deadline) => transport.recv_timeout(deadline)?,
             None => transport.recv()?,
         };
         match frame {
-            Frame::CallReply { payload } => return Ok(payload),
+            Frame::CallReply { payload } => return Ok(Collected::Reply(payload)),
             Frame::CallError { message } => return Err(NrmiError::Remote(message)),
-            // A pushed warm-session invalidation racing this cold call's
-            // reply: apply it to the addressed (idle) session and keep
-            // waiting.
+            Frame::CacheMiss if in_flight.is_some() => return Ok(Collected::Miss),
             Frame::CacheStale {
                 cache_id,
                 version,
                 payload,
             } => {
-                crate::warm::client_apply_stale(client, cache_id, version, &payload);
+                if in_flight == Some(cache_id) {
+                    return Ok(Collected::Stale { version, payload });
+                }
+                crate::warm::client_apply_stale(client, cache_id, version, &payload, stats);
             }
             other => match handle_callback(&mut client.state, &other) {
                 Some(reply) => {
-                    *callbacks_served += 1;
+                    stats.callbacks_served += 1;
                     transport.send(&reply)?;
                 }
                 None => {
@@ -364,6 +475,67 @@ fn client_collect_reply(
             },
         }
     }
+}
+
+/// What applying a reply payload produced.
+pub(crate) struct AppliedReply {
+    /// The translated return value.
+    pub(crate) value: Value,
+    /// `Some` when the payload was a reply delta: the objects it spliced
+    /// in, which a warm session appends to its sync list. `None` for a
+    /// full reply — which, on a session, means the server kept no cache.
+    pub(crate) delta_new: Option<Vec<ObjId>>,
+}
+
+/// The one reply applier (steps 4–6): a payload starting with the delta
+/// magic is applied directly onto the originals `order` names — the
+/// restore is implicit in delta application; anything else is an
+/// annotated full graph (the server's choice, or its fallback when a
+/// delta could not carry the result), deserialized and restored through
+/// `order`. Accounts bytes, objects and simulated CPU into `stats`.
+pub(crate) fn apply_reply_payload(
+    state: &mut NodeState,
+    order: ReplyOrder<'_>,
+    payload: &[u8],
+    stats: &mut CallStats,
+) -> Result<AppliedReply, NrmiError> {
+    let cost = state.profile.cost();
+    stats.reply_bytes += payload.len();
+    let empty = || NrmiError::Protocol("empty reply".into());
+
+    if payload.starts_with(&nrmi_wire::delta::DELTA_MAGIC) {
+        let applied = apply_delta(payload, &mut state.heap, order.ids())?;
+        stats.restored_objects = applied.changed_count;
+        stats.new_objects = applied.new_objects.len();
+        state.charge_cpu(
+            payload.len() as f64 * cost.per_byte_us
+                + applied.changed_count as f64 * (cost.de_per_obj_us + cost.restore_per_obj_us)
+                + applied.new_objects.len() as f64 * cost.de_per_obj_us,
+        );
+        return Ok(AppliedReply {
+            value: applied.roots.first().cloned().ok_or_else(empty)?,
+            delta_new: Some(applied.new_objects),
+        });
+    }
+
+    // Full reply: deserialize (rebuilding the reply-side linear map in
+    // the same pass), then run steps 4–6.
+    let mut hooks = NodeHooks::new(&mut state.exports, &mut state.stubs);
+    let decoded = deserialize_graph_with(payload, &mut state.heap, &mut hooks)?;
+    stats.reply_objects = decoded.object_count();
+    state.charge_cpu(
+        decoded.object_count() as f64 * cost.de_per_obj_us
+            + payload.len() as f64 * cost.per_byte_us,
+    );
+
+    let outcome = apply_restore(&mut state.heap, &order.map(), &decoded)?;
+    stats.restored_objects = outcome.stats.old_objects;
+    stats.new_objects = outcome.stats.new_objects;
+    state.charge_cpu(outcome.stats.old_objects as f64 * cost.restore_per_obj_us);
+    Ok(AppliedReply {
+        value: outcome.roots.first().cloned().ok_or_else(empty)?,
+        delta_new: None,
+    })
 }
 
 /// Applies a reply payload to the caller's heap — unmarshal, match
@@ -377,67 +549,35 @@ pub fn client_apply_reply(
     pending: PendingCall,
     reply_payload: &[u8],
 ) -> Result<(Value, CallStats), NrmiError> {
-    let PendingCall {
-        client_map,
-        remote_ref,
-        opts,
-        mut stats,
-    } = pending;
-    let state = &mut client.state;
-    let cost = state.profile.cost();
-    stats.reply_bytes = reply_payload.len();
+    apply_pending(client, pending, reply_payload).map(value_and_stats)
+}
 
-    if remote_ref {
-        let rvals = decode_rvals(reply_payload)?;
+/// What the public entry points report of a completed call.
+fn value_and_stats((applied, pending): (AppliedReply, PendingCall)) -> (Value, CallStats) {
+    (applied.value, pending.stats)
+}
+
+fn apply_pending(
+    client: &mut ClientNode,
+    mut pending: PendingCall,
+    payload: &[u8],
+) -> Result<(AppliedReply, PendingCall), NrmiError> {
+    let state = &mut client.state;
+    let applied = if pending.remote_ref {
+        pending.stats.reply_bytes += payload.len();
+        let rvals = decode_rvals(payload)?;
         let ret = rvals
             .first()
             .ok_or_else(|| NrmiError::Protocol("empty remote-ref reply".into()))?;
-        let value = state.rval_to_value(ret)?;
-        return Ok((value, stats));
-    }
-
-    if opts.delta_reply && reply_payload.starts_with(&nrmi_wire::delta::DELTA_MAGIC) {
-        // Delta path: apply directly onto the originals — the restore is
-        // implicit in delta application. (A reply starting with the
-        // graph magic instead means the server fell back to a full
-        // reply; the ordinary path below handles it.)
-        let applied = apply_delta(reply_payload, &mut state.heap, client_map.order())?;
-        stats.restored_objects = applied.changed_count;
-        stats.new_objects = applied.new_objects.len();
-        state.charge_cpu(
-            reply_payload.len() as f64 * cost.per_byte_us
-                + applied.changed_count as f64 * (cost.de_per_obj_us + cost.restore_per_obj_us)
-                + applied.new_objects.len() as f64 * cost.de_per_obj_us,
-        );
-        let ret = applied
-            .roots
-            .first()
-            .cloned()
-            .ok_or_else(|| NrmiError::Protocol("empty delta reply".into()))?;
-        return Ok((ret, stats));
-    }
-
-    // Full reply: deserialize (rebuilding the reply-side linear map in
-    // the same pass), then run steps 4–6.
-    let mut hooks = NodeHooks::new(&mut state.exports, &mut state.stubs);
-    let decoded = deserialize_graph_with(reply_payload, &mut state.heap, &mut hooks)?;
-    stats.reply_objects = decoded.object_count();
-    state.charge_cpu(
-        decoded.object_count() as f64 * cost.de_per_obj_us
-            + reply_payload.len() as f64 * cost.per_byte_us,
-    );
-
-    let outcome = apply_restore(&mut state.heap, &client_map, &decoded)?;
-    stats.restored_objects = outcome.stats.old_objects;
-    stats.new_objects = outcome.stats.new_objects;
-    state.charge_cpu(outcome.stats.old_objects as f64 * cost.restore_per_obj_us);
-
-    let ret = outcome
-        .roots
-        .first()
-        .cloned()
-        .ok_or_else(|| NrmiError::Protocol("empty reply".into()))?;
-    Ok((ret, stats))
+        AppliedReply {
+            value: state.rval_to_value(ret)?,
+            delta_new: None,
+        }
+    } else {
+        let order = ReplyOrder::Map(&pending.client_map);
+        apply_reply_payload(state, order, payload, &mut pending.stats)?
+    };
+    Ok((applied, pending))
 }
 
 /// One named-service call in a pipelined batch (see
@@ -531,12 +671,9 @@ pub fn client_invoke_pipelined(
     let mut results = Vec::with_capacity(pendings.len());
     for mut pending in pendings {
         let timeout = pending.opts.timeout;
-        match client_collect_reply(
-            client,
-            transport,
-            timeout,
-            &mut pending.stats.callbacks_served,
-        ) {
+        match client_collect_reply(client, transport, timeout, None, &mut pending.stats)
+            .and_then(Collected::into_reply)
+        {
             Ok(payload) => {
                 results.push(client_apply_reply(client, pending, &payload).map(|(v, _)| v));
             }
@@ -554,60 +691,27 @@ pub fn client_invoke_pipelined(
 
 /// What the server resolved a request to.
 #[derive(Clone, Copy, Debug)]
-enum Callee<'a> {
+pub(crate) enum Callee<'a> {
     Named(&'a str),
     Exported(u64),
 }
 
-/// Handles one cold call on the server. Returns the reply frame
-/// (`CallReply` on success, `CallError` carrying the remote exception
-/// otherwise).
-fn server_handle_call(
-    server: &mut ServerNode,
-    transport: &mut dyn Transport,
-    method: &str,
+/// Resolves a callee to the service that runs it: a named service, or
+/// the class behavior of an exported receiver object (which the
+/// invocation prepends to the arguments).
+pub(crate) fn resolve_callee<'s>(
+    services: &'s mut HashMap<String, Box<dyn RemoteService>>,
+    class_services: &'s mut HashMap<ClassId, Box<dyn RemoteService>>,
+    state: &NodeState,
     callee: Callee<'_>,
-    mode_byte: u8,
-    payload: &[u8],
-) -> Frame {
-    match server_handle_call_inner(server, transport, method, callee, mode_byte, payload) {
-        Ok(reply) => reply,
-        // Application exceptions travel as their own message; wrapping
-        // happens once, on the client ("remote exception: <msg>").
-        Err(NrmiError::Remote(message)) => Frame::CallError { message },
-        Err(e) => Frame::CallError {
-            message: e.to_string(),
-        },
-    }
-}
-
-fn server_handle_call_inner(
-    server: &mut ServerNode,
-    transport: &mut dyn Transport,
-    method: &str,
-    callee: Callee<'_>,
-    mode_byte: u8,
-    payload: &[u8],
-) -> Result<Frame, NrmiError> {
-    let opts = CallOptions::from_wire(mode_byte)?;
-    let ServerNode {
-        state,
-        services,
-        class_services,
-        replies: _,
-        leases: _,
-    } = server;
-    let cost = state.profile.cost();
-    let registry = state.heap.registry_handle().clone();
-    // Resolve the callee: a named service, or the class behavior of an
-    // exported receiver object (prepended to the args below).
-    let (service, receiver) = match callee {
-        Callee::Named(name) => (
-            services
+) -> Result<(&'s mut dyn RemoteService, Option<ObjId>), NrmiError> {
+    match callee {
+        Callee::Named(name) => {
+            let service = services
                 .get_mut(name)
-                .ok_or_else(|| NrmiError::NoSuchService(name.to_owned()))?,
-            None,
-        ),
+                .ok_or_else(|| NrmiError::NoSuchService(name.to_owned()))?;
+            Ok((service.as_mut(), None))
+        }
         Callee::Exported(key) => {
             let obj = state
                 .exports
@@ -615,107 +719,103 @@ fn server_handle_call_inner(
                 .ok_or_else(|| NrmiError::Protocol(format!("call on unknown export key {key}")))?;
             let class = state.heap.get(obj)?.class();
             let service = class_services.get_mut(&class).ok_or_else(|| {
-                let name = registry
+                let name = state
+                    .heap
+                    .registry_handle()
                     .get(class)
                     .map(|d| d.name().to_owned())
                     .unwrap_or_else(|_| format!("<class:{}>", class.index()));
                 NrmiError::NoSuchService(format!("class {name}"))
             })?;
-            (service, Some(obj))
+            Ok((service.as_mut(), Some(obj)))
         }
-    };
+    }
+}
 
-    let remote_ref_mode = opts.mode_override == Some(PassMode::RemoteRef);
+/// One unmarshalled call, ready to run: what to invoke, and what its
+/// reply is relative to.
+pub(crate) struct Invocation<'a> {
+    pub(crate) method: &'a str,
+    /// The receiver of an object-addressed call. Server-owned, so it is
+    /// prepended to the arguments only for the invocation and never
+    /// restored to the caller.
+    pub(crate) receiver: Option<ObjId>,
+    pub(crate) args: &'a [Value],
+    pub(crate) opts: CallOptions,
+    /// The order old-index annotations and delta positions refer to.
+    pub(crate) order: ReplyOrder<'a>,
+    /// The pre-call state of `order`'s objects, when the caller asked
+    /// for a delta reply.
+    pub(crate) snapshot: Option<&'a GraphSnapshot>,
+}
 
-    // --- Unmarshal arguments --------------------------------------------
-    let (args, server_map, snapshot) = if remote_ref_mode {
-        let rvals = decode_rvals(payload)?;
-        let mut args = Vec::with_capacity(rvals.len());
-        for rv in &rvals {
-            args.push(state.rval_to_value(rv)?);
-        }
-        state.charge_cpu(cost.dispatch_overhead_us);
-        (args, LinearMap::empty(), None)
-    } else {
-        let mut hooks = NodeHooks::new(&mut state.exports, &mut state.stubs);
-        let decoded = deserialize_graph_with(payload, &mut state.heap, &mut hooks)?;
-        state.charge_cpu(
-            cost.dispatch_overhead_us
-                + decoded.object_count() as f64 * cost.de_per_obj_us
-                + payload.len() as f64 * cost.per_byte_us,
-        );
-        let args = decoded.roots.clone();
-        // The server-side linear map (step 2, second half). Matches the
-        // client's map position-for-position because the deserialized
-        // graph is isomorphic and the traversal is deterministic.
-        let restore_roots = restore_roots_of(&registry, &state.heap, opts, &args)?;
-        let server_map = LinearMap::build(&state.heap, &restore_roots)?;
-        state.charge_cpu(server_map.len() as f64 * cost.linear_map_per_obj_us);
-        let snapshot = if opts.delta_reply {
-            // Reuse the node's pooled snapshot storage (taken out because
-            // the service invocation below needs the whole node state).
-            let mut snap = std::mem::take(&mut state.reply_snapshot);
-            snap.recapture(&state.heap, server_map.order())?;
-            Some(snap)
-        } else {
-            None
-        };
-        (args, server_map, snapshot)
-    };
+/// What [`invoke_and_reply`] answered.
+pub(crate) struct Replied {
+    pub(crate) payload: Vec<u8>,
+    /// `Some` when the payload is a reply delta: the objects it ships as
+    /// new, which a warm session appends to its sync list. `None` for a
+    /// full (or remote-reference) reply.
+    pub(crate) delta_new: Option<Vec<ObjId>>,
+}
 
-    // --- Execute the remote routine --------------------------------------
-    // The service always runs against the proxy: plain heap accesses go
-    // straight through; stub accesses cross the network. No read/write
-    // barriers on the local path — the paper's "full speed" property.
-    // For object-addressed calls the receiver is prepended as args[0]
-    // (AFTER the restore map was built: the receiver is server-owned and
-    // never restored to the caller).
-    let invoke_args: Vec<Value> = match receiver {
-        Some(obj) => std::iter::once(Value::Ref(obj))
-            .chain(args.iter().cloned())
-            .collect(),
-        None => args.clone(),
-    };
+/// The one "invoke and reply": runs the service through a
+/// [`RemoteHeapProxy`] — plain heap accesses go straight through, stub
+/// accesses cross the network; no read/write barriers on the local
+/// path, the paper's "full speed" property — then marshals the reply:
+/// export keys in remote-reference mode; a delta against `snapshot`
+/// when there is one (§5.2.4, optimization 2); otherwise, or when the
+/// method linked something a delta cannot carry into the restorable
+/// state (a remote stub), the annotated full reply of step 3, whose
+/// payload self-describes via its magic so the client copes.
+pub(crate) fn invoke_and_reply(
+    state: &mut NodeState,
+    service: &mut dyn RemoteService,
+    transport: &mut dyn Transport,
+    call: Invocation<'_>,
+) -> Result<Replied, NrmiError> {
+    let cost = state.profile.cost();
     let ret = {
         let mut proxy = RemoteHeapProxy::new(state, transport);
-        service.invoke(method, &invoke_args, &mut proxy)?
+        match call.receiver {
+            Some(obj) => {
+                let args: Vec<Value> = std::iter::once(Value::Ref(obj))
+                    .chain(call.args.iter().cloned())
+                    .collect();
+                service.invoke(call.method, &args, &mut proxy)?
+            }
+            None => service.invoke(call.method, call.args, &mut proxy)?,
+        }
     };
 
-    // --- Marshal the reply -----------------------------------------------
-    if remote_ref_mode {
+    if call.opts.mode_override == Some(PassMode::RemoteRef) {
         let rv = state.value_to_rval(&ret)?;
         state.charge_cpu(cost.callback_owner_us);
-        return Ok(Frame::CallReply {
+        return Ok(Replied {
             payload: encode_rvals(&[rv]),
+            delta_new: None,
         });
     }
 
-    if let Some(snapshot) = snapshot {
-        // Delta reply (§5.2.4, optimization 2). The delta encoder cannot
-        // express remote stubs linked into restorable state; when the
-        // method created such links, fall through to the full-reply path
-        // (the payload self-describes via its magic, so the client copes).
+    if let Some(snapshot) = call.snapshot {
         let outcome = {
             let NodeState { heap, codec, .. } = &mut *state;
-            codec.encode_reply_delta(heap, &snapshot, std::slice::from_ref(&ret))
+            codec.encode_reply_delta(heap, snapshot, std::slice::from_ref(&ret))
         };
-        state.reply_snapshot = snapshot;
         match outcome {
             Ok(delta) => {
                 state.charge_cpu(
                     delta.stats.changed_count as f64 * cost.ser_per_obj_us
                         + delta.stats.new_count as f64 * cost.ser_per_obj_us
-                        + server_map.len() as f64 * cost.linear_map_per_obj_us
+                        + call.order.ids().len() as f64 * cost.linear_map_per_obj_us
                         + delta.bytes.len() as f64 * cost.per_byte_us,
                 );
-                return Ok(Frame::CallReply {
+                return Ok(Replied {
                     payload: delta.bytes,
+                    delta_new: Some(delta.new_objects),
                 });
             }
-            Err(nrmi_wire::WireError::NotSerializable { .. })
-            | Err(nrmi_wire::WireError::RemoteWithoutHooks { .. }) => {
-                // Fall through to the annotated full reply below.
-            }
+            // Fall through to the annotated full reply below.
+            Err(WireError::NotSerializable { .. }) | Err(WireError::RemoteWithoutHooks { .. }) => {}
             Err(e) => return Err(e.into()),
         }
     }
@@ -723,27 +823,24 @@ fn server_handle_call_inner(
     // Step 3: marshal the reply. Old-index annotations implement the
     // map matching of step 4 on the wire; the linear map's own dense
     // position index is the annotation table.
+    let map = call.order.map();
     let mut reply_roots = vec![ret];
-    match opts.mode_override {
-        Some(PassMode::DceRpc) => {
-            // DCE RPC (§4.2): the reply is marshalled from the PARAMETER
-            // roots, not the linear map. Whatever became unreachable
-            // from the parameters during the call silently stays behind
-            // — Figure 9's divergence from true copy-restore. (Java
-            // reference arguments cannot be reseated, so the pre-call
-            // roots are still the roots.)
-            reply_roots.extend(
-                restore_roots_of(&registry, &state.heap, opts, &args)?
-                    .into_iter()
-                    .map(Value::Ref),
-            );
-        }
-        _ => {
-            // Full copy-restore (also the AUTO path): ship the whole
-            // linear map, so data unreachable from the parameters still
-            // travels home.
-            reply_roots.extend(server_map.order().iter().map(|&id| Value::Ref(id)));
-        }
+    if call.opts.mode_override == Some(PassMode::DceRpc) {
+        // DCE RPC (§4.2): the reply is marshalled from the PARAMETER
+        // roots, not the linear map. Whatever became unreachable from
+        // the parameters during the call silently stays behind —
+        // Figure 9's divergence from true copy-restore. (Java reference
+        // arguments cannot be reseated, so the pre-call roots are still
+        // the roots.)
+        reply_roots.extend(
+            restore_roots_of(&state.heap, call.opts, call.args)?
+                .into_iter()
+                .map(Value::Ref),
+        );
+    } else {
+        // Full copy-restore (also the AUTO path): ship the whole order,
+        // so data unreachable from the parameters still travels home.
+        reply_roots.extend(map.order().iter().map(|&id| Value::Ref(id)));
     }
     let NodeState {
         heap,
@@ -756,13 +853,124 @@ fn server_handle_call_inner(
     let enc = codec.encode_graph(
         heap,
         &reply_roots,
-        Some(server_map.position_map()),
+        Some(map.position_map()),
         Some(&mut hooks),
     )?;
     state.charge_cpu(
         enc.object_count() as f64 * cost.ser_per_obj_us + enc.byte_len() as f64 * cost.per_byte_us,
     );
-    Ok(Frame::CallReply { payload: enc.bytes })
+    Ok(Replied {
+        payload: enc.bytes,
+        delta_new: None,
+    })
+}
+
+/// Runs one full-request call on the server — cold, or the seed of a
+/// warm session, which is the same call with its order kept: resolve
+/// the callee, unmarshal the arguments (export keys, or the graph whose
+/// deserialization is the server half of step 2), capture the pre-call
+/// snapshot when a delta reply was asked for, and
+/// [`invoke_and_reply`]. Returns the reply and the server-side linear
+/// map it is relative to.
+pub(crate) fn server_call(
+    server: &mut ServerNode,
+    transport: &mut dyn Transport,
+    method: &str,
+    callee: Callee<'_>,
+    mode_byte: u8,
+    payload: &[u8],
+) -> Result<(Replied, LinearMap), NrmiError> {
+    let opts = CallOptions::from_wire(mode_byte)?;
+    let ServerNode {
+        state,
+        services,
+        class_services,
+        ..
+    } = server;
+    let cost = state.profile.cost();
+    let (service, receiver) = resolve_callee(services, class_services, state, callee)?;
+
+    let (args, server_map) = if opts.mode_override == Some(PassMode::RemoteRef) {
+        let rvals = decode_rvals(payload)?;
+        let mut args = Vec::with_capacity(rvals.len());
+        for rv in &rvals {
+            args.push(state.rval_to_value(rv)?);
+        }
+        state.charge_cpu(cost.dispatch_overhead_us);
+        (args, LinearMap::empty())
+    } else {
+        let mut hooks = NodeHooks::new(&mut state.exports, &mut state.stubs);
+        let decoded = deserialize_graph_with(payload, &mut state.heap, &mut hooks)?;
+        state.charge_cpu(
+            cost.dispatch_overhead_us
+                + decoded.object_count() as f64 * cost.de_per_obj_us
+                + payload.len() as f64 * cost.per_byte_us,
+        );
+        // The server-side linear map (step 2, second half). Matches the
+        // client's map position-for-position because the deserialized
+        // graph is isomorphic and the traversal is deterministic.
+        let restore_roots = restore_roots_of(&state.heap, opts, &decoded.roots)?;
+        let server_map = LinearMap::build(&state.heap, &restore_roots)?;
+        state.charge_cpu(server_map.len() as f64 * cost.linear_map_per_obj_us);
+        (decoded.roots, server_map)
+    };
+
+    // The node's pooled snapshot storage, taken out because the service
+    // invocation needs the whole node state, and put back whatever the
+    // call's outcome (a seed then adopts it as its entry's pool).
+    let snapshot = if opts.delta_reply {
+        let mut snapshot = std::mem::take(&mut state.reply_snapshot);
+        snapshot.recapture(&state.heap, server_map.order())?;
+        Some(snapshot)
+    } else {
+        None
+    };
+    let replied = invoke_and_reply(
+        state,
+        service,
+        transport,
+        Invocation {
+            method,
+            receiver,
+            args: &args,
+            opts,
+            order: ReplyOrder::Map(&server_map),
+            snapshot: snapshot.as_ref(),
+        },
+    );
+    if let Some(snapshot) = snapshot {
+        state.reply_snapshot = snapshot;
+    }
+    Ok((replied?, server_map))
+}
+
+/// The reply frame for a call's outcome: `CallReply` on success,
+/// `CallError` carrying the remote exception otherwise. Application
+/// exceptions travel as their own message; wrapping happens once, on
+/// the client ("remote exception: <msg>").
+pub(crate) fn reply_frame(outcome: Result<Vec<u8>, NrmiError>) -> Frame {
+    match outcome {
+        Ok(payload) => Frame::CallReply { payload },
+        Err(NrmiError::Remote(message)) => Frame::CallError { message },
+        Err(e) => Frame::CallError {
+            message: e.to_string(),
+        },
+    }
+}
+
+/// Handles one cold call on the server, returning its reply frame.
+fn server_handle_call(
+    server: &mut ServerNode,
+    transport: &mut dyn Transport,
+    method: &str,
+    callee: Callee<'_>,
+    mode_byte: u8,
+    payload: &[u8],
+) -> Frame {
+    reply_frame(
+        server_call(server, transport, method, callee, mode_byte, payload)
+            .map(|(replied, _)| replied.payload),
+    )
 }
 
 /// Executes one call frame — named, object-addressed, or warm — and

@@ -1,10 +1,13 @@
 //! In-process client/server sessions: the main entry point for
 //! applications, tests, and benchmarks.
 //!
-//! A [`Session`] spawns the server on its own thread, connected to the
-//! client by an in-process channel transport (optionally accounting
-//! simulated time). [`ServerPool`] and [`Session::connect_tcp`] run the
-//! identical protocol across real sockets for genuine distribution.
+//! There is one client type, [`RemoteSession`]: a client node, a
+//! transport and a call log, carrying the whole call surface over any
+//! [`Transport`]. A [`Session`] is a `RemoteSession<ChannelTransport>`
+//! plus the server it spawned on its own thread (optionally accounting
+//! simulated time) — it adds the builder, `shutdown` and drop, nothing
+//! else. [`ServerPool`] and [`Session::connect_tcp`] run the identical
+//! protocol across real sockets for genuine distribution.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -27,6 +30,7 @@ use crate::protocol::{
 };
 use crate::semantics::CallOptions;
 use crate::service::RemoteService;
+use crate::trace::Tracer;
 
 /// Configures and launches a [`Session`].
 pub struct SessionBuilder {
@@ -58,7 +62,7 @@ impl SessionBuilder {
 
     /// Binds `service` as the behavior of remote-marked `class` on the
     /// server: method calls on exported instances (via
-    /// [`Session::call_on`]) dispatch to it with the receiver prepended
+    /// [`RemoteSession::call_on`]) dispatch to it with the receiver prepended
     /// as `args[0]`.
     pub fn serve_class(
         mut self,
@@ -116,15 +120,19 @@ impl SessionBuilder {
             client.state.profile = self.profile;
         }
         Session {
-            client,
-            transport: client_t,
+            remote: RemoteSession {
+                client,
+                transport: client_t,
+                tracer: Tracer::new(),
+            },
             server_thread: Some(handle),
-            tracer: crate::trace::Tracer::new(),
         }
     }
 }
 
-/// A connected client with its in-process server.
+/// A connected client with its in-process server: a
+/// [`RemoteSession`] over a channel transport (every call method comes
+/// from there, by deref) plus the server thread.
 ///
 /// ```
 /// use nrmi_core::{FnService, Session};
@@ -147,17 +155,29 @@ impl SessionBuilder {
 /// # }
 /// ```
 pub struct Session {
-    client: ClientNode,
-    transport: ChannelTransport,
+    remote: RemoteSession<ChannelTransport>,
     server_thread: Option<JoinHandle<(ServerNode, Result<(), NrmiError>)>>,
-    tracer: crate::trace::Tracer,
 }
 
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
-            .field("client", &self.client)
+            .field("client", &self.remote.client)
             .finish()
+    }
+}
+
+impl std::ops::Deref for Session {
+    type Target = RemoteSession<ChannelTransport>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.remote
+    }
+}
+
+impl std::ops::DerefMut for Session {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.remote
     }
 }
 
@@ -176,319 +196,6 @@ impl Session {
         }
     }
 
-    /// The client-side heap (where applications build argument graphs).
-    pub fn heap(&mut self) -> &mut Heap {
-        &mut self.client.state.heap
-    }
-
-    /// The client node (heap plus export/stub tables).
-    pub fn client(&mut self) -> &mut ClientNode {
-        &mut self.client
-    }
-
-    /// Invokes a remote method with marker-driven semantics
-    /// ([`CallOptions::auto`]).
-    ///
-    /// # Errors
-    /// Marshalling, transport, protocol, and remote-exception failures.
-    pub fn call(
-        &mut self,
-        service: &str,
-        method: &str,
-        args: &[Value],
-    ) -> Result<Value, NrmiError> {
-        self.call_with(service, method, args, CallOptions::auto())
-    }
-
-    /// Invokes a remote method with explicit options.
-    ///
-    /// # Errors
-    /// As [`Session::call`].
-    pub fn call_with(
-        &mut self,
-        service: &str,
-        method: &str,
-        args: &[Value],
-        opts: CallOptions,
-    ) -> Result<Value, NrmiError> {
-        self.call_with_stats(service, method, args, opts)
-            .map(|(v, _)| v)
-    }
-
-    /// Invokes a remote method and returns per-call statistics alongside
-    /// the result.
-    ///
-    /// # Errors
-    /// As [`Session::call`].
-    pub fn call_with_stats(
-        &mut self,
-        service: &str,
-        method: &str,
-        args: &[Value],
-        opts: CallOptions,
-    ) -> Result<(Value, CallStats), NrmiError> {
-        let started = std::time::Instant::now();
-        let result = client_invoke_with_stats(
-            &mut self.client,
-            &mut self.transport,
-            service,
-            method,
-            args,
-            opts,
-        );
-        if self.tracer.is_enabled() {
-            let (error, stats) = match &result {
-                Ok((_, stats)) => (None, *stats),
-                Err(e) => (Some(e.to_string()), CallStats::default()),
-            };
-            self.tracer.record(
-                format!("{service}.{method}"),
-                opts,
-                error,
-                stats,
-                started.elapsed(),
-            );
-        }
-        result
-    }
-
-    /// Issues a batch of calls back to back on the connection before
-    /// collecting any reply — pipelining: one network round trip of
-    /// latency is paid for the whole batch instead of per call. Results
-    /// come back in issue order, each slot carrying its own outcome
-    /// (a remote exception or per-call deadline failure in one slot
-    /// does not poison its neighbors).
-    ///
-    /// Remote-reference calls cannot be batched (their mid-call
-    /// callbacks interleave with the reply stream); see
-    /// [`client_invoke_pipelined`].
-    ///
-    /// # Errors
-    /// Marshalling failures, transport loss, and protocol violations
-    /// fail the whole batch; per-call failures come back in that call's
-    /// slot.
-    pub fn call_pipelined(
-        &mut self,
-        calls: &[PipelinedCall],
-    ) -> Result<Vec<Result<Value, NrmiError>>, NrmiError> {
-        client_invoke_pipelined(&mut self.client, &mut self.transport, calls)
-    }
-
-    /// Invokes a remote method through the warm-call protocol: the first
-    /// call per service seeds a server-side cache of the argument graph;
-    /// later calls ship only a request delta (objects mutated, freed, or
-    /// newly reachable since the previous call). Semantics are full
-    /// copy-restore with delta replies. See [`crate::warm`].
-    ///
-    /// # Errors
-    /// As [`Session::call`]; any error retires the session cache, so the
-    /// next call reseeds.
-    pub fn call_warm(
-        &mut self,
-        service: &str,
-        method: &str,
-        args: &[Value],
-    ) -> Result<Value, NrmiError> {
-        self.call_warm_with_stats(service, method, args)
-            .map(|(v, _)| v)
-    }
-
-    /// [`Session::call_warm`] returning per-call statistics (request and
-    /// reply bytes reflect the delta sizes).
-    ///
-    /// # Errors
-    /// As [`Session::call_warm`].
-    pub fn call_warm_with_stats(
-        &mut self,
-        service: &str,
-        method: &str,
-        args: &[Value],
-    ) -> Result<(Value, CallStats), NrmiError> {
-        let started = std::time::Instant::now();
-        let result = crate::warm::client_invoke_warm_with_stats(
-            &mut self.client,
-            &mut self.transport,
-            service,
-            method,
-            args,
-        );
-        if self.tracer.is_enabled() {
-            let (error, stats) = match &result {
-                Ok((_, stats)) => (None, *stats),
-                Err(e) => (Some(e.to_string()), CallStats::default()),
-            };
-            self.tracer.record(
-                format!("{service}.{method}"),
-                CallOptions::copy_restore_delta(),
-                error,
-                stats,
-                started.elapsed(),
-            );
-        }
-        result
-    }
-
-    /// Retires the warm session for `service`: drops the client cache
-    /// and tells the server to free its cached graph. A no-op if no
-    /// session is established.
-    ///
-    /// # Errors
-    /// Transport failures sending the eviction notice.
-    pub fn evict_warm(&mut self, service: &str) -> Result<(), NrmiError> {
-        crate::warm::client_evict_warm(&mut self.client, &mut self.transport, service)
-    }
-
-    /// The generation the next warm call to `service` will carry
-    /// (`None` before the first call and after eviction; 1 right after
-    /// seeding; +1 per completed warm call).
-    pub fn warm_generation(&self, service: &str) -> Option<u64> {
-        self.client.warm.generation(service)
-    }
-
-    /// Starts recording a [`CallTrace`](crate::trace::CallTrace) per
-    /// invocation; inspect with [`Session::tracer`].
-    pub fn enable_tracing(&mut self) {
-        self.tracer.enable();
-    }
-
-    /// The session's call log.
-    pub fn tracer(&self) -> &crate::trace::Tracer {
-        &self.tracer
-    }
-
-    /// Mutable access to the call log (e.g. to clear it between phases).
-    pub fn tracer_mut(&mut self) -> &mut crate::trace::Tracer {
-        &mut self.tracer
-    }
-
-    /// Invokes a method ON a remote object this client holds a stub for
-    /// (obtained from an earlier call's return value or a marshalled
-    /// graph) — the RMI factory pattern: look up a factory service, get
-    /// back a remote object, call methods on it directly.
-    ///
-    /// # Errors
-    /// [`NrmiError::InvalidArgument`] if `stub` is not a stub; the usual
-    /// call failures otherwise.
-    pub fn call_on(
-        &mut self,
-        stub: ObjId,
-        method: &str,
-        args: &[Value],
-    ) -> Result<Value, NrmiError> {
-        self.call_on_with(stub, method, args, CallOptions::auto())
-    }
-
-    /// [`Session::call_on`] with explicit options.
-    ///
-    /// # Errors
-    /// As [`Session::call_on`].
-    pub fn call_on_with(
-        &mut self,
-        stub: ObjId,
-        method: &str,
-        args: &[Value],
-        opts: CallOptions,
-    ) -> Result<Value, NrmiError> {
-        let started = std::time::Instant::now();
-        let result = client_invoke_on_object_with_stats(
-            &mut self.client,
-            &mut self.transport,
-            stub,
-            method,
-            args,
-            opts,
-        );
-        if self.tracer.is_enabled() {
-            let (error, stats) = match &result {
-                Ok((_, stats)) => (None, *stats),
-                Err(e) => (Some(e.to_string()), CallStats::default()),
-            };
-            self.tracer.record(
-                format!("{stub}.{method}"),
-                opts,
-                error,
-                stats,
-                started.elapsed(),
-            );
-        }
-        result.map(|(v, _)| v)
-    }
-
-    /// Queries the server's registry for `name` (the `Naming.lookup`
-    /// analogue).
-    ///
-    /// # Errors
-    /// Transport failures or protocol violations.
-    pub fn lookup(&mut self, name: &str) -> Result<bool, NrmiError> {
-        self.transport.send(&Frame::Lookup {
-            name: name.to_owned(),
-        })?;
-        match self.transport.recv()? {
-            Frame::LookupReply { found } => Ok(found),
-            other => Err(NrmiError::Protocol(format!(
-                "expected LookupReply, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Releases a stub held by the client: sends the DGC clean message
-    /// for its key and drops the local stub object. The analogue of the
-    /// client-side GC detecting an unreachable remote reference.
-    ///
-    /// # Errors
-    /// Transport failures, or heap errors if `stub` is not a live stub.
-    pub fn release_stub(&mut self, stub: ObjId) -> Result<(), NrmiError> {
-        let key = self
-            .client
-            .state
-            .heap
-            .stub_key(stub)?
-            .ok_or_else(|| NrmiError::InvalidArgument(format!("{stub} is not a stub")))?;
-        self.transport.send(&Frame::DgcClean { key })?;
-        self.client.state.stubs.remove(&key);
-        self.client.state.heap.free(stub)?;
-        Ok(())
-    }
-
-    /// Runs a client-side garbage collection: everything unreachable
-    /// from `roots` (plus objects pinned by the peer's stubs, which are
-    /// GC roots) is freed, and a DGC clean message is sent for every
-    /// stub that became unreachable — the full RMI DGC loop. Returns
-    /// `(objects_freed, cleans_sent)`.
-    ///
-    /// Acyclic cross-heap garbage is reclaimed by this mechanism;
-    /// distributed *cycles* are not (each side's stub is pinned by the
-    /// other side's object), which is exactly the paper's Table 6 leak.
-    ///
-    /// # Errors
-    /// Transport failures while sending cleans; heap errors.
-    pub fn collect_garbage(&mut self, roots: &[ObjId]) -> Result<(usize, usize), NrmiError> {
-        let state = &mut self.client.state;
-        // Objects the PEER holds references to must survive local GC.
-        let mut gc_roots: Vec<ObjId> = roots.to_vec();
-        gc_roots.extend(state.exports.roots());
-        let mut reachable = DenseObjSet::new();
-        for &id in LinearMap::build(&state.heap, &gc_roots)?.order() {
-            reachable.insert(id);
-        }
-        // Unreachable stubs: release the peer's export before freeing.
-        let doomed: Vec<(u64, ObjId)> = state
-            .stubs
-            .iter()
-            .filter(|(_, stub)| !reachable.contains(**stub))
-            .map(|(&key, &stub)| (key, stub))
-            .collect();
-        let mut cleans = 0;
-        for (key, stub) in doomed {
-            self.transport.send(&Frame::DgcClean { key })?;
-            self.client.state.stubs.remove(&key);
-            cleans += 1;
-            let _ = stub; // freed by the sweep below
-        }
-        let freed = nrmi_heap::gc::mark_sweep(&mut self.client.state.heap, &gc_roots)?;
-        Ok((freed, cleans))
-    }
-
     /// Shuts the server down and returns its final state for inspection
     /// (tests assert on server heaps, export tables, and statistics).
     ///
@@ -501,7 +208,7 @@ impl Session {
         // If the serve loop already ended (say, on a protocol error),
         // the channel is closed and this send fails; hold the result so
         // the serve error below isn't masked by the failed goodbye.
-        let sent = self.transport.send(&Frame::Shutdown);
+        let sent = self.remote.transport.send(&Frame::Shutdown);
         let handle = self.server_thread.take().expect("shutdown called once");
         match handle.join() {
             Ok((node, Ok(()))) => {
@@ -517,7 +224,7 @@ impl Session {
 impl Drop for Session {
     fn drop(&mut self) {
         if let Some(handle) = self.server_thread.take() {
-            let _ = self.transport.send(&Frame::Shutdown);
+            let _ = self.remote.transport.send(&Frame::Shutdown);
             let _ = handle.join();
         }
     }
@@ -878,11 +585,14 @@ impl Drop for ServeHandle {
     }
 }
 
-/// A client connected over an arbitrary [`Transport`] — the generic twin
-/// of [`Session`] for real sockets (TCP, Unix-domain) or custom pipes.
+/// A client connected over an arbitrary [`Transport`] — a channel to
+/// an in-process server ([`Session`]), a real socket (TCP, Unix-domain),
+/// a reliable envelope over either, or a custom pipe. The one client
+/// type: every way of calling lives here.
 pub struct RemoteSession<T: Transport> {
     client: ClientNode,
     transport: T,
+    tracer: Tracer,
 }
 
 /// A client connected over TCP.
@@ -967,10 +677,11 @@ impl<T: Transport> RemoteSession<T> {
         RemoteSession {
             client: ClientNode::new(registry, MachineSpec::fast()),
             transport,
+            tracer: Tracer::new(),
         }
     }
 
-    /// The client-side heap.
+    /// The client-side heap (where applications build argument graphs).
     pub fn heap(&mut self) -> &mut Heap {
         &mut self.client.state.heap
     }
@@ -980,10 +691,32 @@ impl<T: Transport> RemoteSession<T> {
         &mut self.client
     }
 
-    /// Invokes a remote method with marker-driven semantics.
+    /// Runs one invocation and, when tracing is on, records it — target,
+    /// options, outcome, statistics, wall-clock.
+    fn traced(
+        &mut self,
+        target: impl FnOnce() -> String,
+        opts: CallOptions,
+        invoke: impl FnOnce(&mut ClientNode, &mut T) -> Result<(Value, CallStats), NrmiError>,
+    ) -> Result<(Value, CallStats), NrmiError> {
+        let started = self.tracer.is_enabled().then(std::time::Instant::now);
+        let result = invoke(&mut self.client, &mut self.transport);
+        if let Some(started) = started {
+            let (error, stats) = match &result {
+                Ok((_, stats)) => (None, *stats),
+                Err(e) => (Some(e.to_string()), CallStats::default()),
+            };
+            self.tracer
+                .record(target(), opts, error, stats, started.elapsed());
+        }
+        result
+    }
+
+    /// Invokes a remote method with marker-driven semantics
+    /// ([`CallOptions::auto`]).
     ///
     /// # Errors
-    /// As [`Session::call`].
+    /// Marshalling, transport, protocol, and remote-exception failures.
     pub fn call(
         &mut self,
         service: &str,
@@ -996,7 +729,7 @@ impl<T: Transport> RemoteSession<T> {
     /// Invokes a remote method with explicit options.
     ///
     /// # Errors
-    /// As [`Session::call`].
+    /// As [`RemoteSession::call`].
     pub fn call_with(
         &mut self,
         service: &str,
@@ -1004,24 +737,48 @@ impl<T: Transport> RemoteSession<T> {
         args: &[Value],
         opts: CallOptions,
     ) -> Result<Value, NrmiError> {
-        client_invoke_with_stats(
-            &mut self.client,
-            &mut self.transport,
-            service,
-            method,
-            args,
-            opts,
-        )
-        .map(|(v, _)| v)
+        self.call_with_stats(service, method, args, opts)
+            .map(|(v, _)| v)
     }
 
-    /// Issues a batch of calls back to back before collecting any reply
-    /// (see [`Session::call_pipelined`]). Over a reliable transport the
+    /// Invokes a remote method and returns per-call statistics alongside
+    /// the result.
+    ///
+    /// # Errors
+    /// As [`RemoteSession::call`].
+    pub fn call_with_stats(
+        &mut self,
+        service: &str,
+        method: &str,
+        args: &[Value],
+        opts: CallOptions,
+    ) -> Result<(Value, CallStats), NrmiError> {
+        self.traced(
+            || format!("{service}.{method}"),
+            opts,
+            |client, transport| {
+                client_invoke_with_stats(client, transport, service, method, args, opts)
+            },
+        )
+    }
+
+    /// Issues a batch of calls back to back on the connection before
+    /// collecting any reply — pipelining: one network round trip of
+    /// latency is paid for the whole batch instead of per call. Results
+    /// come back in issue order, each slot carrying its own outcome
+    /// (a remote exception or per-call deadline failure in one slot
+    /// does not poison its neighbors). Over a reliable transport the
     /// batch is multiplexed by call id, so replies may complete out of
     /// order on the wire and are still delivered in issue order here.
     ///
+    /// Remote-reference calls cannot be batched (their mid-call
+    /// callbacks interleave with the reply stream); see
+    /// [`client_invoke_pipelined`].
+    ///
     /// # Errors
-    /// As [`Session::call_pipelined`].
+    /// Marshalling failures, transport loss, and protocol violations
+    /// fail the whole batch; per-call failures come back in that call's
+    /// slot.
     pub fn call_pipelined(
         &mut self,
         calls: &[PipelinedCall],
@@ -1029,69 +786,48 @@ impl<T: Transport> RemoteSession<T> {
         client_invoke_pipelined(&mut self.client, &mut self.transport, calls)
     }
 
-    /// Invokes a method on a remote object this client holds a stub for.
+    /// Invokes a remote method through the warm-call protocol: the first
+    /// call per service seeds a server-side cache of the argument graph;
+    /// later calls ship only a request delta (objects mutated, freed, or
+    /// newly reachable since the previous call). Semantics are full
+    /// copy-restore with delta replies. See [`crate::warm`].
     ///
     /// # Errors
-    /// As [`Session::call_on`].
-    pub fn call_on(
-        &mut self,
-        stub: ObjId,
-        method: &str,
-        args: &[Value],
-    ) -> Result<Value, NrmiError> {
-        client_invoke_on_object_with_stats(
-            &mut self.client,
-            &mut self.transport,
-            stub,
-            method,
-            args,
-            CallOptions::auto(),
-        )
-        .map(|(v, _)| v)
-    }
-
-    /// Invokes a remote method through the warm-call protocol
-    /// (see [`Session::call_warm`]).
-    ///
-    /// # Errors
-    /// As [`Session::call_warm`].
+    /// As [`RemoteSession::call`]; a remote error retires the session
+    /// cache, so the next call reseeds.
     pub fn call_warm(
         &mut self,
         service: &str,
         method: &str,
         args: &[Value],
     ) -> Result<Value, NrmiError> {
-        crate::warm::client_invoke_warm_with_stats(
-            &mut self.client,
-            &mut self.transport,
-            service,
-            method,
-            args,
-        )
-        .map(|(v, _)| v)
+        self.call_warm_with_stats(service, method, args)
+            .map(|(v, _)| v)
     }
 
-    /// [`RemoteSession::call_warm`] returning per-call statistics.
+    /// [`RemoteSession::call_warm`] returning per-call statistics
+    /// (request and reply bytes reflect the delta sizes).
     ///
     /// # Errors
-    /// As [`Session::call_warm`].
+    /// As [`RemoteSession::call_warm`].
     pub fn call_warm_with_stats(
         &mut self,
         service: &str,
         method: &str,
         args: &[Value],
     ) -> Result<(Value, CallStats), NrmiError> {
-        crate::warm::client_invoke_warm_with_stats(
-            &mut self.client,
-            &mut self.transport,
-            service,
-            method,
-            args,
+        self.traced(
+            || format!("{service}.{method}"),
+            CallOptions::copy_restore_delta(),
+            |client, transport| {
+                crate::warm::client_invoke_warm_with_stats(client, transport, service, method, args)
+            },
         )
     }
 
-    /// Retires the warm session for `service`
-    /// (see [`Session::evict_warm`]).
+    /// Retires the warm session for `service`: drops the client cache
+    /// and tells the server to free its cached graph. A no-op if no
+    /// session is established.
     ///
     /// # Errors
     /// Transport failures sending the eviction notice.
@@ -1099,9 +835,140 @@ impl<T: Transport> RemoteSession<T> {
         crate::warm::client_evict_warm(&mut self.client, &mut self.transport, service)
     }
 
-    /// The generation the next warm call to `service` will carry.
+    /// The generation the next warm call to `service` will carry
+    /// (`None` before the first call and after eviction; 1 right after
+    /// seeding; +1 per completed warm call).
     pub fn warm_generation(&self, service: &str) -> Option<u64> {
         self.client.warm.generation(service)
+    }
+
+    /// Starts recording a [`CallTrace`](crate::trace::CallTrace) per
+    /// invocation; inspect with [`RemoteSession::tracer`].
+    pub fn enable_tracing(&mut self) {
+        self.tracer.enable();
+    }
+
+    /// The session's call log.
+    pub fn tracer(&self) -> &Tracer {
+        &self.tracer
+    }
+
+    /// Mutable access to the call log (e.g. to clear it between phases).
+    pub fn tracer_mut(&mut self) -> &mut Tracer {
+        &mut self.tracer
+    }
+
+    /// Invokes a method ON a remote object this client holds a stub for
+    /// (obtained from an earlier call's return value or a marshalled
+    /// graph) — the RMI factory pattern: look up a factory service, get
+    /// back a remote object, call methods on it directly.
+    ///
+    /// # Errors
+    /// [`NrmiError::InvalidArgument`] if `stub` is not a stub; the usual
+    /// call failures otherwise.
+    pub fn call_on(
+        &mut self,
+        stub: ObjId,
+        method: &str,
+        args: &[Value],
+    ) -> Result<Value, NrmiError> {
+        self.call_on_with(stub, method, args, CallOptions::auto())
+    }
+
+    /// [`RemoteSession::call_on`] with explicit options.
+    ///
+    /// # Errors
+    /// As [`RemoteSession::call_on`].
+    pub fn call_on_with(
+        &mut self,
+        stub: ObjId,
+        method: &str,
+        args: &[Value],
+        opts: CallOptions,
+    ) -> Result<Value, NrmiError> {
+        self.traced(
+            || format!("{stub}.{method}"),
+            opts,
+            |client, transport| {
+                client_invoke_on_object_with_stats(client, transport, stub, method, args, opts)
+            },
+        )
+        .map(|(v, _)| v)
+    }
+
+    /// Queries the server's registry for `name` (the `Naming.lookup`
+    /// analogue).
+    ///
+    /// # Errors
+    /// Transport failures or protocol violations.
+    pub fn lookup(&mut self, name: &str) -> Result<bool, NrmiError> {
+        self.transport.send(&Frame::Lookup {
+            name: name.to_owned(),
+        })?;
+        match self.transport.recv()? {
+            Frame::LookupReply { found } => Ok(found),
+            other => Err(NrmiError::Protocol(format!(
+                "expected LookupReply, got {other:?}"
+            ))),
+        }
+    }
+
+    /// Releases a stub held by the client: sends the DGC clean message
+    /// for its key and drops the local stub object. The analogue of the
+    /// client-side GC detecting an unreachable remote reference.
+    ///
+    /// # Errors
+    /// Transport failures, or heap errors if `stub` is not a live stub.
+    pub fn release_stub(&mut self, stub: ObjId) -> Result<(), NrmiError> {
+        let key = self
+            .client
+            .state
+            .heap
+            .stub_key(stub)?
+            .ok_or_else(|| NrmiError::InvalidArgument(format!("{stub} is not a stub")))?;
+        self.transport.send(&Frame::DgcClean { key })?;
+        self.client.state.stubs.remove(&key);
+        self.client.state.heap.free(stub)?;
+        Ok(())
+    }
+
+    /// Runs a client-side garbage collection: everything unreachable
+    /// from `roots` (plus objects pinned by the peer's stubs, which are
+    /// GC roots) is freed, and a DGC clean message is sent for every
+    /// stub that became unreachable — the full RMI DGC loop. Returns
+    /// `(objects_freed, cleans_sent)`.
+    ///
+    /// Acyclic cross-heap garbage is reclaimed by this mechanism;
+    /// distributed *cycles* are not (each side's stub is pinned by the
+    /// other side's object), which is exactly the paper's Table 6 leak.
+    ///
+    /// # Errors
+    /// Transport failures while sending cleans; heap errors.
+    pub fn collect_garbage(&mut self, roots: &[ObjId]) -> Result<(usize, usize), NrmiError> {
+        let state = &mut self.client.state;
+        // Objects the PEER holds references to must survive local GC.
+        let mut gc_roots: Vec<ObjId> = roots.to_vec();
+        gc_roots.extend(state.exports.roots());
+        let mut reachable = DenseObjSet::new();
+        for &id in LinearMap::build(&state.heap, &gc_roots)?.order() {
+            reachable.insert(id);
+        }
+        // Unreachable stubs: release the peer's export before freeing.
+        let doomed: Vec<(u64, ObjId)> = state
+            .stubs
+            .iter()
+            .filter(|(_, stub)| !reachable.contains(**stub))
+            .map(|(&key, &stub)| (key, stub))
+            .collect();
+        let mut cleans = 0;
+        for (key, stub) in doomed {
+            self.transport.send(&Frame::DgcClean { key })?;
+            self.client.state.stubs.remove(&key);
+            cleans += 1;
+            let _ = stub; // freed by the sweep below
+        }
+        let freed = nrmi_heap::gc::mark_sweep(&mut self.client.state.heap, &gc_roots)?;
+        Ok((freed, cleans))
     }
 
     /// Ends the connection (the server moves on to its next client).

@@ -4,11 +4,23 @@
 //! re-shipping unchanged state; this module stops the *client* too. A
 //! warm session keeps the marshalled argument graph alive on the server
 //! between calls. The first call through [`client_invoke_warm_with_stats`]
-//! **seeds** the cache with an ordinary full graph (byte-identical to a
-//! cold `copy_restore_delta` request); every later call ships only a
-//! request delta — the synchronized objects the client freed or mutated
-//! since the last reply, plus any newly reachable objects — and receives
-//! the usual reply delta back.
+//! **seeds** the cache; every later call ships only a request delta —
+//! the synchronized objects the client freed or mutated since the last
+//! reply, plus any newly reachable objects — and receives the usual
+//! reply delta back.
+//!
+//! Neither is a second protocol. Both run the one call pipeline of
+//! [`crate::protocol`]; this module owns only what a session adds to it:
+//!
+//! * a **seed** is the cold `copy_restore_delta` call, byte for byte,
+//!   in a `CallRequestWarm` envelope — afterwards each side keeps the
+//!   call's linear-map order (plus the objects the reply introduced) as
+//!   the session's sync list, and the server keeps the snapshot storage;
+//! * a **warm call** replaces the graph request by a request delta
+//!   against that list (the client's classification of it, the server's
+//!   application of it), and hands the advanced list to the same
+//!   invoke-and-reply and the same reply applier a cold call hands its
+//!   linear map.
 //!
 //! ## The handshake
 //!
@@ -50,19 +62,21 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use nrmi_heap::{ClassId, DensePositionMap, Heap, LinearMap, ObjId, Value};
+use nrmi_heap::{Heap, ObjId, Value};
 use nrmi_transport::{Frame, Transport};
 use nrmi_wire::{
-    apply_delta, apply_invalidation_filtered, apply_request_delta, deserialize_graph_with,
-    encode_invalidation, next_sync, GraphSnapshot,
+    apply_invalidation_filtered, apply_request_delta, encode_invalidation, next_sync,
+    EncodedInvalidation, GraphSnapshot, WireError,
 };
 
 use crate::error::NrmiError;
 use crate::lockcheck::TrackedMutex;
-use crate::node::{ClientNode, NodeHooks, NodeState, ServerNode};
-use crate::protocol::{client_invoke_with_stats, restore_roots_of, CallStats};
-use crate::proxy::{handle_callback, RemoteHeapProxy};
-use crate::restore::apply_restore;
+use crate::node::{ClientNode, NodeState, ServerNode};
+use crate::protocol::{
+    apply_reply_payload, client_collect_reply, client_invoke_target, client_invoke_with_stats,
+    invoke_and_reply, reply_frame, resolve_callee, server_call, CallStats, CallTarget, Callee,
+    Collected, Invocation, ReplyOrder,
+};
 use crate::semantics::CallOptions;
 
 /// How many consecutive `CacheStale` revalidations one warm call absorbs
@@ -75,19 +89,62 @@ const MAX_STALE_RETRIES: usize = 3;
 // Client side
 // ---------------------------------------------------------------------------
 
-/// One position of a client sync list: the object, the class it had when
-/// it entered the list (a recycled slot holding a different class counts
-/// as freed), and its mutation version when the position was last
-/// synchronized with the server. Per-position versions — not a single
-/// epoch watermark — keep a coherence patch from echoing: objects a
-/// patch just overwrote are re-recorded at their new versions, so the
+/// One position of a client sync list: the object, its allocation stamp
+/// when it entered the list (a slot freed and recycled since — even for
+/// an object of the same class — holds a stranger with a later stamp
+/// and counts as freed), and its mutation version when the position was
+/// last synchronized with the server. Per-position versions — not a
+/// single epoch watermark — keep a coherence patch from echoing: objects
+/// a patch just overwrote are re-recorded at their new versions, so the
 /// next request delta does not ship the server's own writes back (which
 /// would re-stale every other reader of the graph, forever).
 #[derive(Clone, Copy, Debug)]
 struct SyncRecord {
     id: ObjId,
-    class: ClassId,
+    born: u64,
     version: u64,
+}
+
+/// How a synchronized position relates to the live heap.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Probe {
+    /// The recorded object, untouched since the position was last
+    /// synchronized.
+    Clean,
+    /// The recorded object, mutated since.
+    Dirty,
+    /// The recorded object is gone: its slot is empty or recycled.
+    Freed,
+}
+
+impl SyncRecord {
+    /// Records `id` as synchronized at its current state.
+    fn of(heap: &Heap, id: ObjId) -> Result<Self, NrmiError> {
+        let obj = heap.get(id)?;
+        Ok(SyncRecord {
+            id,
+            born: obj.born(),
+            version: obj.version(),
+        })
+    }
+
+    /// The one classification of a position, for request deltas and for
+    /// the patch merge rule alike. Probe accessors, not `get`: a cached
+    /// handle may legitimately be stale, and dereferencing one is a trap
+    /// under the `sanitize` feature — and, in any build, would read a
+    /// stranger through the dead object's position.
+    fn probe(&self, heap: &Heap) -> Probe {
+        match (heap.born_if_live(self.id), heap.version_if_live(self.id)) {
+            (Some(born), Some(version)) if born == self.born => {
+                if version > self.version {
+                    Probe::Dirty
+                } else {
+                    Probe::Clean
+                }
+            }
+            _ => Probe::Freed,
+        }
+    }
 }
 
 /// One client-side warm cache: the session state for repeated calls to a
@@ -150,33 +207,41 @@ impl WarmSessions {
     }
 }
 
-/// Builds sync records for `ids` from the live heap, recording each
-/// object's class and current mutation version.
+/// Builds sync records for `ids` from the live heap, in one allocation
+/// (collecting through `Result` would grow the vector by doubling).
 fn record_sync(heap: &Heap, ids: &[ObjId]) -> Result<Vec<SyncRecord>, NrmiError> {
-    ids.iter()
-        .map(|&id| {
-            let obj = heap.get(id)?;
-            Ok(SyncRecord {
-                id,
-                class: obj.class(),
-                version: obj.version(),
-            })
-        })
-        .collect()
+    let mut sync = Vec::with_capacity(ids.len());
+    for &id in ids {
+        sync.push(SyncRecord::of(heap, id)?);
+    }
+    Ok(sync)
 }
 
-/// Applies a `CacheStale` coherence patch to the session named by
-/// `cache_id`. Returns `true` if the patch was applied; `false` if it
-/// was a duplicate (version already seen), addressed an unknown session
-/// (evicted locally while the push was in flight — harmless), or failed
-/// to apply — in which case the session is retired so the next call
-/// reseeds cold rather than computing deltas against a torn graph.
+/// Consumes a `CacheStale` coherence patch for the session named by
+/// `cache_id` — pushed while some call waited, or answering this
+/// session's own request: accounts its bytes into `stats`, applies it,
+/// and counts it in `stats.stale_patches` if it took. Returns `true` if
+/// the patch was applied; `false` if it was a duplicate (version
+/// already seen), addressed an unknown session (evicted locally while
+/// the push was in flight — harmless), or failed to apply — in which
+/// case the session is retired so the next call reseeds cold rather
+/// than computing deltas against a torn graph.
 pub(crate) fn client_apply_stale(
     client: &mut ClientNode,
     cache_id: u64,
     version: u64,
     payload: &[u8],
+    stats: &mut CallStats,
 ) -> bool {
+    stats.reply_bytes += payload.len();
+    let per_byte_us = client.state.profile.cost().per_byte_us;
+    client.state.charge_cpu(payload.len() as f64 * per_byte_us);
+    let applied = apply_stale(client, cache_id, version, payload);
+    stats.stale_patches += u64::from(applied);
+    applied
+}
+
+fn apply_stale(client: &mut ClientNode, cache_id: u64, version: u64, payload: &[u8]) -> bool {
     let Some(service) = client
         .warm
         .caches
@@ -198,45 +263,31 @@ pub(crate) fn client_apply_stale(
     // (they are still classified dirty, ship with the next request
     // delta, and win on the server); only untouched positions take the
     // server's slots.
-    let keep_local: Vec<bool> = cache
+    let take_server: Vec<bool> = cache
         .sync
         .iter()
-        .map(|rec| {
-            match (
-                state.heap.class_if_live(rec.id),
-                state.heap.version_if_live(rec.id),
-            ) {
-                (Some(class), Some(v)) => class != rec.class || v > rec.version,
-                _ => true, // freed (or recycled) locally: the free wins
-            }
-        })
+        .map(|rec| rec.probe(&state.heap) == Probe::Clean)
         .collect();
-    match apply_invalidation_filtered(payload, &mut state.heap, &sync_ids, &mut |pos| {
-        !keep_local[pos as usize]
-    }) {
-        Ok(applied) => {
-            // Re-record the patched positions at their post-patch
-            // versions: the server's writes must not classify as OUR
-            // dirty state on the next request delta (see [`SyncRecord`]).
-            for &pos in &applied.dirty_positions {
-                let rec = &mut cache.sync[pos as usize];
-                if let Some(v) = state.heap.version_if_live(rec.id) {
-                    rec.version = v;
-                }
+    let applied = apply_invalidation_filtered(payload, &mut state.heap, &sync_ids, &mut |pos| {
+        take_server[pos as usize]
+    });
+    // Re-record the patched positions at their post-patch versions: the
+    // server's writes must not classify as OUR dirty state on the next
+    // request delta (see [`SyncRecord`]).
+    let recorded = applied.map_err(NrmiError::from).and_then(|applied| {
+        for &pos in &applied.dirty_positions {
+            let rec = &mut cache.sync[pos as usize];
+            if let Some(v) = state.heap.version_if_live(rec.id) {
+                rec.version = v;
             }
-            for &id in &applied.new_objects {
-                match state.heap.get(id) {
-                    Ok(obj) => cache.sync.push(SyncRecord {
-                        id,
-                        class: obj.class(),
-                        version: obj.version(),
-                    }),
-                    Err(_) => {
-                        warm.caches.remove(&service);
-                        return false;
-                    }
-                }
-            }
+        }
+        for &id in &applied.new_objects {
+            cache.sync.push(SyncRecord::of(&state.heap, id)?);
+        }
+        Ok(())
+    });
+    match recorded {
+        Ok(()) => {
             cache.stale_version = version;
             true
         }
@@ -245,58 +296,6 @@ pub(crate) fn client_apply_stale(
             false
         }
     }
-}
-
-/// Receives frames until the call resolves, serving remote-pointer
-/// callbacks in the meantime (the same loop the cold path runs).
-/// `for_cache` is the in-flight session: a `CacheStale` addressed to it
-/// resolves the call; one addressed to any OTHER session is a pushed
-/// invalidation for an idle session, applied on the spot.
-fn recv_call_outcome(
-    client: &mut ClientNode,
-    transport: &mut dyn Transport,
-    stats: &mut CallStats,
-    for_cache: u64,
-) -> Result<WarmOutcome, NrmiError> {
-    loop {
-        let frame = transport.recv()?;
-        match frame {
-            Frame::CallReply { payload } => return Ok(WarmOutcome::Reply(payload)),
-            Frame::CacheMiss => return Ok(WarmOutcome::Miss),
-            Frame::CacheStale {
-                cache_id,
-                version,
-                payload,
-            } => {
-                if cache_id == for_cache {
-                    return Ok(WarmOutcome::Stale { version, payload });
-                }
-                stats.reply_bytes += payload.len();
-                if client_apply_stale(client, cache_id, version, &payload) {
-                    stats.stale_patches += 1;
-                }
-            }
-            Frame::CallError { message } => return Ok(WarmOutcome::Error(message)),
-            other => match handle_callback(&mut client.state, &other) {
-                Some(reply) => {
-                    stats.callbacks_served += 1;
-                    transport.send(&reply)?;
-                }
-                None => {
-                    return Err(NrmiError::Protocol(format!(
-                        "unexpected frame while awaiting warm reply: {other:?}"
-                    )))
-                }
-            },
-        }
-    }
-}
-
-enum WarmOutcome {
-    Reply(Vec<u8>),
-    Miss,
-    Stale { version: u64, payload: Vec<u8> },
-    Error(String),
 }
 
 /// Invokes `service.method(args)` through the warm-call protocol,
@@ -351,29 +350,18 @@ fn warm_call(
         let (cache_id, generation) = (cache.cache_id, cache.generation);
         let cost = state.profile.cost();
 
-        // Classify every synchronized position: freed (gone, or its slot
-        // recycled for a different class) or dirty (mutated since the
-        // position was last synchronized). The sync list is read in
-        // place — the cache borrow and the heap borrow are disjoint
+        // Classify every synchronized position. The sync list is read
+        // in place — the cache borrow and the heap borrow are disjoint
         // fields of the client.
-        let heap = &state.heap;
         let mut sync_ids = Vec::with_capacity(cache.sync.len());
         let mut freed = Vec::new();
         let mut dirty = Vec::new();
         for (pos, rec) in cache.sync.iter().enumerate() {
             sync_ids.push(rec.id);
-            // Probe accessors, not `get`: a cached handle may
-            // legitimately be stale (freed, or its slot recycled), and
-            // under the `sanitize` feature dereferencing such a handle is
-            // a trap — classifying it as freed is exactly the
-            // non-dereferencing probe we want.
-            match heap.class_if_live(rec.id) {
-                Some(live_class) if live_class == rec.class => {
-                    if heap.version_if_live(rec.id).unwrap_or(u64::MAX) > rec.version {
-                        dirty.push(pos as u32);
-                    }
-                }
-                _ => freed.push(pos as u32),
+            match rec.probe(&state.heap) {
+                Probe::Clean => {}
+                Probe::Dirty => dirty.push(pos as u32),
+                Probe::Freed => freed.push(pos as u32),
             }
         }
 
@@ -383,8 +371,7 @@ fn warm_call(
         };
         let enc = match encoded {
             Ok(enc) => enc,
-            Err(nrmi_wire::WireError::NotSerializable { .. })
-            | Err(nrmi_wire::WireError::RemoteWithoutHooks { .. }) => {
+            Err(WireError::NotSerializable { .. }) | Err(WireError::RemoteWithoutHooks { .. }) => {
                 // The graph now contains objects a delta cannot carry
                 // (e.g. remote stubs). Retire the session and run cold.
                 client_evict_warm(client, transport, service)?;
@@ -401,86 +388,54 @@ fn warm_call(
                 + enc.bytes.len() as f64 * cost.per_byte_us,
         );
 
-        transport.send(&Frame::CallRequestWarm {
-            service: service.to_owned(),
-            method: method.to_owned(),
-            mode: opts.to_wire(),
+        let target = CallTarget::Session {
+            service,
             cache_id,
             generation,
-            payload: enc.bytes,
-        })?;
+        };
+        transport.send(&target.frame(method, opts, enc.bytes))?;
 
-        let payload = match recv_call_outcome(client, transport, &mut stats, cache_id)? {
-            WarmOutcome::Reply(payload) => payload,
-            WarmOutcome::Miss => {
-                client.warm.caches.remove(service);
-                return Ok(None);
-            }
-            WarmOutcome::Error(message) => {
-                client.warm.caches.remove(service);
-                return Err(NrmiError::Remote(message));
-            }
-            WarmOutcome::Stale { version, payload } => {
+        let collected = client_collect_reply(client, transport, None, Some(cache_id), &mut stats);
+        if matches!(collected, Ok(Collected::Miss) | Err(NrmiError::Remote(_))) {
+            // Out of step, or the call failed remotely: the server has
+            // dropped its entry, so drop ours.
+            client.warm.caches.remove(service);
+        }
+        let payload = match collected? {
+            Collected::Reply(payload) => payload,
+            Collected::Miss => return Ok(None),
+            Collected::Stale { version, payload } => {
                 // The server repaired our stale view in place instead of
                 // discarding the session: apply the patch and re-issue at
                 // the SAME generation (no call executed server-side).
-                stats.reply_bytes += payload.len();
-                client.state.charge_cpu(payload.len() as f64 * cost.per_byte_us);
-                if client_apply_stale(client, cache_id, version, &payload) {
-                    stats.stale_patches += 1;
-                }
+                client_apply_stale(client, cache_id, version, &payload, &mut stats);
                 continue;
             }
         };
-        stats.reply_bytes += payload.len();
 
         // Both sides advanced their sync lists identically across the
         // request delta; the reply is relative to that advanced list.
-        let sync2 = next_sync(&sync_ids, &enc.freed_positions, &enc.new_objects);
-
-        if payload.starts_with(&nrmi_wire::delta::DELTA_MAGIC) {
-            let applied = apply_delta(&payload, &mut client.state.heap, &sync2)?;
-            stats.restored_objects = applied.changed_count;
-            stats.new_objects = applied.new_objects.len();
-            client.state.charge_cpu(
-                payload.len() as f64 * cost.per_byte_us
-                    + applied.changed_count as f64 * (cost.de_per_obj_us + cost.restore_per_obj_us)
-                    + applied.new_objects.len() as f64 * cost.de_per_obj_us,
-            );
-            let ret = applied
-                .roots
-                .first()
-                .cloned()
-                .ok_or_else(|| NrmiError::Protocol("empty warm delta reply".into()))?;
-            let mut sync3 = sync2;
-            sync3.extend_from_slice(&applied.new_objects);
-            let sync = record_sync(&client.state.heap, &sync3)?;
-            // A pushed patch may have retired the session while this
-            // call was in flight; the call still completed.
-            if let Some(cache) = client.warm.caches.get_mut(service) {
-                cache.generation += 1;
-                cache.sync = sync;
+        let mut sync = next_sync(&sync_ids, &enc.freed_positions, &enc.new_objects);
+        let order = ReplyOrder::List(&sync);
+        let applied = apply_reply_payload(&mut client.state, order, &payload, &mut stats)?;
+        match applied.delta_new {
+            Some(new_objects) => {
+                sync.extend_from_slice(&new_objects);
+                let sync = record_sync(&client.state.heap, &sync)?;
+                // A pushed patch may have retired the session while this
+                // call was in flight; the call still completed.
+                if let Some(cache) = client.warm.caches.get_mut(service) {
+                    cache.generation += 1;
+                    cache.sync = sync;
+                }
             }
-            return Ok(Some((ret, stats)));
+            // The server fell back to a full reply and dropped its
+            // entry: retire the session so the next call reseeds.
+            None => {
+                client.warm.caches.remove(service);
+            }
         }
-
-        // The server fell back to a full annotated reply (and dropped
-        // its cache entry): restore through the advanced sync order,
-        // then retire the session so the next call reseeds.
-        client.warm.caches.remove(service);
-        let state = &mut client.state;
-        let mut hooks = NodeHooks::new(&mut state.exports, &mut state.stubs);
-        let decoded = deserialize_graph_with(&payload, &mut state.heap, &mut hooks)?;
-        stats.reply_objects = decoded.object_count();
-        let outcome = apply_restore(&mut state.heap, &LinearMap::from_order(sync2), &decoded)?;
-        stats.restored_objects = outcome.stats.old_objects;
-        stats.new_objects = outcome.stats.new_objects;
-        let ret = outcome
-            .roots
-            .first()
-            .cloned()
-            .ok_or_else(|| NrmiError::Protocol("empty warm reply".into()))?;
-        return Ok(Some((ret, stats)));
+        return Ok(Some((applied.value, stats)));
     }
     // MAX_STALE_RETRIES consecutive patches without a completed call: a
     // write-heavy peer is outpacing the repairs. Evict and run this call
@@ -489,8 +444,12 @@ fn warm_call(
     client_invoke_with_stats(client, transport, service, method, args, opts).map(Some)
 }
 
-/// Generation 0: seed the cache with a full graph. The request payload
-/// is byte-identical to a cold `copy_restore_delta` request.
+/// Generation 0: the cold `copy_restore_delta` call in a session
+/// envelope. When the server answers with a delta it kept the graph;
+/// the call's linear map, extended by the objects the reply introduced,
+/// becomes the sync list. A full reply means the server could not
+/// encode a delta and established no cache: the next invocation seeds
+/// again.
 fn seed_call(
     client: &mut ClientNode,
     transport: &mut dyn Transport,
@@ -498,102 +457,28 @@ fn seed_call(
     method: &str,
     args: &[Value],
 ) -> Result<(Value, CallStats), NrmiError> {
-    let opts = CallOptions::copy_restore_delta();
-    let mut stats = CallStats::default();
-    let cost = client.state.profile.cost();
     let cache_id = client.warm.fresh_id();
-
-    let state = &mut client.state;
-    let registry = state.heap.registry_handle().clone();
-    let restore_roots = restore_roots_of(&registry, &state.heap, opts, args)?;
-    let client_map = LinearMap::build(&state.heap, &restore_roots)?;
-    let NodeState {
-        heap,
-        exports,
-        stubs,
-        codec,
-        ..
-    } = &mut *state;
-    let mut hooks = NodeHooks::new(exports, stubs);
-    let enc = codec.encode_graph(heap, args, None, Some(&mut hooks))?;
-    stats.request_objects = enc.object_count();
-    stats.request_bytes = enc.byte_len();
-    state.charge_cpu(
-        cost.call_overhead_us
-            + enc.object_count() as f64 * cost.ser_per_obj_us
-            + enc.byte_len() as f64 * cost.per_byte_us
-            + client_map.len() as f64 * cost.linear_map_per_obj_us,
-    );
-
-    transport.send(&Frame::CallRequestWarm {
-        service: service.to_owned(),
-        method: method.to_owned(),
-        mode: opts.to_wire(),
+    let target = CallTarget::Session {
+        service,
         cache_id,
         generation: 0,
-        payload: enc.bytes,
-    })?;
-
-    let payload = match recv_call_outcome(client, transport, &mut stats, cache_id)? {
-        WarmOutcome::Reply(payload) => payload,
-        WarmOutcome::Miss => {
-            return Err(NrmiError::Protocol(
-                "cache miss answering a seed call".into(),
-            ))
-        }
-        WarmOutcome::Stale { .. } => {
-            return Err(NrmiError::Protocol(
-                "cache-stale answering a seed call".into(),
-            ))
-        }
-        WarmOutcome::Error(message) => return Err(NrmiError::Remote(message)),
     };
-    stats.reply_bytes = payload.len();
-
-    if payload.starts_with(&nrmi_wire::delta::DELTA_MAGIC) {
-        let applied = apply_delta(&payload, &mut client.state.heap, client_map.order())?;
-        stats.restored_objects = applied.changed_count;
-        stats.new_objects = applied.new_objects.len();
-        client.state.charge_cpu(
-            payload.len() as f64 * cost.per_byte_us
-                + applied.changed_count as f64 * (cost.de_per_obj_us + cost.restore_per_obj_us)
-                + applied.new_objects.len() as f64 * cost.de_per_obj_us,
-        );
-        let ret = applied
-            .roots
-            .first()
-            .cloned()
-            .ok_or_else(|| NrmiError::Protocol("empty seed delta reply".into()))?;
-        let mut sync_ids = client_map.order().to_vec();
-        sync_ids.extend_from_slice(&applied.new_objects);
-        let sync = record_sync(&client.state.heap, &sync_ids)?;
+    let opts = CallOptions::copy_restore_delta();
+    let (applied, pending) = client_invoke_target(client, transport, target, method, args, opts)?;
+    if let Some(new_objects) = applied.delta_new {
+        let mut sync_ids = pending.client_map.order().to_vec();
+        sync_ids.extend_from_slice(&new_objects);
         client.warm.caches.insert(
             service.to_owned(),
             ClientWarmCache {
                 cache_id,
                 generation: 1,
-                sync,
+                sync: record_sync(&client.state.heap, &sync_ids)?,
                 stale_version: 0,
             },
         );
-        return Ok((ret, stats));
     }
-
-    // Full reply: the server could not encode a delta and established no
-    // cache. Restore like a cold call; next invocation seeds again.
-    let state = &mut client.state;
-    let mut hooks = NodeHooks::new(&mut state.exports, &mut state.stubs);
-    let decoded = deserialize_graph_with(&payload, &mut state.heap, &mut hooks)?;
-    stats.reply_objects = decoded.object_count();
-    let outcome = apply_restore(&mut state.heap, &client_map, &decoded)?;
-    stats.restored_objects = outcome.stats.old_objects;
-    stats.new_objects = outcome.stats.new_objects;
-    let ret = outcome
-        .roots
-        .first()
-        .cloned()
-        .ok_or_else(|| NrmiError::Protocol("empty seed reply".into()))?;
-    Ok((ret, stats))
+    Ok((applied.value, pending.stats))
 }
 
 /// Drops the client's warm cache for `service` (if any) and tells the
@@ -620,8 +505,8 @@ pub fn client_evict_warm(
 
 /// Which warm sessions currently cover which heap objects, across every
 /// connection serving one node. Kept on [`ServerNode::leases`] and
-/// mirrored by every [`WarmCaches`] built with
-/// [`with_leases`](WarmCaches::with_leases): an entry's sync objects are
+/// mirrored by every [`WarmCaches`] built over it
+/// ([`with_leases`](WarmCaches::with_leases)): an entry's sync objects are
 /// registered when the entry is (re)inserted and unregistered when it is
 /// taken out, so an orderly eviction can free exactly the objects no
 /// OTHER session still reads — one client disconnecting no longer
@@ -722,21 +607,27 @@ struct ServerWarmEntry {
 
 /// The warm caches of one server connection. Each connection owns its
 /// own set (created by the serve loop), so a client can only ever
-/// address caches it seeded itself. Connections serving a node shared
-/// with others build the set with [`with_leases`](WarmCaches::with_leases),
-/// which coordinates evictions through the node's [`LeaseTable`].
-#[derive(Debug, Default)]
+/// address caches it seeded itself. Every set coordinates evictions
+/// through a [`LeaseTable`]: connections serving one node share the
+/// node's ([`with_leases`](WarmCaches::with_leases)); a set standing
+/// alone gets a private one ([`new`](WarmCaches::new)).
+#[derive(Debug)]
 pub struct WarmCaches {
     entries: HashMap<u64, ServerWarmEntry>,
-    /// Cross-session lease table; `None` keeps the legacy one-owner
-    /// behavior (evictions free unconditionally).
-    leases: Option<Arc<TrackedMutex<LeaseTable>>>,
+    leases: Arc<TrackedMutex<LeaseTable>>,
+}
+
+impl Default for WarmCaches {
+    fn default() -> Self {
+        WarmCaches::new()
+    }
 }
 
 impl WarmCaches {
-    /// Creates an empty cache set with no lease coordination.
+    /// Creates an empty cache set over a fresh private lease table: the
+    /// sole owner of whatever it caches.
     pub fn new() -> Self {
-        WarmCaches::default()
+        WarmCaches::with_leases(new_lease_table())
     }
 
     /// Creates an empty cache set registered with a node's lease table
@@ -745,14 +636,8 @@ impl WarmCaches {
     pub fn with_leases(leases: Arc<TrackedMutex<LeaseTable>>) -> Self {
         WarmCaches {
             entries: HashMap::new(),
-            leases: Some(leases),
+            leases,
         }
-    }
-
-    /// True if this cache set coordinates evictions through a lease
-    /// table.
-    pub fn leased(&self) -> bool {
-        self.leases.is_some()
     }
 
     /// Number of live entries.
@@ -790,18 +675,14 @@ impl WarmCaches {
     /// through here so the lease table mirrors `entries` exactly.
     fn take_entry(&mut self, cache_id: u64) -> Option<ServerWarmEntry> {
         let entry = self.entries.remove(&cache_id)?;
-        if let Some(leases) = &self.leases {
-            leases.lock().unregister(&entry.sync);
-        }
+        self.leases.lock().unregister(&entry.sync);
         Some(entry)
     }
 
     /// Inserts an entry, registering its leases. The twin of
     /// [`take_entry`](Self::take_entry).
     fn put_entry(&mut self, cache_id: u64, entry: ServerWarmEntry) {
-        if let Some(leases) = &self.leases {
-            leases.lock().register(&entry.sync);
-        }
+        self.leases.lock().register(&entry.sync);
         self.entries.insert(cache_id, entry);
     }
 
@@ -827,25 +708,15 @@ impl WarmCaches {
         if !coherent(heap, &entry) {
             return;
         }
-        match &self.leases {
-            None => {
-                for id in entry.sync {
-                    let _ = heap.free(id);
-                }
-            }
-            Some(leases) => {
-                // Free only what no OTHER session still covers: on a
-                // shared node, a second client's warm session may read
-                // the same graph, and freeing it here would dangle that
-                // session's handles (the evict-on-disconnect bug this
-                // table exists to fix). Objects left covered are freed
-                // by whichever eviction drops the last lease.
-                let table = leases.lock();
-                for id in entry.sync {
-                    if !table.is_covered(id) {
-                        let _ = heap.free(id);
-                    }
-                }
+        // Free only what no OTHER session still covers: on a shared
+        // node, a second client's warm session may read the same graph,
+        // and freeing it here would dangle that session's handles (the
+        // evict-on-disconnect bug the table exists to fix). Objects left
+        // covered are freed by whichever eviction drops the last lease.
+        let table = self.leases.lock();
+        for id in entry.sync {
+            if !table.is_covered(id) {
+                let _ = heap.free(id);
             }
         }
     }
@@ -927,30 +798,24 @@ fn classify(heap: &Heap, entry: &ServerWarmEntry) -> Staleness {
     }
 }
 
-/// Repairs a stale-but-live entry: encodes a patch of the dirty
-/// positions, revalidates the entry at the current heap state (same
-/// generation — no call executed), and answers `CacheStale`. Encode
-/// failures (a dirty object grew a dangling edge into a freed neighbor,
-/// or now references something a patch cannot carry) degrade to the
-/// legacy drop: entry out, unfreed, `CacheMiss`.
-fn revalidate_entry(
-    server: &mut ServerNode,
+/// The tail of every repair, on the reply path and the push path alike:
+/// the session grows by the objects the patch ships, is revalidated at
+/// the current heap state (same generation — no call executed) under a
+/// bumped revalidation version, goes back into the cache set, and the
+/// patch travels as `CacheStale`.
+fn publish_patch(
+    state: &NodeState,
     caches: &mut WarmCaches,
     cache_id: u64,
     mut entry: ServerWarmEntry,
-    dirty: &[u32],
+    patch: EncodedInvalidation,
 ) -> Frame {
-    let state = &mut server.state;
     let cost = state.profile.cost();
-    let enc = match encode_invalidation(&state.heap, &entry.sync, dirty) {
-        Ok(enc) => enc,
-        Err(_) => return Frame::CacheMiss,
-    };
     state.charge_cpu(
-        (enc.stats.dirty_count + enc.stats.new_count) as f64 * cost.ser_per_obj_us
-            + enc.bytes.len() as f64 * cost.per_byte_us,
+        (patch.stats.dirty_count + patch.stats.new_count) as f64 * cost.ser_per_obj_us
+            + patch.bytes.len() as f64 * cost.per_byte_us,
     );
-    entry.sync.extend_from_slice(&enc.new_objects);
+    entry.sync.extend_from_slice(&patch.new_objects);
     entry.versions = versions_of(
         &state.heap,
         &entry.sync,
@@ -962,7 +827,7 @@ fn revalidate_entry(
     Frame::CacheStale {
         cache_id,
         version,
-        payload: enc.bytes,
+        payload: patch.bytes,
     }
 }
 
@@ -976,6 +841,7 @@ fn revalidate_entry(
 /// out-of-band are dropped (unfreed) — the client discovers the loss as
 /// an ordinary `CacheMiss` on its next call.
 pub(crate) fn collect_stale_pushes(server: &mut ServerNode, caches: &mut WarmCaches) -> Vec<Frame> {
+    let state = &server.state;
     let mut out = Vec::new();
     // Only incoherent entries need the mutable pass; when every session
     // is clean (the steady state) this collects nothing and allocates
@@ -983,45 +849,25 @@ pub(crate) fn collect_stale_pushes(server: &mut ServerNode, caches: &mut WarmCac
     let ids: Vec<u64> = caches
         .entries
         .iter()
-        .filter(|(_, entry)| !coherent(&server.state.heap, entry))
+        .filter(|(_, entry)| !coherent(&state.heap, entry))
         .map(|(&id, _)| id)
         .collect();
     for cache_id in ids {
-        let Some(entry) = caches.entries.get(&cache_id) else {
-            continue;
-        };
-        match classify(&server.state.heap, entry) {
+        let entry = &caches.entries[&cache_id];
+        match classify(&state.heap, entry) {
             Staleness::Clean => {}
             Staleness::Dirty(dirty) => {
-                let state = &mut server.state;
-                let Ok(enc) = encode_invalidation(&state.heap, &entry.sync, &dirty) else {
-                    // Unencodable (e.g. a dangling edge): leave the entry
-                    // stale; the next warm call degrades to CacheMiss
-                    // through the same classification.
+                // Unencodable (e.g. a dangling edge) or splicing: leave
+                // the entry stale; the next warm call meets it through
+                // the same classification.
+                let Ok(patch) = encode_invalidation(&state.heap, &entry.sync, &dirty) else {
                     continue;
                 };
-                if !enc.new_objects.is_empty() {
+                if !patch.new_objects.is_empty() {
                     continue;
                 }
-                let cost = state.profile.cost();
-                state.charge_cpu(
-                    enc.stats.dirty_count as f64 * cost.ser_per_obj_us
-                        + enc.bytes.len() as f64 * cost.per_byte_us,
-                );
-                let mut entry = caches.take_entry(cache_id).expect("present above");
-                entry.versions = versions_of(
-                    &state.heap,
-                    &entry.sync,
-                    std::mem::take(&mut entry.versions),
-                );
-                entry.version += 1;
-                let version = entry.version;
-                caches.put_entry(cache_id, entry);
-                out.push(Frame::CacheStale {
-                    cache_id,
-                    version,
-                    payload: enc.bytes,
-                });
+                let entry = caches.take_entry(cache_id).expect("present above");
+                out.push(publish_patch(state, caches, cache_id, entry, patch));
             }
             Staleness::Lost => {
                 caches.take_entry(cache_id);
@@ -1045,143 +891,87 @@ pub(crate) fn server_handle_warm_call(
     generation: u64,
     payload: &[u8],
 ) -> Frame {
-    let result = if generation == 0 {
-        server_seed_call(
-            server, caches, transport, service, method, mode_byte, cache_id, payload,
-        )
-    } else {
-        // Take the entry out up front: every non-success path below must
-        // leave it dropped (the client drops its side symmetrically);
-        // only a completed call or an in-place repair re-inserts it.
-        let Some(entry) = caches.take_entry(cache_id) else {
-            return Frame::CacheMiss;
-        };
-        if entry.generation != generation {
-            return Frame::CacheMiss;
-        }
-        match classify(&server.state.heap, &entry) {
-            Staleness::Clean => {}
-            Staleness::Dirty(dirty) => {
-                // Out-of-band writes, but every synchronized object is
-                // still alive: repair the session in place with a
-                // targeted patch instead of discarding it. Merge rule:
-                // the patch excludes positions this request itself
-                // rewrites or frees — the client's slots are already on
-                // the wire and win at object granularity; patching them
-                // back would silently undo the client's mutation. If
-                // the request covers every dirty position (or the
-                // payload is malformed — the call path below surfaces
-                // the authoritative error), fall through to the call.
-                if let Ok(peeked) = nrmi_wire::peek_request_delta(payload, entry.sync.len()) {
-                    let patch: Vec<u32> = dirty
-                        .iter()
-                        .copied()
-                        .filter(|&p| !peeked.touches(p))
-                        .collect();
-                    if !patch.is_empty() {
-                        return revalidate_entry(server, caches, cache_id, entry, &patch);
-                    }
+    if generation == 0 {
+        // A seed: the cold delta-reply call, whose order and snapshot
+        // storage are kept as the session's entry. A full reply — the
+        // result graph could not travel as a delta — establishes no
+        // cache.
+        let callee = Callee::Named(service);
+        let called = server_call(server, transport, method, callee, mode_byte, payload);
+        return reply_frame(called.map(|(replied, map)| {
+            if let Some(new_objects) = replied.delta_new {
+                let state = &mut server.state;
+                let mut sync = map.order().to_vec();
+                sync.extend_from_slice(&new_objects);
+                let entry = ServerWarmEntry {
+                    generation: 1,
+                    versions: versions_of(&state.heap, &sync, Vec::new()),
+                    sync,
+                    version: 0,
+                    // The node's snapshot pool, just used by the call,
+                    // seeds the entry's.
+                    snapshot: std::mem::take(&mut state.reply_snapshot),
+                };
+                caches.put_entry(cache_id, entry);
+            }
+            replied.payload
+        }));
+    }
+    // Take the entry out up front: every non-success path below must
+    // leave it dropped (the client drops its side symmetrically); only a
+    // completed call or an in-place repair re-inserts it.
+    let Some(entry) = caches.take_entry(cache_id) else {
+        return Frame::CacheMiss;
+    };
+    if entry.generation != generation {
+        return Frame::CacheMiss;
+    }
+    match classify(&server.state.heap, &entry) {
+        Staleness::Clean => {}
+        Staleness::Dirty(dirty) => {
+            // Out-of-band writes, but every synchronized object is still
+            // alive: repair the session in place with a targeted patch
+            // instead of discarding it. Merge rule: the patch excludes
+            // positions this request itself rewrites or frees — the
+            // client's slots are already on the wire and win at object
+            // granularity; patching them back would silently undo the
+            // client's mutation. If the request covers every dirty
+            // position (or the payload is malformed — the call path
+            // below surfaces the authoritative error), fall through to
+            // the call.
+            if let Ok(peeked) = nrmi_wire::peek_request_delta(payload, entry.sync.len()) {
+                let patch: Vec<u32> = dirty
+                    .iter()
+                    .copied()
+                    .filter(|&p| !peeked.touches(p))
+                    .collect();
+                if !patch.is_empty() {
+                    // Encode failures (a dirty object grew a dangling
+                    // edge into a freed neighbor, or now references
+                    // something a patch cannot carry) degrade to the
+                    // legacy drop: entry out, unfreed, `CacheMiss`.
+                    let state = &server.state;
+                    return match encode_invalidation(&state.heap, &entry.sync, &patch) {
+                        Ok(patch) => publish_patch(state, caches, cache_id, entry, patch),
+                        Err(_) => Frame::CacheMiss,
+                    };
                 }
             }
-            Staleness::Lost => {
-                // Freed or recycled out-of-band: nothing to patch
-                // against. Drop without freeing (the out-of-band
-                // activity proves server state aliases the graph).
-                return Frame::CacheMiss;
-            }
         }
-        server_warm_call(
-            server, caches, transport, service, method, cache_id, entry, payload,
-        )
-    };
-    match result {
-        Ok(frame) => frame,
-        Err(NrmiError::Remote(message)) => Frame::CallError { message },
-        Err(e) => Frame::CallError {
-            message: e.to_string(),
-        },
+        Staleness::Lost => {
+            // Freed or recycled out-of-band: nothing to patch against.
+            // Drop without freeing (the out-of-band activity proves
+            // server state aliases the graph).
+            return Frame::CacheMiss;
+        }
     }
+    reply_frame(server_warm_call(
+        server, caches, transport, service, method, cache_id, entry, payload,
+    ))
 }
 
-/// Seeds a session: full-graph request, delta reply, cache established.
-#[allow(clippy::too_many_arguments)]
-fn server_seed_call(
-    server: &mut ServerNode,
-    caches: &mut WarmCaches,
-    transport: &mut dyn Transport,
-    service: &str,
-    method: &str,
-    mode_byte: u8,
-    cache_id: u64,
-    payload: &[u8],
-) -> Result<Frame, NrmiError> {
-    let opts = CallOptions::from_wire(mode_byte)?;
-    let ServerNode {
-        state, services, ..
-    } = server;
-    let cost = state.profile.cost();
-    let registry = state.heap.registry_handle().clone();
-    let svc = services
-        .get_mut(service)
-        .ok_or_else(|| NrmiError::NoSuchService(service.to_owned()))?;
-
-    let mut hooks = NodeHooks::new(&mut state.exports, &mut state.stubs);
-    let decoded = deserialize_graph_with(payload, &mut state.heap, &mut hooks)?;
-    state.charge_cpu(
-        cost.dispatch_overhead_us
-            + decoded.object_count() as f64 * cost.de_per_obj_us
-            + payload.len() as f64 * cost.per_byte_us,
-    );
-    let args = decoded.roots.clone();
-    let restore_roots = restore_roots_of(&registry, &state.heap, opts, &args)?;
-    let server_map = LinearMap::build(&state.heap, &restore_roots)?;
-    let snapshot = GraphSnapshot::capture(&state.heap, server_map.order())?;
-
-    let ret = {
-        let mut proxy = RemoteHeapProxy::new(state, transport);
-        svc.invoke(method, &args, &mut proxy)?
-    };
-
-    let outcome = {
-        let NodeState { heap, codec, .. } = &mut *state;
-        codec.encode_reply_delta(heap, &snapshot, std::slice::from_ref(&ret))
-    };
-    match outcome {
-        Ok(delta) => {
-            state.charge_cpu(
-                (delta.stats.changed_count + delta.stats.new_count) as f64 * cost.ser_per_obj_us
-                    + delta.bytes.len() as f64 * cost.per_byte_us,
-            );
-            let mut sync = server_map.order().to_vec();
-            sync.extend_from_slice(&delta.new_objects);
-            let versions = versions_of(&state.heap, &sync, Vec::new());
-            caches.put_entry(
-                cache_id,
-                ServerWarmEntry {
-                    generation: 1,
-                    sync,
-                    versions,
-                    version: 0,
-                    // The seed's snapshot storage seeds the entry's pool.
-                    snapshot,
-                },
-            );
-            Ok(Frame::CallReply {
-                payload: delta.bytes,
-            })
-        }
-        Err(nrmi_wire::WireError::NotSerializable { .. })
-        | Err(nrmi_wire::WireError::RemoteWithoutHooks { .. }) => {
-            // Cannot delta-encode the result graph: answer a full
-            // annotated reply and establish no cache.
-            full_reply_fallback(state, server_map.order(), ret)
-        }
-        Err(e) => Err(e.into()),
-    }
-}
-
-/// A warm call proper: apply the request delta to the cached graph, run
-/// the method, reply with a delta, advance the entry.
+/// A warm call proper: apply the request delta to the cached graph,
+/// invoke and reply against the advanced sync list, advance the entry.
 #[allow(clippy::too_many_arguments)]
 fn server_warm_call(
     server: &mut ServerNode,
@@ -1192,14 +982,15 @@ fn server_warm_call(
     cache_id: u64,
     mut entry: ServerWarmEntry,
     payload: &[u8],
-) -> Result<Frame, NrmiError> {
+) -> Result<Vec<u8>, NrmiError> {
     let ServerNode {
-        state, services, ..
+        state,
+        services,
+        class_services,
+        ..
     } = server;
     let cost = state.profile.cost();
-    let svc = services
-        .get_mut(service)
-        .ok_or_else(|| NrmiError::NoSuchService(service.to_owned()))?;
+    let (svc, receiver) = resolve_callee(services, class_services, state, Callee::Named(service))?;
 
     let applied = apply_request_delta(payload, &mut state.heap, &entry.sync)?;
     state.charge_cpu(
@@ -1207,83 +998,34 @@ fn server_warm_call(
             + (applied.changed_count + applied.new_objects.len()) as f64 * cost.de_per_obj_us
             + payload.len() as f64 * cost.per_byte_us,
     );
-    let sync2 = next_sync(&entry.sync, &applied.freed_positions, &applied.new_objects);
+    let mut sync = next_sync(&entry.sync, &applied.freed_positions, &applied.new_objects);
     // Recapture into the entry's pooled snapshot: in steady state this
     // reuses every per-object slot buffer from the previous call.
-    entry.snapshot.recapture(&state.heap, &sync2)?;
-    let args = applied.roots;
+    entry.snapshot.recapture(&state.heap, &sync)?;
 
-    let ret = {
-        let mut proxy = RemoteHeapProxy::new(state, transport);
-        svc.invoke(method, &args, &mut proxy)?
-    };
-
-    let outcome = {
-        let NodeState { heap, codec, .. } = &mut *state;
-        codec.encode_reply_delta(heap, &entry.snapshot, std::slice::from_ref(&ret))
-    };
-    match outcome {
-        Ok(delta) => {
-            state.charge_cpu(
-                (delta.stats.changed_count + delta.stats.new_count) as f64 * cost.ser_per_obj_us
-                    + delta.bytes.len() as f64 * cost.per_byte_us,
-            );
-            let mut sync = sync2;
-            sync.extend_from_slice(&delta.new_objects);
-            let versions = versions_of(&state.heap, &sync, entry.versions);
-            caches.put_entry(
-                cache_id,
-                ServerWarmEntry {
-                    generation: entry.generation + 1,
-                    sync,
-                    versions,
-                    version: entry.version,
-                    snapshot: entry.snapshot,
-                },
-            );
-            Ok(Frame::CallReply {
-                payload: delta.bytes,
-            })
-        }
-        Err(nrmi_wire::WireError::NotSerializable { .. })
-        | Err(nrmi_wire::WireError::RemoteWithoutHooks { .. }) => {
-            // Fall back to a full annotated reply relative to the
-            // advanced sync order; the entry stays dropped (the client
-            // retires its side on seeing the full reply).
-            full_reply_fallback(state, &sync2, ret)
-        }
-        Err(e) => Err(e.into()),
+    let replied = invoke_and_reply(
+        state,
+        svc,
+        transport,
+        Invocation {
+            method,
+            receiver,
+            args: &applied.roots,
+            opts: CallOptions::copy_restore_delta(),
+            order: ReplyOrder::List(&sync),
+            snapshot: Some(&entry.snapshot),
+        },
+    )?;
+    // A full reply leaves the entry dropped (the client retires its side
+    // on seeing one).
+    if let Some(new_objects) = &replied.delta_new {
+        sync.extend_from_slice(new_objects);
+        entry.versions = versions_of(&state.heap, &sync, entry.versions);
+        entry.sync = sync;
+        entry.generation += 1;
+        caches.put_entry(cache_id, entry);
     }
-}
-
-/// Emits a full annotated reply (the cold copy-restore wire form) whose
-/// old-index annotations are positions in `sync` — the receiver restores
-/// through `LinearMap::from_order(sync)`.
-fn full_reply_fallback(
-    state: &mut NodeState,
-    sync: &[ObjId],
-    ret: Value,
-) -> Result<Frame, NrmiError> {
-    let cost = state.profile.cost();
-    let mut old_index = DensePositionMap::new();
-    for (i, &id) in sync.iter().enumerate() {
-        old_index.insert(id, i as u32);
-    }
-    let mut reply_roots = vec![ret];
-    reply_roots.extend(sync.iter().map(|&id| Value::Ref(id)));
-    let NodeState {
-        heap,
-        exports,
-        stubs,
-        codec,
-        ..
-    } = &mut *state;
-    let mut hooks = NodeHooks::new(exports, stubs);
-    let enc = codec.encode_graph(heap, &reply_roots, Some(&old_index), Some(&mut hooks))?;
-    state.charge_cpu(
-        enc.object_count() as f64 * cost.ser_per_obj_us + enc.byte_len() as f64 * cost.per_byte_us,
-    );
-    Ok(Frame::CallReply { payload: enc.bytes })
+    Ok(replied.payload)
 }
 
 #[cfg(test)]
@@ -1489,6 +1231,73 @@ mod tests {
         );
     }
 
+    /// The allocation stamp, not the class, says whether a position
+    /// still holds the object it recorded: a slot freed and recycled for
+    /// an object of the same class is a stranger, not a dirty original.
+    #[test]
+    fn recycled_slot_of_the_same_class_probes_as_freed() {
+        let mut reg = ClassRegistry::new();
+        let cell = reg.define("Cell").field_int("data").restorable().register();
+        let mut heap = Heap::new(reg.snapshot());
+        let original = heap.alloc(cell, vec![Value::Int(1)]).expect("alloc");
+        let rec = SyncRecord::of(&heap, original).expect("live");
+        assert_eq!(rec.probe(&heap), Probe::Clean);
+        heap.set_field(original, "data", Value::Int(2))
+            .expect("live");
+        assert_eq!(rec.probe(&heap), Probe::Dirty);
+
+        heap.free(original).expect("live");
+        assert_eq!(rec.probe(&heap), Probe::Freed);
+        let stranger = heap.alloc(cell, vec![Value::Int(3)]).expect("alloc");
+        assert_eq!(stranger.index(), original.index(), "slot recycled");
+        assert_eq!(rec.probe(&heap), Probe::Freed);
+    }
+
+    /// A pushed patch can also race a *cold* call's reply (a push left
+    /// queued behind an abandoned warm call, say). The one receive loop
+    /// applies it and accounts for it exactly as it does while a warm
+    /// call waits.
+    #[test]
+    fn cold_call_counts_the_pushed_patch_it_consumes() {
+        let (mut client, mut link, leak_root, poke_root) = world();
+        call(&mut client, &mut link, "leak", leak_root);
+
+        let cache_id = client.warm.cache_id("leak").expect("warm");
+        let server_root = link.caches.sync_ids_of(cache_id).expect("live")[0];
+        link.server
+            .state
+            .heap
+            .set_field(server_root, "data", Value::Int(77))
+            .expect("live");
+        let pushes = collect_stale_pushes(&mut link.server, &mut link.caches);
+        let [Frame::CacheStale { payload, .. }] = &pushes[..] else {
+            panic!("one pure patch expected, got {pushes:?}");
+        };
+        let patch_bytes = payload.len();
+        link.replies.extend(pushes);
+
+        let cold = |client: &mut ClientNode, link: &mut Link| {
+            let args = [Value::Ref(poke_root)];
+            client_invoke_with_stats(client, link, "poke", "run", &args, CallOptions::auto())
+                .expect("cold call")
+                .1
+        };
+        let raced = cold(&mut client, &mut link);
+        let plain = cold(&mut client, &mut link);
+        assert_eq!(raced.stale_patches, 1, "the consumed push is counted");
+        assert_eq!(plain.stale_patches, 0);
+        assert_eq!(raced.reply_bytes, plain.reply_bytes + patch_bytes);
+        assert_eq!(
+            client
+                .state
+                .heap
+                .get_field(leak_root, "data")
+                .expect("live"),
+            Value::Int(77),
+            "and applied to the idle session's graph"
+        );
+    }
+
     /// A patch delivery is idempotent: the monotone `stale_version` gate
     /// refuses versions at or below the last applied one before parsing,
     /// so a patch arriving twice (pushed, then racing a reply) cannot
@@ -1503,7 +1312,7 @@ mod tests {
 
         // Replaying version 1 — even with a garbage payload — must be
         // rejected by the version gate alone, leaving the session alive.
-        assert!(!client_apply_stale(&mut client, cache_id, 1, b"garbage"));
+        assert!(!apply_stale(&mut client, cache_id, 1, b"garbage"));
         assert_eq!(client.warm.cache_id("leak"), Some(cache_id));
         assert_eq!(
             client.state.heap.get_field(leak_root, "data").expect("live"),

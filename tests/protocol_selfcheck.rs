@@ -4,15 +4,7 @@
 //! `--workspace` and `tables -- check` jobs. Every world runs at a
 //! reduced depth — all seven alphabets, every invariant P001–P011,
 //! against the production step — which stays within a few seconds in a
-//! debug build.
-//!
-//! Not built under `--features sanitize`: there the core world's
-//! `Call → Prune → Graft → Call` traps `NRMI-Z003` in the *client's*
-//! request-delta encoder (a pruned slot recycled by the graft is read
-//! through the encoder's dense map), at the parent commit as well. That
-//! is a wire-layer finding of its own, not a serve-core one.
-
-#![cfg(not(feature = "sanitize"))]
+//! debug build, with or without `--features sanitize`.
 
 use nrmi::check::{self_check, ModelCheckConfig};
 

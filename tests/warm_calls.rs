@@ -5,7 +5,8 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 
 use nrmi::core::{
-    CallOptions, FnService, NrmiError, RemoteService, ServerNode, ServerPool, Session,
+    serve_connection, CallOptions, FnService, NrmiError, RemoteService, ServerNode, ServerPool,
+    Session,
 };
 use nrmi::heap::tree::{self, TreeClasses};
 use nrmi::heap::validate::assert_valid;
@@ -488,4 +489,160 @@ fn warm_falls_back_to_cold_for_undeltable_graphs() {
         "undeltable graph retired the warm session and ran cold"
     );
     assert_valid(session.heap());
+}
+
+/// The open sanitizer finding, as a directed trace: `Call → Prune →
+/// Graft → Call`. The graft's allocation recycles a slot the prune just
+/// freed, for an object of the *same class*, so a sync record holding
+/// only `(id, class, version)` takes the stranger for the pruned object
+/// gone dirty and ships it under the dead object's position (reading it
+/// through the stale handle: `NRMI-Z003` under `--features sanitize`).
+/// The allocation stamp tells them apart: the position is freed and the
+/// grafted node travels as new.
+#[test]
+fn pruned_slot_recycled_by_a_graft_is_freed_not_dirty() {
+    let mut session = Session::builder(registry())
+        .serve("bump", bump_service())
+        .build();
+    let classes = classes_of(&mut session);
+    let root = tree::build_random_tree(session.heap(), &classes, 7, 3).unwrap();
+
+    // A local twin: the same graph, touched by the same logic directly.
+    let mut twin = nrmi::heap::Heap::new(registry());
+    let twin_root = tree::build_random_tree(&mut twin, &classes, 7, 3).unwrap();
+    let bump_locally = |heap: &mut nrmi::heap::Heap, root: ObjId| {
+        let v = heap.get_field(root, "data").unwrap().as_int().unwrap();
+        heap.set_field(root, "data", Value::Int(v + 1)).unwrap();
+        if let Some(left) = heap.get_ref(root, "left").unwrap() {
+            let lv = heap.get_field(left, "data").unwrap().as_int().unwrap();
+            heap.set_field(left, "data", Value::Int(lv + 10)).unwrap();
+        }
+        Value::Int(v + 1)
+    };
+    // Prune the root's left subtree, then graft a fresh node in its
+    // place. Returns the pruned handles and the grafted one.
+    let prune_then_graft = |heap: &mut nrmi::heap::Heap, root: ObjId| {
+        let left = heap.get_ref(root, "left").unwrap().expect("left subtree");
+        heap.set_field(root, "left", Value::Null).unwrap();
+        let pruned = tree::collect_nodes(heap, left).unwrap();
+        for &id in &pruned {
+            heap.free(id).unwrap();
+        }
+        let fresh = heap
+            .alloc(
+                classes.tree,
+                vec![Value::Int(100), Value::Null, Value::Null],
+            )
+            .unwrap();
+        heap.set_field(root, "left", Value::Ref(fresh)).unwrap();
+        (pruned, fresh)
+    };
+
+    let got = session.call_warm("bump", "b", &[Value::Ref(root)]).unwrap();
+    assert_eq!(got, bump_locally(&mut twin, twin_root));
+
+    let (pruned, fresh) = prune_then_graft(session.heap(), root);
+    assert!(
+        pruned.iter().any(|id| id.index() == fresh.index()),
+        "the graft must recycle a pruned slot for this trace to bite"
+    );
+    prune_then_graft(&mut twin, twin_root);
+
+    let got = session.call_warm("bump", "b", &[Value::Ref(root)]).unwrap();
+    assert_eq!(got, bump_locally(&mut twin, twin_root));
+    assert_eq!(session.warm_generation("bump"), Some(2), "still warm");
+    assert!(
+        nrmi::heap::graph::isomorphic(session.heap(), root, &twin, twin_root).unwrap(),
+        "the restored graph matches the local twin"
+    );
+    assert_valid(session.heap());
+}
+
+/// The merged client type gives a socket client the whole call surface:
+/// `lookup`, `call_with_stats`, stub release, client-side GC and tracing
+/// were reachable only from an in-process `Session` before.
+#[test]
+fn tcp_session_has_the_whole_call_surface() {
+    let mut reg = ClassRegistry::new();
+    let _ = tree::register_tree_classes(&mut reg);
+    let token = reg.define("Token").field_int("n").remote().register();
+    let registry = reg.snapshot();
+    let listener = TcpListenerTransport::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+
+    let mut server = ServerNode::new(registry.clone(), MachineSpec::fast());
+    server.bind("bump", bump_service());
+    server.bind(
+        "mint",
+        Box::new(FnService::new(move |_m, _args, heap| {
+            Ok(Value::Ref(heap.alloc_raw(token, vec![Value::Int(1)])?))
+        })),
+    );
+    server.bind_class(
+        token,
+        Box::new(FnService::new(|_m, args, heap| {
+            let this = args[0]
+                .as_ref_id()
+                .ok_or_else(|| NrmiError::app("want receiver"))?;
+            Ok(heap.get_field(this, "n")?)
+        })),
+    );
+    // The serial driver serves the node itself, so its export table is
+    // there to inspect afterwards.
+    let server_thread = thread::spawn(move || {
+        let mut transport = listener.accept().expect("accept");
+        serve_connection(&mut server, &mut transport).expect("serve");
+        server
+    });
+
+    let mut client = Session::connect_tcp(registry, addr).expect("connect");
+    client.enable_tracing();
+    assert!(client.lookup("bump").unwrap());
+    assert!(!client.lookup("ghost").unwrap());
+
+    let classes = TreeClasses {
+        tree: client.heap().registry_handle().by_name("Tree").unwrap(),
+    };
+    let root = tree::build_random_tree(client.heap(), &classes, 16, 5).unwrap();
+    let base = client
+        .heap()
+        .get_field(root, "data")
+        .unwrap()
+        .as_int()
+        .unwrap();
+    let (v, stats) = client
+        .call_with_stats("bump", "b", &[Value::Ref(root)], CallOptions::auto())
+        .unwrap();
+    assert_eq!(v, Value::Int(base + 1));
+    assert_eq!(stats.request_objects, 16);
+    assert!(stats.restored_objects > 0);
+    let v = client.call_warm("bump", "b", &[Value::Ref(root)]).unwrap();
+    assert_eq!(v, Value::Int(base + 2));
+
+    // Two remote objects: release one by hand, lose the other to GC.
+    let kept = client.call("mint", "m", &[]).unwrap().as_ref_id().unwrap();
+    let lost = client.call("mint", "m", &[]).unwrap().as_ref_id().unwrap();
+    assert_eq!(client.call_on(kept, "n", &[]).unwrap(), Value::Int(1));
+    client.release_stub(kept).unwrap();
+    assert!(client.call_on(kept, "n", &[]).is_err(), "released");
+    let (_, cleans) = client.collect_garbage(&[root]).unwrap();
+    assert_eq!(cleans, 1, "the unrooted stub {lost} was cleaned");
+
+    let traced: Vec<&str> = client
+        .tracer()
+        .entries()
+        .iter()
+        .map(|t| t.target.as_str())
+        .collect();
+    assert_eq!(traced[..2], ["bump.b", "bump.b"]);
+    assert_eq!(
+        traced.len(),
+        6,
+        "every call, failed one included: {traced:?}"
+    );
+    assert!(client.tracer().entries()[5].error.is_some());
+
+    client.close().expect("close");
+    let server = server_thread.join().expect("server thread");
+    assert_eq!(server.state.exports.len(), 0, "both exports cleaned");
 }

@@ -8,11 +8,19 @@
 //! apply the same client-side edits between calls. After every call the
 //! two client heaps must be isomorphic and the return values equal.
 
+use std::collections::VecDeque;
+use std::time::Duration;
+
 use proptest::prelude::*;
 
-use nrmi::core::{CallOptions, FnService, NrmiError, RemoteService, Session};
+use nrmi::core::{
+    client_invoke_warm_with_stats, client_marshal_call, CallOptions, CallStats, ClientNode,
+    Connection, FnService, NrmiError, RemoteService, RuntimeProfile, ServerNode, Session,
+    WarmCaches,
+};
 use nrmi::heap::graph::{first_difference, isomorphic_multi};
 use nrmi::heap::{ClassRegistry, Heap, HeapAccess, ObjId, Value};
+use nrmi::transport::{Frame, LinkSpec, MachineSpec, SimEnv, Transport, TransportError};
 
 /// One mutation, addressed by *preorder index* (not ObjId) so it means
 /// the same thing on any isomorphic copy of the graph:
@@ -259,4 +267,272 @@ fn directed_free_then_alias_case() {
         apply_ops(warm.heap(), warm_root, &client_side).unwrap();
     }
     assert_eq!(warm.warm_generation("mutate"), Some(2));
+}
+
+// ---------------------------------------------------------------------------
+// Pins on the one call pipeline: cold, seed and warm calls are the same
+// steps, so they must agree wherever they overlap.
+// ---------------------------------------------------------------------------
+
+/// The callback channel of a step that makes no callbacks.
+struct NoIo;
+
+impl Transport for NoIo {
+    fn send(&mut self, _frame: &Frame) -> Result<(), TransportError> {
+        Ok(())
+    }
+    fn recv(&mut self) -> Result<Frame, TransportError> {
+        Err(TransportError::Disconnected)
+    }
+    fn recv_timeout(&mut self, _timeout: Duration) -> Result<Frame, TransportError> {
+        Err(TransportError::Disconnected)
+    }
+}
+
+/// Client and server joined in process through the production step,
+/// keeping every request frame the client sent.
+struct Wire {
+    server: ServerNode,
+    caches: WarmCaches,
+    replies: VecDeque<Frame>,
+    sent: Vec<Frame>,
+}
+
+impl Transport for Wire {
+    fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
+        self.sent.push(frame.clone());
+        let step =
+            Connection::new(&mut self.server, &mut self.caches).step(&mut NoIo, frame.clone());
+        self.replies.extend(step.into_replies());
+        Ok(())
+    }
+    fn recv(&mut self) -> Result<Frame, TransportError> {
+        self.replies.pop_front().ok_or(TransportError::Disconnected)
+    }
+    fn recv_timeout(&mut self, _timeout: Duration) -> Result<Frame, TransportError> {
+        self.recv()
+    }
+}
+
+/// The seed of a warm session is the cold `copy_restore_delta` request
+/// in another envelope: same payload, byte for byte, same mode.
+#[test]
+fn seed_request_payload_is_the_cold_request_payload() {
+    let spec = GraphSpec {
+        data: (0..40).collect(),
+        edges: (0..39)
+            .map(|i| (i / 2, i % 2 == 0, i + 1))
+            .chain([(7, true, 3), (12, false, 12), (30, true, 0)])
+            .collect(),
+    };
+    let registry = fresh_heap().registry_handle().clone();
+    let mut server = ServerNode::new(registry.clone(), MachineSpec::fast());
+    server.bind("mutate", mutator(vec![vec![(0, 1, 5)]]));
+    let mut wire = Wire {
+        caches: WarmCaches::with_leases(server.leases.clone()),
+        server,
+        replies: VecDeque::new(),
+        sent: Vec::new(),
+    };
+
+    let mut cold = ClientNode::new(registry.clone(), MachineSpec::fast());
+    let cold_root = build(&mut cold.state.heap, &spec);
+    let args = [Value::Ref(cold_root), Value::Int(0)];
+    let opts = CallOptions::copy_restore_delta();
+    let (cold_frame, _) = client_marshal_call(&mut cold, "mutate", "run", &args, opts).unwrap();
+
+    let mut warm = ClientNode::new(registry, MachineSpec::fast());
+    let warm_root = build(&mut warm.state.heap, &spec);
+    let args = [Value::Ref(warm_root), Value::Int(0)];
+    client_invoke_warm_with_stats(&mut warm, &mut wire, "mutate", "run", &args).unwrap();
+
+    let Frame::CallRequest {
+        mode: cold_mode,
+        payload: cold_payload,
+        ..
+    } = cold_frame
+    else {
+        panic!("cold call marshalled as {cold_frame:?}");
+    };
+    let Frame::CallRequestWarm {
+        mode,
+        generation: 0,
+        payload,
+        ..
+    } = &wire.sent[0]
+    else {
+        panic!("seed travelled as {:?}", wire.sent[0]);
+    };
+    assert_eq!(*mode, cold_mode);
+    assert_eq!(*payload, cold_payload, "seed payload ≡ cold payload");
+}
+
+/// Schema and service for the full-reply fallbacks: when asked to, the
+/// method links a remote-marked (server-owned) object into the caller's
+/// restorable graph, which no delta can carry — the server must answer
+/// the annotated full reply instead.
+fn attach_world() -> (Session, ObjId) {
+    let mut reg = ClassRegistry::new();
+    let printer = reg.define("Printer").field_str("name").remote().register();
+    let holder = reg
+        .define("Holder")
+        .field_int("calls")
+        .field_ref("device")
+        .field_ref("next")
+        .restorable()
+        .register();
+    let mut session = Session::builder(reg.snapshot())
+        .serve(
+            "svc",
+            Box::new(FnService::new(move |_m, args, heap| {
+                let h = args[0]
+                    .as_ref_id()
+                    .ok_or_else(|| NrmiError::app("want holder"))?;
+                let calls = heap.get_field(h, "calls")?.as_int().unwrap_or(0) + 1;
+                heap.set_field(h, "calls", Value::Int(calls))?;
+                if args[1] == Value::Bool(true) {
+                    let dev = heap.alloc_raw(printer, vec![Value::Str("lp0".into())])?;
+                    heap.set_field(h, "device", Value::Ref(dev))?;
+                    let next =
+                        heap.alloc_raw(holder, vec![Value::Int(0), Value::Null, Value::Null])?;
+                    heap.set_field(h, "next", Value::Ref(next))?;
+                }
+                Ok(Value::Int(calls))
+            })),
+        )
+        .build();
+    let tail = session
+        .heap()
+        .alloc(holder, vec![Value::Int(40), Value::Null, Value::Null])
+        .unwrap();
+    let head = session
+        .heap()
+        .alloc(holder, vec![Value::Int(0), Value::Null, Value::Ref(tail)])
+        .unwrap();
+    // Only the client's middleware charges this clock, so a call's CPU
+    // is exactly its marshal and restore charges.
+    session.client().state.env = Some(SimEnv::new());
+    (session, head)
+}
+
+/// CPU charged on the client's clock by `call`, alongside its result.
+fn charged<R>(session: &mut Session, call: impl FnOnce(&mut Session) -> R) -> (R, f64) {
+    let cpu = |s: &mut Session| s.client().state.env.as_ref().unwrap().report().cpu_us;
+    let before = cpu(session);
+    let result = call(session);
+    (result, cpu(session) - before)
+}
+
+/// What the client charges for restoring a full reply, by cold's rules.
+fn full_reply_charge(session: &mut Session, stats: &CallStats) -> f64 {
+    let cost = session.client().state.profile.cost();
+    stats.reply_objects as f64 * cost.de_per_obj_us
+        + stats.reply_bytes as f64 * cost.per_byte_us
+        + stats.restored_objects as f64 * cost.restore_per_obj_us
+}
+
+/// The server-side annotated full reply — one encoder for cold, seed and
+/// warm — reached from each: same value, same restored graph, same
+/// restore accounting and charges as the cold call, and the session is
+/// retired (the server kept no cache).
+#[test]
+fn server_side_full_reply_fallback_is_the_same_from_cold_seed_and_warm() {
+    let opts = CallOptions::copy_restore_delta();
+    let args = |root: ObjId, attach: bool| [Value::Ref(root), Value::Bool(attach)];
+
+    // Seed: the fallback on the session's first call.
+    let (mut cold, cold_root) = attach_world();
+    let (mut seed, seed_root) = attach_world();
+    let ((cv, cs), cold_cpu) = charged(&mut cold, |s| {
+        s.call_with_stats("svc", "run", &args(cold_root, true), opts)
+            .unwrap()
+    });
+    let ((sv, ss), seed_cpu) = charged(&mut seed, |s| {
+        s.call_warm_with_stats("svc", "run", &args(seed_root, true))
+            .unwrap()
+    });
+    assert_eq!(
+        cs.reply_objects, 3,
+        "a full reply: both holders and the new one"
+    );
+    assert_eq!(
+        (sv, ss),
+        (cv, cs),
+        "the seed is the cold call, statistics and all"
+    );
+    assert_eq!(seed_cpu, cold_cpu, "and charges what the cold call charges");
+    assert_eq!(seed.warm_generation("svc"), None, "no cache established");
+    assert!(isomorphic_multi(cold.heap(), &[cold_root], seed.heap(), &[seed_root]).unwrap());
+
+    // Generation ≥ 1: seed with a deltable call, then fall back.
+    let (mut cold, cold_root) = attach_world();
+    let (mut warm, warm_root) = attach_world();
+    cold.call_with("svc", "run", &args(cold_root, false), opts)
+        .unwrap();
+    warm.call_warm("svc", "run", &args(warm_root, false))
+        .unwrap();
+    assert_eq!(warm.warm_generation("svc"), Some(1));
+    let (cv, cs) = cold
+        .call_with_stats("svc", "run", &args(cold_root, true), opts)
+        .unwrap();
+    let ((wv, ws), warm_cpu) = charged(&mut warm, |s| {
+        s.call_warm_with_stats("svc", "run", &args(warm_root, true))
+            .unwrap()
+    });
+    assert_eq!(wv, cv);
+    assert_eq!(
+        (ws.reply_objects, ws.restored_objects, ws.new_objects),
+        (cs.reply_objects, cs.restored_objects, cs.new_objects)
+    );
+    let request_charge = {
+        let cost = warm.client().state.profile.cost();
+        cost.call_overhead_us
+            + ws.request_objects as f64 * cost.ser_per_obj_us
+            + ws.request_bytes as f64 * cost.per_byte_us
+    };
+    let expected = request_charge + full_reply_charge(&mut warm, &ws);
+    assert!(
+        (warm_cpu - expected).abs() < 1e-6,
+        "warm fallback charged {warm_cpu}µs, cold's rules say {expected}µs"
+    );
+    assert_eq!(warm.warm_generation("svc"), None, "session retired");
+    assert!(isomorphic_multi(cold.heap(), &[cold_root], warm.heap(), &[warm_root]).unwrap());
+
+    // Retired, not broken: the next warm call reseeds.
+    warm.call_warm("svc", "run", &args(warm_root, false))
+        .unwrap();
+    assert_eq!(warm.warm_generation("svc"), Some(1));
+}
+
+/// A seed is charged what the cold call it is charges — on the server
+/// too, step 2's linear map included.
+#[test]
+fn seed_is_charged_like_the_cold_call_it_is() {
+    let spec = GraphSpec {
+        data: (0..30).collect(),
+        edges: (0..29).map(|i| (i / 2, i % 2 == 0, i + 1)).collect(),
+    };
+    let cpu_of = |warm: bool| {
+        let env = SimEnv::new();
+        let mut session = Session::builder(fresh_heap().registry_handle().clone())
+            .serve("mutate", mutator(vec![vec![(0, 3, 9), (3, 1, 4)]]))
+            .simulated(
+                env.clone(),
+                LinkSpec::lan_100mbps(),
+                MachineSpec::fast(),
+                MachineSpec::slow(),
+                RuntimeProfile::jdk14_optimized(),
+            )
+            .build();
+        let root = build(session.heap(), &spec);
+        let args = [Value::Ref(root), Value::Int(0)];
+        if warm {
+            session.call_warm("mutate", "run", &args).unwrap();
+        } else {
+            let opts = CallOptions::copy_restore_delta();
+            session.call_with("mutate", "run", &args, opts).unwrap();
+        }
+        env.report().cpu_us
+    };
+    assert_eq!(cpu_of(true), cpu_of(false));
 }
