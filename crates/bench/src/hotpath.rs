@@ -473,7 +473,7 @@ fn report_json(r: &HotpathReport) -> String {
 /// payload bytes per call and wire syscalls per call, cold and warm.
 pub fn to_json(before: &HotpathReport, after: &HotpathReport, wire: &WireReport) -> String {
     format!(
-        "{{\n  \"workload\": \"scenario I tree, read-only sum service, delta replies\",\n  \"before\": {},\n  \"after\": {},\n  \"wire\": {},\n  \"wire_notes\": \"loopback TCP, both ends in one process; bytes_copied_per_call = payload bytes memmoved into contiguous frame bodies (the copy the scatter-gather encode eliminates); per_write = the bench-side PerWriteTcp baseline (a write and a contiguous encode per frame), batched = the production wire (vectored frame trains)\"\n}}\n",
+        "{{\n  \"workload\": \"scenario I tree, read-only sum service, delta replies\",\n  \"before\": {},\n  \"after\": {},\n  \"wire\": {},\n  \"wire_notes\": \"loopback TCP, both ends in one process; bytes_copied_per_call = payload bytes memmoved into contiguous frame bodies (the copy the scatter-gather encode eliminates); per_write = the bench-side PerWriteTcp baseline (a write and a contiguous encode per frame), batched = the production wire (vectored frame trains); read_syscalls_per_call counts reads of the socket: the batched wire answers the server's zero-deadline probe for a second request from its read-ahead, the per-write wire with a non-blocking peek, which counts\"\n}}\n",
         report_json(before),
         report_json(after),
         wire_json(wire)

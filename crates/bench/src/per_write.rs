@@ -117,13 +117,39 @@ impl PerWriteTcp {
         Ok(())
     }
 
+    /// Whether a frame's first bytes already wait in the socket: one
+    /// non-blocking `peek`, counted as a read. O_NONBLOCK is shared by
+    /// every handle of the socket, so this runs only where no other
+    /// thread writes it — the serial driver's probe for a pipelining
+    /// peer, which must see one on this wire as on the batched wire.
+    fn frame_waiting(&mut self) -> Result<bool> {
+        self.stream.set_nonblocking(true)?;
+        self.counts.reads.fetch_add(1, Relaxed);
+        let peeked = self.stream.peek(&mut [0u8; 1]);
+        self.stream.set_nonblocking(false)?;
+        match peeked {
+            // End of stream counts as waiting: the read reports it.
+            Ok(_) => Ok(true),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(false),
+            Err(e) => Err(e.into()),
+        }
+    }
+
     /// `timeout` bounds the wait for a frame's first bytes only: once a
     /// frame has started, the rest is read blocking, so a deadline can
-    /// never fire mid-frame and desynchronize the stream.
+    /// never fire mid-frame and desynchronize the stream. A zero
+    /// deadline reads a frame whose first bytes are already here and
+    /// answers `Timeout` otherwise.
     fn recv_frame(&mut self, timeout: Option<Duration>) -> Result<Frame> {
-        if timeout.is_some_and(|t| t.is_zero()) {
-            return Err(TransportError::Timeout);
-        }
+        let timeout = match timeout {
+            Some(t) if t.is_zero() => {
+                if !self.frame_waiting()? {
+                    return Err(TransportError::Timeout);
+                }
+                None
+            }
+            other => other,
+        };
         let mut prefix = [0u8; 4];
         self.stream.set_read_timeout(timeout)?;
         let got = self.read_some(&mut prefix);

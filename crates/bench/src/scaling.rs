@@ -22,9 +22,10 @@
 //! A third axis measures **in-flight depth** on a single connection:
 //! one client issues [`PIPELINE_TOTAL_CALLS`] copy-mode calls in batches
 //! of 1/4/16/64 through [`RemoteSession::call_pipelined`]'s request-map
-//! multiplexing against the pipelined serve loop. Depth 1 pays one
-//! network round trip per call; deeper batches amortize it, so depth 16
-//! must beat depth 1 by at least 2x or the gate fails.
+//! multiplexing against the pooled serve loop (serial at depth 1,
+//! pipelined from the first batch on). Depth 1 pays one network round
+//! trip per call; deeper batches amortize it, so depth 16 must beat
+//! depth 1 by at least 2x or the gate fails.
 //!
 //! A fourth axis isolates the **batched wire path**: the same pipelined
 //! workload against *instant* echo services, measured once over the
@@ -133,6 +134,22 @@ pub const CONNECTION_COUNTS: [usize; 3] = [1, 100, 1000];
 /// Opt-in 10k fleet point (environment variable name).
 pub const TEN_K_ENV: &str = "NRMI_SCALING_10K";
 
+/// At 1000 connections the reactor must beat the thread-per-connection
+/// pool by this factor, or `tables -- scaling` fails. See [`FLEET_NOTES`]
+/// for how it was derived.
+pub const FLEET_MIN_SPEEDUP: f64 = 2.5;
+
+/// Why [`FLEET_MIN_SPEEDUP`] is what it is, recorded in
+/// `BENCH_scaling.json`.
+pub const FLEET_NOTES: &str = "fleet gate: reactor >= 2.5x pooled at 1000 connections. \
+It was 4x while a pooled depth-1 connection cost six threads (reader, writer, four \
+workers); since a connection stays serial until its peer pipelines, the 992 idle \
+connections cost one thread each. Six alternating runs per commit on a 2-CPU Linux \
+box: pooled 1749-2163 -> 3641-4849 calls/s, reactor unchanged (10326-16736 -> \
+11274-16061 calls/s), ratio 4.83-8.50x -> 3.10-4.17x. The threshold sits under the \
+lowest ratio observed and well above the ~1x a reactor that paid a thread per idle \
+connection would show.";
+
 /// Busy clients inside the fleet (the rest of the connections are
 /// parked idle — the realistic shape the reactor is built for).
 pub const CONN_BUSY_CLIENTS: usize = 8;
@@ -234,8 +251,8 @@ pub struct ConnectionPoint {
     /// Total calls completed across the busy clients.
     pub calls: usize,
     /// Wall-clock for the cell — connect storm included, since paying a
-    /// thread (or six) per idle connection is exactly the cost under
-    /// test — in milliseconds.
+    /// thread per idle connection is exactly the cost under test — in
+    /// milliseconds.
     pub elapsed_ms: f64,
     /// Aggregate throughput, calls per second.
     pub calls_per_sec: f64,
@@ -643,7 +660,7 @@ const PIPELINE_SERVICES: usize = 4;
 
 /// One client, one TCP connection, [`PIPELINE_TOTAL_CALLS`] copy-mode
 /// calls in batches of `depth` through the request-map client against
-/// the pipelined serve loop, round-robined over
+/// the pooled serve loop, round-robined over
 /// [`PIPELINE_SERVICES`] bindings. The registry carries no
 /// remote-marked classes, so the server's worker pool is eligible and
 /// replies may complete out of order; the reliable client reorders
@@ -723,8 +740,8 @@ fn pipeline_cell(depth: usize) -> PipelinePoint {
 }
 
 /// One run of the batched-wire workload: [`BATCHED_WIRE_CALLS`] calls
-/// at `depth` through the request-map client against the pipelined
-/// serve loop, services answering instantly, over the connected pair
+/// at `depth` through the request-map client against the pooled serve
+/// loop, services answering instantly, over the connected pair
 /// `(client, server)`. On [`PerWriteTcp`] every request and reply frame
 /// pays its own `write`; on the production wire the client flushes each
 /// train with one `writev` and the server's reply writer drains its
@@ -1298,19 +1315,19 @@ pub fn scaling_violations(report: &ScalingReport) -> Vec<String> {
         }
     }
     // The reactor gate: at 1000 mostly-idle connections the event loop
-    // must deliver at least 4x the thread-per-connection aggregate —
-    // the tentpole claim, kept honest in CI.
+    // must beat the thread-per-connection aggregate by
+    // FLEET_MIN_SPEEDUP — kept honest in CI.
     let fleet_point =
         |points: &[ConnectionPoint], n: usize| points.iter().find(|p| p.connections == n).copied();
     if let (Some(pooled), Some(reactor)) = (
         fleet_point(&report.connections_pooled, 1000),
         fleet_point(&report.connections_reactor, 1000),
     ) {
-        if reactor.calls_per_sec < 4.0 * pooled.calls_per_sec {
+        if reactor.calls_per_sec < FLEET_MIN_SPEEDUP * pooled.calls_per_sec {
             violations.push(format!(
-                "fleet: reactor {:.0} calls/s under 1000 idle connections is below 4x \
-                 the pooled server's {:.0} calls/s — idle connections are costing \
-                 threads again",
+                "fleet: reactor {:.0} calls/s under 1000 idle connections is below \
+                 {FLEET_MIN_SPEEDUP}x the pooled server's {:.0} calls/s — idle connections \
+                 are costing threads again",
                 reactor.calls_per_sec, pooled.calls_per_sec
             ));
         }
@@ -1570,8 +1587,9 @@ pub fn to_json(report: &ScalingReport) -> String {
         .collect::<Vec<_>>()
         .join(", ");
     format!(
-        "{{\n  \"workload\": \"remote-ref calls with {}us client-side callback turnaround, independent services\",\n  \"calls_per_client\": {},\n  \"biglock\": [{}],\n  \"pooled\": [{}],\n  \"stall_ms\": {},\n  \"stall_biglock\": {},\n  \"stall_pooled\": {},\n  \"pipeline\": [{}],\n  \"batched_wire\": [{}],\n  \"connections_pooled\": [{}],\n  \"connections_reactor\": [{}],\n  \"contention\": [{}]\n}}\n",
+        "{{\n  \"workload\": \"remote-ref calls with {}us client-side callback turnaround, independent services\",\n  \"notes\": \"{}\",\n  \"calls_per_client\": {},\n  \"biglock\": [{}],\n  \"pooled\": [{}],\n  \"stall_ms\": {},\n  \"stall_biglock\": {},\n  \"stall_pooled\": {},\n  \"pipeline\": [{}],\n  \"batched_wire\": [{}],\n  \"connections_pooled\": [{}],\n  \"connections_reactor\": [{}],\n  \"contention\": [{}]\n}}\n",
         report.turnaround_us,
+        FLEET_NOTES,
         report.calls_per_client,
         join(&report.biglock),
         join(&report.pooled),
@@ -1790,7 +1808,8 @@ mod tests {
     }
 
     /// The fleet gate fires when the reactor's aggregate throughput at
-    /// 1000 connections falls under 4x the pooled server's.
+    /// 1000 connections falls under FLEET_MIN_SPEEDUP times the pooled
+    /// server's.
     #[test]
     fn violation_fires_when_reactor_stops_paying() {
         let report = ScalingReport {

@@ -102,7 +102,12 @@ impl ExportTable {
     /// collection (a pinned object must survive even if locally
     /// unreachable).
     pub fn roots(&self) -> Vec<ObjId> {
-        self.by_key.values().map(|e| e.obj).collect()
+        self.objects().collect()
+    }
+
+    /// [`roots`](Self::roots) without collecting them.
+    pub(crate) fn objects(&self) -> impl Iterator<Item = ObjId> + '_ {
+        self.by_key.values().map(|e| e.obj)
     }
 
     /// Total outstanding pins across all entries.

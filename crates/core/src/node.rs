@@ -214,6 +214,14 @@ pub struct ServerNode {
     /// of this handle, so an eviction by one connection never frees an
     /// object another connection's warm session still reads.
     pub leases: std::sync::Arc<crate::lockcheck::TrackedMutex<crate::warm::LeaseTable>>,
+    /// Set on the connection nodes a
+    /// [`SharedServer`](crate::server::SharedServer) mints: there a cold
+    /// call's copy dies with the call ([`ServerNode::sweep_call`]). Their
+    /// services are shared adapters whose calls already land on
+    /// different heaps, so no working program holds a copy across calls.
+    /// Exclusive nodes keep call copies until
+    /// [`collect_local`](ServerNode::collect_local).
+    pub(crate) stateless_calls: bool,
 }
 
 impl std::fmt::Debug for ServerNode {
@@ -234,6 +242,7 @@ impl ServerNode {
             class_services: HashMap::new(),
             replies: std::sync::Arc::default(),
             leases: crate::warm::new_lease_table(),
+            stateless_calls: false,
         }
     }
 
@@ -268,6 +277,34 @@ impl ServerNode {
         let mut gc_roots = roots.to_vec();
         gc_roots.extend(self.state.exports.roots());
         nrmi_heap::gc::mark_sweep(&mut self.state.heap, &gc_roots)
+    }
+
+    /// Where a cold call starts, for [`sweep_call`](Self::sweep_call):
+    /// the heap epoch before it, on nodes whose call copies die with the
+    /// call.
+    pub(crate) fn call_mark(&self) -> Option<u64> {
+        self.stateless_calls.then(|| self.state.heap.epoch())
+    }
+
+    /// The end of a cold call that started at `mark`: frees every object
+    /// it allocated that the export table, the stub table and the older
+    /// graph no longer reach. The older graph holds every leased
+    /// warm-session object, and a call can only link a new object into
+    /// it by a write, which the sweep follows
+    /// ([`sweep_born_since`](nrmi_heap::gc::sweep_born_since)). A call
+    /// that allocated nothing costs one comparison.
+    pub(crate) fn sweep_call(&mut self, mark: Option<u64>) {
+        let Some(mark) = mark else {
+            return;
+        };
+        let NodeState {
+            heap,
+            exports,
+            stubs,
+            ..
+        } = &mut self.state;
+        let roots = exports.objects().chain(stubs.values().copied());
+        nrmi_heap::gc::sweep_born_since(heap, mark, roots);
     }
 }
 

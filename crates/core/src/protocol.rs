@@ -958,7 +958,10 @@ pub(crate) fn reply_frame(outcome: Result<Vec<u8>, NrmiError>) -> Frame {
     }
 }
 
-/// Handles one cold call on the server, returning its reply frame.
+/// Handles one cold call on the server, returning its reply frame. This
+/// is where a cold call's server-side copy dies on a connection node
+/// ([`ServerNode::sweep_call`]); a seed runs [`server_call`] directly and
+/// keeps its copy as the session entry.
 fn server_handle_call(
     server: &mut ServerNode,
     transport: &mut dyn Transport,
@@ -967,10 +970,13 @@ fn server_handle_call(
     mode_byte: u8,
     payload: &[u8],
 ) -> Frame {
-    reply_frame(
+    let mark = server.call_mark();
+    let reply = reply_frame(
         server_call(server, transport, method, callee, mode_byte, payload)
             .map(|(replied, _)| replied.payload),
-    )
+    );
+    server.sweep_call(mark);
+    reply
 }
 
 /// Executes one call frame — named, object-addressed, or warm — and

@@ -22,8 +22,9 @@
 //!   than the callee's service mutex. Copy-restore is stateless across
 //!   calls (every call re-marshals its arguments), so confining call
 //!   copies to the connection that made them preserves semantics — and
-//!   disconnect reclaims them wholesale instead of accreting garbage in
-//!   a shared heap.
+//!   a cold call's copy dies with the call, while disconnect reclaims
+//!   what outlives calls (warm sessions, exports) wholesale instead of
+//!   accreting garbage in a shared heap.
 //! * **The reply cache** (at-most-once, PR 4) must stay global: a
 //!   reconnect retransmits a call id on a *new* connection and must
 //!   still find the recorded reply or the in-progress marker. It
@@ -261,6 +262,7 @@ impl SharedServer {
             class_services,
             replies,
             leases: _,
+            stateless_calls: _,
         } = node;
         SharedServer {
             registry: state.heap.registry_handle().clone(),
@@ -293,7 +295,9 @@ impl SharedServer {
     /// Builds the private [`ServerNode`] a connection worker serves
     /// with: a fresh [`NodeState`] (own heap, export/stub tables, codec
     /// scratch — no lock needed on any of them) plus locking adapters
-    /// for every shared service binding.
+    /// for every shared service binding. A cold call on this node frees
+    /// its server-side copy before it returns; exports, stubs and warm
+    /// sessions outlive it.
     pub fn connection_node(&self) -> ServerNode {
         let mut state = NodeState::new(self.registry.clone(), self.machine.clone());
         state.profile = self.profile;
@@ -326,6 +330,7 @@ impl SharedServer {
             // sessions never alias another connection's; a fresh table
             // per connection node is exact.
             leases: crate::warm::new_lease_table(),
+            stateless_calls: true,
         }
     }
 
@@ -365,6 +370,7 @@ impl SharedServer {
             class_services: HashMap::new(),
             replies,
             leases: crate::warm::new_lease_table(),
+            stateless_calls: false,
         };
         for (name, svc) in services {
             match Arc::try_unwrap(svc) {
@@ -394,14 +400,19 @@ impl SharedServer {
 /// connection waits on except the mutex of the service it is executing
 /// in.
 ///
-/// When the transport [splits](Transport::split) into sender and
-/// receiver halves, the connection is served **pipelined**: a reader
-/// keeps draining tagged requests while calls execute, a writer thread
-/// puts each reply on the wire the moment it is ready (out of order, by
-/// call id), and — for schemas with no remote-marked classes — a small
-/// worker pool executes tagged cold calls concurrently. A client that
-/// keeps N calls in flight then pays one round-trip for the batch, not
-/// N. Transports that cannot split get the serial driver.
+/// A connection starts **serial** — this thread receives a request,
+/// steps it and sends the reply, the one thread a depth-1 client needs
+/// — and stays serial until the peer pipelines: when a second request is
+/// already complete in the read-ahead behind the one just received, the
+/// connection switches, for good, to the **pipelined** driver with both
+/// requests queued. There a reader keeps draining requests while calls
+/// execute, a writer thread puts each reply on the wire the moment it is
+/// ready (out of order, by call id), and — for schemas with no
+/// remote-marked classes — a small worker pool executes tagged cold
+/// calls concurrently, so a client that keeps N calls in flight pays one
+/// round trip for the batch, not N. A peer whose pipelined requests
+/// never share a read stays serial: it loses the overlap, never a reply.
+/// Transports that cannot [split](Transport::split) stay serial.
 ///
 /// # Errors
 /// Returns transport errors other than orderly disconnect.
@@ -436,9 +447,10 @@ pub(crate) fn serve_connection_escalated(
     result
 }
 
-/// Replays `stash` through the serial driver, then hands the transport
-/// to the pipelined driver when it splits and the serial one when it
-/// does not.
+/// Replays `stash` through the serial driver, then serves serially until
+/// the peer pipelines (see [`serve_connection_pooled`]). The probe is a
+/// zero-deadline receive: a frame already there, else `Timeout` — it
+/// never waits, and on the socket transport it costs no syscall.
 fn drive(
     shared: &SharedServer,
     conn: &mut Connection<'_>,
@@ -450,9 +462,33 @@ fn drive(
             return Ok(());
         }
     }
-    match transport.split() {
-        Some((sender, receiver)) => serve_connection_pipelined(shared, conn, sender, receiver),
-        None => conn.serve(transport),
+    loop {
+        let frame = match transport.recv() {
+            Ok(frame) => frame,
+            Err(TransportError::Disconnected) => return Ok(()),
+            Err(e) => return Err(e.into()),
+        };
+        let next = match transport.recv_timeout(Duration::ZERO) {
+            Ok(next) => next,
+            // Nothing behind it yet, or nothing ever: serve it; the next
+            // receive reports a disconnect.
+            Err(TransportError::Timeout | TransportError::Disconnected) => {
+                if !conn.serve_frame(transport, frame)? {
+                    return Ok(());
+                }
+                continue;
+            }
+            Err(e) => return conn.serve_frame(transport, frame).and(Err(e.into())),
+        };
+        if let Some((sender, receiver)) = transport.split() {
+            let stash = VecDeque::from([frame, next]);
+            return serve_connection_pipelined(shared, conn, sender, receiver, stash);
+        }
+        for frame in [frame, next] {
+            if !conn.serve_frame(transport, frame)? {
+                return Ok(());
+            }
+        }
     }
 }
 
@@ -577,11 +613,13 @@ impl Transport for ConnIo<'_> {
 /// The pipelined driver (see [`serve_connection_pooled`]): reader on
 /// this thread, replies through a dedicated writer thread, tagged cold
 /// calls offloaded to [`PIPELINE_WORKERS`] when the schema allows.
+/// `stash` holds requests already received, served first.
 fn serve_connection_pipelined(
     shared: &SharedServer,
     conn: &mut Connection<'_>,
     mut sender: Box<dyn TransportSender>,
     mut receiver: Box<dyn TransportReceiver>,
+    stash: VecDeque<Frame>,
 ) -> Result<(), NrmiError> {
     // Both queues are bounded: a send on a full queue blocks the
     // producer, propagating a stalled client back to the reader instead
@@ -649,7 +687,7 @@ fn serve_connection_pipelined(
             });
         }
         conn.offload = workers > 0;
-        let result = pipelined_recv_loop(conn, receiver.as_mut(), &writer_tx, &job_tx);
+        let result = pipelined_recv_loop(conn, receiver.as_mut(), stash, &writer_tx, &job_tx);
         // Reader done: closing the job queue drains the workers (they
         // finish queued calls and push the replies), and closing our
         // writer handle lets the writer exit once the last worker drops
@@ -677,12 +715,13 @@ fn serve_connection_pipelined(
 fn pipelined_recv_loop(
     conn: &mut Connection<'_>,
     receiver: &mut dyn TransportReceiver,
+    // Requests received before the loop started, and frames that arrive
+    // while an exclusive call waits on its callback replies; processed
+    // before reading the socket again.
+    mut stash: VecDeque<Frame>,
     writer_tx: &mpsc::SyncSender<Frame>,
     job_tx: &mpsc::SyncSender<PipelineJob>,
 ) -> Result<(), NrmiError> {
-    // Frames that arrived while an exclusive call was waiting on its
-    // callback replies; processed before reading the socket again.
-    let mut stash: VecDeque<Frame> = VecDeque::new();
     loop {
         let frame = match stash.pop_front() {
             Some(frame) => frame,
@@ -860,7 +899,7 @@ mod tests {
                 let mut node = shared.connection_node();
                 let mut warm = crate::warm::WarmCaches::new();
                 let mut conn = Connection::new(&mut node, &mut warm);
-                serve_connection_pipelined(&shared, &mut conn, sender, receiver)
+                serve_connection_pipelined(&shared, &mut conn, sender, receiver, VecDeque::new())
             })
         };
 

@@ -14,6 +14,7 @@
 
 use std::collections::HashMap;
 
+use crate::densemap::DenseObjSet;
 use crate::heap_impl::Heap;
 use crate::traverse::{reachable_set, LinearMap};
 use crate::value::ObjId;
@@ -37,6 +38,55 @@ pub fn mark_sweep(heap: &mut Heap, roots: &[ObjId]) -> Result<usize> {
         }
     }
     Ok(freed)
+}
+
+/// Frees every object born after epoch `mark` (see [`Heap::epoch`])
+/// that nothing reaches any more — the per-call reclaim of a stateless
+/// server, whose copy of a call's arguments dies with the call.
+///
+/// The live set of the newer objects is what `roots` reach through them,
+/// plus what older objects reach: an object born at or before `mark` can
+/// only have come to point at a newer one through a write stamped after
+/// `mark`, so those written older objects are roots too and tracing
+/// never descends into the older graph. The cost is one scan of the
+/// arena plus the newer objects' edges, and nothing at all (not even
+/// collecting `roots`) when no object was born since `mark`. Returns the
+/// number freed. A root or reference that is no longer live is skipped.
+pub fn sweep_born_since(
+    heap: &mut Heap,
+    mark: u64,
+    roots: impl IntoIterator<Item = ObjId>,
+) -> usize {
+    if heap.last_born() <= mark {
+        return 0;
+    }
+    let mut born = Vec::new();
+    let mut stack: Vec<ObjId> = roots.into_iter().collect();
+    for (id, obj) in heap.iter() {
+        if obj.born() > mark {
+            born.push(id);
+        } else if obj.version() > mark {
+            stack.extend(obj.outgoing_refs());
+        }
+    }
+    if born.is_empty() {
+        return 0;
+    }
+    let mut reached = DenseObjSet::with_capacity(heap.slot_limit());
+    while let Some(id) = stack.pop() {
+        if heap.born_if_live(id).is_some_and(|b| b > mark) && reached.insert(id) {
+            let obj = heap.get(id).expect("probed live just above");
+            stack.extend(obj.outgoing_refs());
+        }
+    }
+    let mut freed = 0;
+    for id in born {
+        if !reached.contains(id) {
+            heap.free(id).expect("enumerated live, freed once");
+            freed += 1;
+        }
+    }
+    freed
 }
 
 /// A reference-counting space over a subset of a heap's objects.
@@ -156,6 +206,40 @@ mod tests {
         let freed = mark_sweep(&mut heap, &[keep]).unwrap();
         assert_eq!(freed, 2, "tracing GC reclaims the cycle");
         assert_eq!(heap.live_count(), 1);
+    }
+
+    #[test]
+    fn sweep_born_since_frees_only_unreached_newer_objects() {
+        let (mut heap, classes) = setup();
+        let old_kept = heap.alloc_default(classes.tree).unwrap();
+        let old_garbage = heap.alloc_default(classes.tree).unwrap();
+        let mark = heap.epoch();
+        // Newer objects: one a root reaches, one an older object was
+        // written to point at, a chain hanging off it, and a garbage
+        // cycle.
+        let rooted = heap.alloc_default(classes.tree).unwrap();
+        let linked = heap.alloc_default(classes.tree).unwrap();
+        let chained = heap.alloc_default(classes.tree).unwrap();
+        heap.set_field(linked, "left", Value::Ref(chained)).unwrap();
+        heap.set_field(old_kept, "left", Value::Ref(linked))
+            .unwrap();
+        let a = heap.alloc_default(classes.tree).unwrap();
+        let b = heap.alloc_default(classes.tree).unwrap();
+        heap.set_field(a, "left", Value::Ref(b)).unwrap();
+        heap.set_field(b, "left", Value::Ref(a)).unwrap();
+
+        let freed = sweep_born_since(&mut heap, mark, [rooted]);
+        assert_eq!(freed, 2, "only the newer cycle is garbage");
+        for id in [old_kept, old_garbage, rooted, linked, chained] {
+            assert!(heap.contains(id), "{id} must survive");
+        }
+        assert!(!heap.contains(a) && !heap.contains(b));
+        let latest = heap.epoch();
+        assert_eq!(
+            sweep_born_since(&mut heap, latest, []),
+            0,
+            "nothing born since the latest epoch"
+        );
     }
 
     #[test]

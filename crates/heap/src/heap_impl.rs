@@ -114,6 +114,9 @@ pub struct HeapStats {
     pub writes: u64,
     /// Field/element reads performed.
     pub reads: u64,
+    /// High-water mark of [`live`](HeapStats::live): the most objects
+    /// the heap has held at once.
+    pub peak_live: u64,
 }
 
 impl HeapStats {
@@ -134,6 +137,9 @@ pub struct Heap {
     free: Vec<u32>,
     stats: HeapStats,
     epoch: u64,
+    /// The epoch of the latest allocation: lets a per-call sweep see in
+    /// O(1) that a call allocated nothing.
+    last_born: u64,
     #[cfg(feature = "sanitize")]
     shadow: crate::sanitize::Shadow,
 }
@@ -157,6 +163,7 @@ impl Heap {
             free: Vec::new(),
             stats: HeapStats::default(),
             epoch: 0,
+            last_born: 0,
             #[cfg(feature = "sanitize")]
             shadow: crate::sanitize::Shadow::new(),
         }
@@ -219,6 +226,11 @@ impl Heap {
     /// [`HeapError::DanglingRef`] if `id` is freed or unallocated.
     pub fn version_of(&self, id: ObjId) -> Result<u64> {
         Ok(self.get(id)?.version)
+    }
+
+    /// The epoch of the latest allocation (0 before the first).
+    pub(crate) fn last_born(&self) -> u64 {
+        self.last_born
     }
 
     /// Advances the clock and returns the new stamp for a mutation.
@@ -338,8 +350,10 @@ impl Heap {
 
     fn place(&mut self, mut obj: Object) -> ObjId {
         self.stats.allocations += 1;
+        self.stats.peak_live = self.stats.peak_live.max(self.stats.live());
         obj.version = self.tick();
         obj.born = obj.version;
+        self.last_born = obj.born;
         let index = if let Some(idx) = self.free.pop() {
             self.slots[idx as usize] = Some(obj);
             idx
@@ -782,6 +796,11 @@ mod tests {
         assert_eq!(heap.stats().frees, 1);
         assert_eq!(heap.stats().allocations, 2);
         assert_eq!(heap.stats().live(), 1);
+        assert_eq!(heap.stats().peak_live, 1, "never two live at once");
+        let _third = heap.alloc_default(tree).unwrap();
+        heap.free(again).unwrap();
+        assert_eq!(heap.stats().live(), 1);
+        assert_eq!(heap.stats().peak_live, 2, "the high-water mark stays");
     }
 
     #[test]

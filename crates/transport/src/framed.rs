@@ -369,8 +369,6 @@ impl SendQueue {
     }
 }
 
-/// Resumable `[length][frame]` parser. One instance per connection; its
-/// buffer is reused across frames and its cursor survives timeouts.
 /// Read-ahead buffer for [`FrameReader`]: every stream read pulls a full
 /// chunk, and later parses are served from it without a syscall.
 ///
@@ -399,13 +397,11 @@ impl ReadAhead {
     fn read(&mut self, stream: &mut impl Read, dest: &mut [u8]) -> std::io::Result<usize> {
         if self.pos == self.len {
             if dest.len() >= READ_CHUNK {
-                WIRE_READ_CALLS.fetch_add(1, Ordering::Relaxed);
                 return stream.read(dest);
             }
             if self.buf.len() < READ_CHUNK {
                 self.buf.resize(READ_CHUNK, 0);
             }
-            WIRE_READ_CALLS.fetch_add(1, Ordering::Relaxed);
             let n = stream.read(&mut self.buf)?;
             self.pos = 0;
             self.len = n;
@@ -426,6 +422,19 @@ impl ReadAhead {
     }
 }
 
+/// The real stream under a [`FrameReader`]: each `read` is one syscall
+/// counted in [`wire_syscalls`].
+struct Metered<'a, R>(&'a mut R);
+
+impl<R: Read> Read for Metered<'_, R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        WIRE_READ_CALLS.fetch_add(1, Ordering::Relaxed);
+        self.0.read(buf)
+    }
+}
+
+/// Resumable `[length][frame]` parser. One instance per connection; its
+/// buffer is reused across frames and its cursor survives timeouts.
 #[derive(Debug, Default)]
 pub(crate) struct FrameReader {
     len_buf: [u8; 4],
@@ -476,27 +485,28 @@ impl FrameReader {
     ///
     /// This is the socket transports' fast path: when a batched train
     /// landed in one read, every frame after the first parses from
-    /// memory — no read, and no `recv_timeout` deadline setup (two
-    /// `setsockopt`s per call) for frames that are already here.
+    /// memory — no read, and no deadline setup for frames that are
+    /// already here.
     ///
     /// [`read_frame`]: FrameReader::read_frame
     pub(crate) fn read_frame_buffered(&mut self) -> Option<Result<Frame>> {
-        /// A stream with nothing to give: forces `read_frame` to stop
-        /// at the exact moment it would touch the real stream.
+        /// A stream with nothing to give: forces the parse to stop at
+        /// the exact moment it would touch the real stream.
         struct Dry;
         impl Read for Dry {
             fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
                 Err(ErrorKind::WouldBlock.into())
             }
         }
-        match self.read_frame(&mut Dry) {
+        match self.parse(&mut Dry) {
             Err(TransportError::Io(e)) if e.kind() == ErrorKind::WouldBlock => None,
             other => Some(other),
         }
     }
 
     /// Reads one frame, resuming any partial progress from a previous
-    /// call that failed with a timeout.
+    /// call that failed with a timeout. Every `read` it issues on
+    /// `stream` counts in [`wire_syscalls`].
     ///
     /// EOF at a frame boundary (or mid-frame — the peer is gone either
     /// way) reports [`TransportError::Disconnected`]. `WouldBlock` /
@@ -504,6 +514,12 @@ impl FrameReader {
     /// preserved; socket transports map them to
     /// [`TransportError::Timeout`] and may call again to resume.
     pub(crate) fn read_frame(&mut self, stream: &mut impl Read) -> Result<Frame> {
+        self.parse(&mut Metered(stream))
+    }
+
+    /// [`read_frame`](Self::read_frame) over any stream, counting
+    /// nothing: the buffered probe's dry stream is not a syscall.
+    fn parse(&mut self, stream: &mut impl Read) -> Result<Frame> {
         while self.len_got < 4 {
             match self.ahead.read(stream, &mut self.len_buf[self.len_got..]) {
                 Ok(0) => {

@@ -74,16 +74,29 @@ fn send_frames(stream: &mut impl Write, scratch: &mut Vec<u8>, frames: &[&Frame]
     framed::write_frames_vectored(stream, frames, scratch).map(|_| ())
 }
 
+/// Sets the socket's read deadline to `want` unless `armed` — the value
+/// last set, kept beside the socket's [`FrameReader`] — already says so.
+/// A fresh socket has none.
+fn arm<S: Socket>(stream: &S, armed: &mut Option<Duration>, want: Option<Duration>) -> Result<()> {
+    if *armed != want {
+        stream.set_read_timeout(want)?;
+        *armed = want;
+    }
+    Ok(())
+}
+
 /// Receives one frame, blocking (`timeout` = `None`) or with a deadline.
 ///
 /// A frame already complete in the read-ahead is served with no syscall
-/// at all — not even the deadline's `setsockopt`s. A zero deadline is
-/// exactly that check and nothing else (`std` refuses to arm a zero
-/// read timeout). A deadline that fires mid-frame leaves the reader's
-/// progress intact for the next call.
+/// at all. A zero deadline is exactly that check and nothing else (`std`
+/// refuses to arm a zero read timeout). A deadline stays armed after the
+/// receive that set it: `setsockopt` runs only when a receive wants a
+/// different one (a blocking receive wants none). A deadline that fires
+/// mid-frame leaves the reader's progress intact for the next call.
 fn recv_frame<S: Socket>(
     stream: &mut S,
     reader: &mut FrameReader,
+    armed: &mut Option<Duration>,
     timeout: Option<Duration>,
 ) -> Result<Frame> {
     if let Some(result) = reader.read_frame_buffered() {
@@ -91,17 +104,15 @@ fn recv_frame<S: Socket>(
     }
     let Some(timeout) = timeout else {
         crate::blocking::blocking_region("socket.recv");
-        stream.set_read_timeout(None)?;
+        arm(stream, armed, None)?;
         return reader.read_frame(stream);
     };
     if timeout.is_zero() {
         return Err(TransportError::Timeout);
     }
     crate::blocking::blocking_region("socket.recv_timeout");
-    stream.set_read_timeout(Some(timeout))?;
-    let result = reader.read_frame(stream);
-    let _ = stream.set_read_timeout(None);
-    match result {
+    arm(stream, armed, Some(timeout))?;
+    match reader.read_frame(stream) {
         Err(TransportError::Io(e))
             if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
         {
@@ -120,6 +131,8 @@ pub struct SocketTransport<S: Socket> {
     peer: Option<S::Addr>,
     scratch: Vec<u8>,
     reader: FrameReader,
+    /// The read deadline last set on `stream` (see [`arm`]).
+    armed: Option<Duration>,
 }
 
 impl<S: Socket> std::fmt::Debug for SocketTransport<S> {
@@ -139,6 +152,7 @@ impl<S: Socket> SocketTransport<S> {
             peer,
             scratch: Vec::new(),
             reader: FrameReader::new(),
+            armed: None,
         }
     }
 
@@ -159,11 +173,16 @@ impl<S: Socket> Transport for SocketTransport<S> {
     }
 
     fn recv(&mut self) -> Result<Frame> {
-        recv_frame(&mut self.stream, &mut self.reader, None)
+        recv_frame(&mut self.stream, &mut self.reader, &mut self.armed, None)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Frame> {
-        recv_frame(&mut self.stream, &mut self.reader, Some(timeout))
+        recv_frame(
+            &mut self.stream,
+            &mut self.reader,
+            &mut self.armed,
+            Some(timeout),
+        )
     }
 
     fn reconnect(&mut self) -> Result<bool> {
@@ -172,13 +191,15 @@ impl<S: Socket> Transport for SocketTransport<S> {
         };
         self.stream = S::dial(addr)?;
         self.reader.reset();
+        self.armed = None;
         Ok(true)
     }
 
     fn split(&mut self) -> Option<(Box<dyn TransportSender>, Box<dyn TransportReceiver>)> {
         // The socket duplicates into independent handles; the receiver
         // half inherits the resumable reader so bytes read ahead (or
-        // buffered across an earlier recv_timeout) are not lost.
+        // buffered across an earlier recv_timeout) are not lost, and the
+        // deadline armed on the socket the handles share.
         let sender = SocketSender {
             stream: self.stream.try_clone().ok()?,
             scratch: std::mem::take(&mut self.scratch),
@@ -186,6 +207,7 @@ impl<S: Socket> Transport for SocketTransport<S> {
         let receiver = SocketReceiver {
             stream: self.stream.try_clone().ok()?,
             reader: std::mem::take(&mut self.reader),
+            armed: self.armed,
         };
         Some((Box::new(sender), Box::new(receiver)))
     }
@@ -211,15 +233,22 @@ impl<S: Socket> TransportSender for SocketSender<S> {
 struct SocketReceiver<S> {
     stream: S,
     reader: FrameReader,
+    /// The read deadline last set on `stream` (see [`arm`]).
+    armed: Option<Duration>,
 }
 
 impl<S: Socket> TransportReceiver for SocketReceiver<S> {
     fn recv(&mut self) -> Result<Frame> {
-        recv_frame(&mut self.stream, &mut self.reader, None)
+        recv_frame(&mut self.stream, &mut self.reader, &mut self.armed, None)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Frame> {
-        recv_frame(&mut self.stream, &mut self.reader, Some(timeout))
+        recv_frame(
+            &mut self.stream,
+            &mut self.reader,
+            &mut self.armed,
+            Some(timeout),
+        )
     }
 }
 
@@ -568,5 +597,118 @@ mod tests {
         // Both halves still reach the peer.
         tx.send(&Frame::Shutdown).unwrap();
         assert_eq!(server_side.recv().unwrap(), Frame::Shutdown);
+    }
+
+    use std::collections::VecDeque;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex};
+
+    /// An in-memory socket that counts `set_read_timeout` calls. Reads
+    /// drain a shared inbox; an empty inbox would block while a deadline
+    /// is armed and reads as end-of-stream otherwise. It dials to a
+    /// fresh socket (no deadline) over the same inbox and counter.
+    #[derive(Clone, Debug, Default)]
+    struct CountingSocket {
+        inbox: Arc<Mutex<VecDeque<u8>>>,
+        deadline: Arc<Mutex<Option<Duration>>>,
+        setsockopts: Arc<AtomicUsize>,
+    }
+
+    impl CountingSocket {
+        fn deliver(&self, frame: &Frame) {
+            let body = frame.encode();
+            let mut inbox = self.inbox.lock().unwrap();
+            inbox.extend((body.len() as u32).to_be_bytes());
+            inbox.extend(body);
+        }
+
+        fn setsockopts(&self) -> usize {
+            self.setsockopts.load(Ordering::SeqCst)
+        }
+    }
+
+    impl Read for CountingSocket {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let mut inbox = self.inbox.lock().unwrap();
+            if inbox.is_empty() && self.deadline.lock().unwrap().is_some() {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(inbox.len());
+            for (dst, src) in buf.iter_mut().zip(inbox.drain(..n)) {
+                *dst = src;
+            }
+            Ok(n)
+        }
+    }
+
+    impl Write for CountingSocket {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Socket for CountingSocket {
+        type Addr = CountingSocket;
+
+        fn dial(addr: &Self::Addr) -> std::io::Result<Self> {
+            Ok(CountingSocket {
+                deadline: Arc::default(),
+                ..addr.clone()
+            })
+        }
+
+        fn try_clone(&self) -> std::io::Result<Self> {
+            Ok(self.clone())
+        }
+
+        fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+            self.setsockopts.fetch_add(1, Ordering::SeqCst);
+            *self.deadline.lock().unwrap() = timeout;
+            Ok(())
+        }
+
+        fn set_nonblocking(&self, _nonblocking: bool) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A receive issues `setsockopt` only when the deadline it wants
+    /// differs from the one armed: repeated timed receives arm once, a
+    /// blocking receive disarms once, the armed value moves with `split`
+    /// and resets on `reconnect`.
+    #[test]
+    fn deadlines_are_armed_only_when_they_change() {
+        let sock = CountingSocket::default();
+        let mut t = SocketTransport::new(sock.clone(), Some(sock.clone()));
+        let window = Duration::from_millis(100);
+        let expect = |t: &mut dyn FnMut() -> Result<Frame>, setsockopts: usize| {
+            sock.deliver(&Frame::Ack);
+            assert_eq!(t().unwrap(), Frame::Ack);
+            assert_eq!(sock.setsockopts(), setsockopts);
+        };
+        expect(&mut || t.recv(), 0);
+        expect(&mut || t.recv_timeout(window), 1);
+        expect(&mut || t.recv_timeout(window), 1);
+        expect(&mut || t.recv(), 2);
+        expect(&mut || t.recv(), 2);
+        expect(&mut || t.recv_timeout(window), 3);
+        let err = t.recv_timeout(window).unwrap_err();
+        assert!(matches!(err, TransportError::Timeout), "{err:?}");
+        assert_eq!(
+            sock.setsockopts(),
+            3,
+            "a timed-out receive keeps its deadline"
+        );
+
+        assert!(t.reconnect().unwrap());
+        expect(&mut || t.recv_timeout(window), 4);
+
+        let (_tx, mut rx) = t.split().expect("splits");
+        expect(&mut || rx.recv_timeout(window), 4);
+        expect(&mut || rx.recv(), 5);
     }
 }

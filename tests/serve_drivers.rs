@@ -2,18 +2,20 @@
 //! thin drivers, so one scripted frame sequence must draw the *same*
 //! reply frames and leave the *same* server-visible effects whichever
 //! driver carries it — the serial driver (`serve_connection`), the
-//! pooled/pipelined driver (`serve_connection_pooled` over a splitting
-//! transport), and the reactor (`ServerPool::serve_reactor` over TCP
-//! loopback, which escalates mid-script). Drift between serve paths —
-//! the kind PR 10 had to repair by hand in four warm arms — is a
-//! failing test here.
+//! pooled driver (`serve_connection_pooled` over a splitting transport:
+//! serial until the script starts pipelining, pipelined after), and the
+//! reactor (`ServerPool::serve_reactor` over TCP loopback, which
+//! escalates mid-script). Drift between serve paths — the kind that once
+//! had to be repaired by hand in four warm arms — is a failing test here.
 //!
 //! The script is synchronous (every frame that has an answer is awaited
-//! before the next is sent), so the transcript is deterministic without
-//! a single sleep.
+//! before the next is sent) except for one two-request train, sent
+//! while a held call keeps the server busy, so the transcript is
+//! deterministic without a single sleep.
 
 #![cfg(unix)]
 
+use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -37,13 +39,22 @@ struct World {
     registry: SharedRegistry,
     cell: ClassId,
     log: EffectLog,
+    gate: Gate,
     server: ServerNode,
+}
+
+/// The client's end of the `gate` service: `entered` fires when a `hold`
+/// call starts executing, and the call returns once `open` fires.
+struct Gate {
+    entered: mpsc::Receiver<()>,
+    open: mpsc::Sender<()>,
 }
 
 /// One schema with no remote-marked classes (so pooled and reactor
 /// drivers offload tagged cold calls to their workers), one
-/// copy-restore service, and a factory whose returned object is called
-/// through the export table.
+/// copy-restore service, a service that holds its call until the client
+/// opens a gate, and a factory whose returned object is called through
+/// the export table.
 fn world() -> World {
     let mut reg = ClassRegistry::new();
     let cell = reg.define("Cell").field_int("v").restorable().register();
@@ -52,6 +63,20 @@ fn world() -> World {
 
     let log: EffectLog = Arc::default();
     let mut server = ServerNode::new(registry.clone(), MachineSpec::fast());
+    let (entered_tx, entered) = mpsc::channel();
+    let (open, open_rx) = mpsc::channel();
+    {
+        let log = Arc::clone(&log);
+        server.bind(
+            "gate",
+            Box::new(FnService::new(move |method, _args, _heap| {
+                entered_tx.send(()).map_err(|_| NrmiError::app("gate"))?;
+                open_rx.recv().map_err(|_| NrmiError::app("gate"))?;
+                log.lock().unwrap().push(format!("gate.{method}"));
+                Ok(Value::Null)
+            })),
+        );
+    }
     {
         let log = Arc::clone(&log);
         server.bind(
@@ -90,6 +115,7 @@ fn world() -> World {
         registry,
         cell,
         log,
+        gate: Gate { entered, open },
         server,
     }
 }
@@ -111,6 +137,9 @@ impl Transport for Tap<'_> {
     fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
         self.inner.send(frame)
     }
+    fn send_batch(&mut self, frames: &[&Frame]) -> Result<(), TransportError> {
+        self.inner.send_batch(frames)
+    }
     fn recv(&mut self) -> Result<Frame, TransportError> {
         let frame = self.inner.recv()?;
         self.received.push(frame.clone());
@@ -130,7 +159,12 @@ fn is_unknown_service(reply: &Frame) -> bool {
 /// Drives the scripted sequence over `io` and returns every frame the
 /// server answered with, in order. Assertions here are about the
 /// protocol's meaning; equality across drivers is the caller's.
-fn run_script(io: &mut dyn Transport, registry: &SharedRegistry, cell: ClassId) -> Vec<Frame> {
+fn run_script(
+    io: &mut dyn Transport,
+    registry: &SharedRegistry,
+    cell: ClassId,
+    gate: &Gate,
+) -> Vec<Frame> {
     const NONCE: u64 = 0xD1FF;
     let mut tap = Tap {
         inner: io,
@@ -148,6 +182,30 @@ fn run_script(io: &mut dyn Transport, registry: &SharedRegistry, cell: ClassId) 
     };
     assert!(lookup(&mut tap, "cell"));
     assert!(!lookup(&mut tap, "ghost"));
+
+    // The peer starts pipelining: two lookups go out in one train while
+    // an untagged call is held in its service. Nothing sits behind the
+    // held call when it arrives, so the pooled driver serves it
+    // serially; the train is buffered behind the next request it reads,
+    // so it switches to the pipelined driver for the rest of the script.
+    // (Reactor: the held call escalates the connection.)
+    let (held, _) =
+        client_marshal_call(&mut client, "gate", "hold", &[], CallOptions::auto()).unwrap();
+    tap.send(&held).unwrap();
+    gate.entered.recv().expect("held call started");
+    tap.send_batch(&[
+        &Frame::Lookup {
+            name: "cell".into(),
+        },
+        &Frame::Lookup {
+            name: "ghost".into(),
+        },
+    ])
+    .unwrap();
+    gate.open.send(()).unwrap();
+    assert!(matches!(tap.recv().unwrap(), Frame::CallReply { .. }));
+    assert_eq!(tap.recv().unwrap(), Frame::LookupReply { found: true });
+    assert_eq!(tap.recv().unwrap(), Frame::LookupReply { found: false });
 
     // A tagged cold call, then its retransmission: executed once,
     // replayed once. (Pooled and reactor: offloaded to a worker.)
@@ -307,11 +365,12 @@ fn serial() -> Outcome {
         registry,
         cell,
         log,
+        gate,
         mut server,
     } = world();
     let (mut client_t, mut server_t) = channel_pair(None, LinkSpec::free());
     let serving = thread::spawn(move || serve_connection(&mut server, &mut server_t));
-    let transcript = run_script(&mut client_t, &registry, cell);
+    let transcript = run_script(&mut client_t, &registry, cell, &gate);
     assert_ended_on_unexpected_frame(serving.join().expect("serve thread"));
     outcome(transcript, &log)
 }
@@ -321,14 +380,16 @@ fn pooled() -> Outcome {
         registry,
         cell,
         log,
+        gate,
         server,
     } = world();
     let shared = SharedServer::from_node(server);
-    // A channel transport splits, so this is the pipelined driver:
-    // reader, writer thread, and workers for the tagged cold call.
+    // A channel transport splits, so this is the serial driver until the
+    // script's train, then the pipelined one: reader, writer thread, and
+    // workers for the tagged cold call.
     let (mut client_t, mut server_t) = channel_pair(None, LinkSpec::free());
     let serving = thread::spawn(move || serve_connection_pooled(&shared, &mut server_t));
-    let transcript = run_script(&mut client_t, &registry, cell);
+    let transcript = run_script(&mut client_t, &registry, cell, &gate);
     assert_ended_on_unexpected_frame(serving.join().expect("serve thread"));
     outcome(transcript, &log)
 }
@@ -338,6 +399,7 @@ fn reactor() -> Outcome {
         registry,
         cell,
         log,
+        gate,
         server,
     } = world();
     let listener = TcpListenerTransport::bind("127.0.0.1:0").expect("bind");
@@ -346,7 +408,7 @@ fn reactor() -> Outcome {
         .serve_reactor(server, listener)
         .expect("serve_reactor");
     let mut client_t = TcpTransport::connect(addr).expect("connect");
-    let transcript = run_script(&mut client_t, &registry, cell);
+    let transcript = run_script(&mut client_t, &registry, cell, &gate);
     drop(client_t);
     handle.shutdown().expect("shutdown");
     outcome(transcript, &log)
@@ -358,6 +420,7 @@ fn every_driver_answers_the_script_identically() {
     assert_eq!(
         serial_effects,
         [
+            "gate.hold",
             "cell.inc -> 11",
             "cell.inc -> 12",
             "cell.inc -> 21",
