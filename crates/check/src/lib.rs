@@ -87,13 +87,7 @@ mod tests {
         // Schema + drift only (protocol depth 0 keeps this test fast;
         // protocol coverage has its own tests).
         let report = self_check(&ModelCheckConfig {
-            core_depth: 0,
-            adversarial_depth: 0,
-            reliability_depth: 0,
-            shared_depth: 0,
-            shared_graph_depth: 0,
-            pipelined_depth: 0,
-            reactor_depth: 0,
+            max_depth: 0,
             max_errors: 25,
         });
         assert!(!report.has_errors(), "{}", report.render());

@@ -1,18 +1,53 @@
-//! Protocol model checker for the warm-call handshake (`NRMI-P00x`).
+//! Protocol model checker for the NRMI call protocol (`NRMI-P00x`).
 //!
-//! The cold/warm/delta handshake is encoded as an explicit transition
-//! system over [`Frame`] message types, and [`model_check`] exhaustively
-//! enumerates every bounded sequence of protocol actions against the
-//! **real** implementation: [`client_invoke_warm_with_stats`] on one
-//! side, the serve core's [`Connection::step`] on the other, joined by
-//! an in-process dispatch transport instead of threads. Each sequence runs
-//! a fresh client/server pair from scratch, so every prefix of every
-//! enumerated sequence is exercised.
+//! [`model_check`] exhaustively enumerates every bounded sequence of
+//! protocol actions against the **real** implementation: the production
+//! client ([`client_invoke_warm_with_stats`], the split-phase
+//! [`client_marshal_call`] / [`client_apply_reply`], a real
+//! [`ReliableTransport`]) on one side, the serve core's
+//! [`Connection::step`] on the other, joined by in-process links instead
+//! of threads. Each sequence runs a fresh world from scratch, so every
+//! prefix of every enumerated sequence is exercised.
 //!
-//! ## Action alphabet
+//! ## One fixture, seven alphabets
 //!
-//! The *core* alphabet drives the protocol through its honest
-//! transitions:
+//! Every world is built from one fixture (`Fixture`):
+//!
+//! * **endpoints** — each a real [`ClientNode`] holding a three-node tree
+//!   and a private local oracle twin of it, behind a wire: the bare link,
+//!   the link wrapped in a real `ReliableTransport`, or (the reactor) the
+//!   tagged frames it sends by hand;
+//! * **one server arrangement** — one [`ServerNode`] every link steps
+//!   (exclusive with one endpoint; with two, a shared graph whose warm
+//!   caches share the node's lease table), or one connection node per
+//!   link minted by one [`SharedServer`] (the pooled driver's and the
+//!   reactor pool's arrangement);
+//! * **one link** per connection, which steps each frame through
+//!   [`Connection::step`] and queues the replies, carrying single-shot
+//!   fault flags; an empty queue is `Disconnected` (the server produced
+//!   no reply — a deadlock, made finite) or, on the lossy links the retry
+//!   worlds use, a `Timeout` the retry loop owns;
+//! * **one set of checks**: heap validity and one service execution
+//!   counter after every action, and one oracle after every call that
+//!   judges the return value and every graph of the calling endpoint
+//!   against its twin (a client heap changes only through its own
+//!   endpoint's actions, so that is where a divergence first shows).
+//!
+//! A world is an alphabet, a `step` that maps each action onto fixture
+//! operations, and only the invariant no other world has. The fixture
+//! takes actions one at a time and does not care where they come from.
+//!
+//! | world | alphabet | depth | endpoints, server | oracle codes (value, graph) | own invariant |
+//! |---|---|---|---|---|---|
+//! | core | [`CORE_ALPHABET`] | 6 | 1, exclusive node | P003, P003 | P005 generation lockstep |
+//! | adversarial | [`ADVERSARIAL_ALPHABET`] | 4 | as core | as core | as core, plus P004 for hostile frames |
+//! | reliability | [`RELIABILITY_ALPHABET`] | 4 | 1, exclusive node, lossy link | P003, P003 | — |
+//! | shared | [`SHARED_ALPHABET`] | 5 | 2, connection nodes | P003, P008 | — |
+//! | shared-graph | [`SHARED_GRAPH_ALPHABET`] | 4 | 2, one leased node | P003, P011 | P011 lease liveness |
+//! | pipelined | [`PIPELINED_ALPHABET`] | 4 | 1 with two graphs, exclusive node, lossy link | P009, P008 | P009 ghost replies, untagged frames |
+//! | reactor | [`REACTOR_ALPHABET`] | 4 | 2, worker nodes | P010, P010 | P010 classify outcomes |
+//!
+//! ## The core alphabet
 //!
 //! | action | protocol edge exercised |
 //! |--------|-------------------------|
@@ -28,64 +63,57 @@
 //! id, and a garbage payload. The server must answer `CacheMiss` or
 //! `CallError` — never panic, never serve stale state.
 //!
-//! ## Invariants, checked after every action
+//! ## Invariants
 //!
-//! * `P001` / `P002` — client / server heap fails
-//!   [`nrmi_heap::validate`] (the shared corruption oracle).
-//! * `P003` — warm result diverges from the **local oracle twin**: a
-//!   plain local heap holding the same graph, mutated by the same
-//!   deterministic service logic with no middleware in between. After
-//!   every `Call`, the warm return value must equal the twin's and the
-//!   two graphs must be [`nrmi_heap::graph::isomorphic`]. Because the
-//!   twin is exactly what a cold copy-restore call computes, warm ≡ twin
-//!   subsumes warm ≡ cold.
+//! * `P001` / `P002` — a client / server heap fails
+//!   [`nrmi_heap::validate`] (the shared corruption oracle), or a client
+//!   write the world makes fails. A twin holds only its graphs, so the
+//!   oracle's isomorphism check vouches for its heap.
+//! * `P003` — a call diverged from the **local oracle twin**: a plain
+//!   local heap holding the same graph, mutated by the same deterministic
+//!   service logic with no middleware in between. The return value must
+//!   equal the twin's, and the client graph must stay
+//!   [`nrmi_heap::graph::isomorphic`] to it. Because the twin is exactly
+//!   what a cold copy-restore call computes, warm ≡ twin subsumes
+//!   warm ≡ cold.
 //! * `P004` — an unexpected frame or transport outcome: a reply the
-//!   state machine forbids ([`judge_reply`]), or a deadlock (the client
-//!   blocks on a reply the server never produced, surfaced as a
-//!   disconnect by the queue-backed transport).
+//!   state machine forbids ([`judge_reply`]), or a call that failed where
+//!   the oracle succeeded (a deadlock surfaces here as a disconnect).
 //! * `P005` — generation lockstep broken: the client's next-generation
 //!   counter disagrees with the server's for a live session.
 //! * `P006` — a panic anywhere in the sequence (caught per sequence;
 //!   the diagnostic carries the action trace and panic message).
-//! * `P007` — at-most-once broken: the number of service executions
-//!   disagrees with the number of completed calls, under faults (the
-//!   reliability model) or across two connections sharing one reply
-//!   cache (the shared model).
-//! * `P008` — a reply observed a torn heap state: after any
-//!   two-connection interleaving on the lock-split shared server, some
-//!   client graph no longer matches its private oracle twin — another
-//!   connection's call leaked into this one's restore.
-//! * `P009` — reply routing broken: with several calls in flight on one
-//!   multiplexed connection (the pipelined model), a reply resolved the
-//!   wrong call — a collected value diverged from that call's private
-//!   oracle, a consumed call id produced a ghost reply, or a call frame
-//!   escaped the connection untagged.
-//! * `P010` — the reactor dispatch discipline broken: enumerating the
-//!   real [`nrmi_core::reactor_classify`] step function over two
-//!   connections and an explicit job queue (the reactor model), a fresh
-//!   pipelineable call failed to offload, a retransmitted call id
-//!   offloaded a second execution, a reply reached the wrong
-//!   connection, or a worker dispatch restored a graph its private
-//!   oracle disowns (a torn heap) — each checked against
-//!   per-connection oracle twins exactly as `P008`/`P009` are.
+//! * `P007` — at-most-once broken: the service ran a different number of
+//!   times than the world's calls account for — under faults, across two
+//!   connections sharing one reply cache, or on a replayed reply.
+//! * `P008` — a reply observed a torn heap state: on the lock-split shared
+//!   server, or among calls in flight on one connection, some client
+//!   graph no longer matches its private oracle twin.
+//! * `P009` — reply routing broken on one multiplexed connection: a
+//!   collected value diverged from that call's oracle, a consumed call id
+//!   produced a ghost reply, or a call frame escaped untagged.
+//! * `P010` — the reactor dispatch discipline broken, enumerating the real
+//!   [`reactor_classify`] over two connections and an explicit job queue:
+//!   a fresh pipelineable call failed to offload, a retransmitted call id
+//!   offloaded a second execution, a reply reached the wrong connection,
+//!   or a worker dispatch restored a graph its oracle disowns.
 //! * `P011` — shared-graph coherence or lease safety broken: with two
-//!   warm clients leased onto ONE server heap (the shared-graph model),
-//!   each call writing the other's graph out-of-band, a client read
-//!   stale state, a `CacheStale` repair clobbered an unshipped local
-//!   write (the positional merge rule), or a connection teardown freed
-//!   an object another connection's live session still synchronizes.
+//!   warm clients leased onto ONE server heap, each call writing the
+//!   other's graph out-of-band, a client read stale state, a `CacheStale`
+//!   repair clobbered an unshipped local write (the positional merge
+//!   rule), or a connection teardown freed an object another connection's
+//!   live session still synchronizes.
 
-use std::collections::HashSet;
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use nrmi_core::ClientNode;
 use nrmi_core::{
     client_apply_reply, client_evict_warm, client_invoke_warm_with_stats, client_marshal_call,
-    CallOptions, Connection, FnService, NrmiError, PassMode, PendingCall, ReactorStep, ServerNode,
-    WarmCaches,
+    reactor_classify, CallOptions, ClientNode, Connection, FnService, NrmiError, PassMode,
+    PendingCall, ReactorStep, ReliableTransport, RetryPolicy, ServerNode, SharedServer, WarmCaches,
 };
 use nrmi_heap::validate::validate;
 use nrmi_heap::{graph, ClassRegistry, Heap, HeapAccess, ObjId, Value};
@@ -204,96 +232,21 @@ pub fn judge_reply(ctx: ReplyContext, reply: &Frame) -> Option<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------------
-// The dispatch transport: client and server joined without threads
+// The fixture: endpoints, one server arrangement, links, and the checks
 // ---------------------------------------------------------------------------
 
-/// A transport that swallows frames and never produces one; stands in
-/// for the (unused) callback channel when the checker steps the server
-/// directly.
-struct NullTransport;
-
-impl Transport for NullTransport {
-    fn send(&mut self, _frame: &Frame) -> nrmi_transport::Result<()> {
-        Ok(())
-    }
-    fn recv(&mut self) -> nrmi_transport::Result<Frame> {
-        Err(TransportError::Disconnected)
-    }
-    fn recv_timeout(&mut self, _timeout: Duration) -> nrmi_transport::Result<Frame> {
-        Err(TransportError::Disconnected)
-    }
-}
-
-/// The model's serial driver, minus the socket: runs `frame` through
-/// the production [`Connection::step`] and returns what a driver would
-/// write, in order. The model's links have no worker pool and no driver
-/// above them, so an offload or a frame the step has no rule for is
-/// answered with an error the checker will surface.
-fn step_replies(node: &mut ServerNode, caches: &mut WarmCaches, frame: &Frame) -> Vec<Frame> {
-    let mut conn = Connection::new(node, caches);
-    match conn.step(&mut NullTransport, frame.clone()) {
-        step @ (ReactorStep::Offload { .. } | ReactorStep::Escalate(_)) => {
-            vec![Frame::CallError {
-                message: format!("checker: unmodeled step {step:?}"),
-            }]
-        }
-        step => step.into_replies().collect(),
-    }
-}
-
-/// The server side of the model: a real [`ServerNode`] plus its warm
-/// caches, exposed to the client as a [`Transport`]. `send` steps the
-/// frame synchronously ([`step_replies`]) and queues the replies; `recv`
-/// drains the queue. A recv on an empty queue means the
-/// server produced no reply — the threaded deployment would deadlock —
-/// and surfaces as [`TransportError::Disconnected`], which the checker
-/// reports as `NRMI-P004`.
-struct ServerSide {
-    server: ServerNode,
-    caches: WarmCaches,
-    replies: VecDeque<Frame>,
-    faults: FaultFlags,
-}
-
-/// Single-shot fault counters the reliability alphabet arms; each is
-/// consumed by the next frame it applies to.
-#[derive(Default)]
-struct FaultFlags {
-    drop_requests: u32,
-    drop_replies: u32,
-    duplicate_requests: u32,
-    disconnects: u32,
-}
-
-impl ServerSide {
-    fn dispatch(&mut self, frame: &Frame) -> Vec<Frame> {
-        step_replies(&mut self.server, &mut self.caches, frame)
-    }
-}
-
-impl Transport for ServerSide {
-    fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
-        let replies = self.dispatch(frame);
-        self.replies.extend(replies);
-        Ok(())
-    }
-
-    fn recv(&mut self) -> nrmi_transport::Result<Frame> {
-        // An empty queue is the no-reply deadlock, made finite.
-        self.replies.pop_front().ok_or(TransportError::Disconnected)
-    }
-
-    fn recv_timeout(&mut self, _timeout: Duration) -> nrmi_transport::Result<Frame> {
-        self.recv()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The world: real client + real server + local oracle twin
-// ---------------------------------------------------------------------------
-
-const SVC: &str = "svc";
 const METHOD: &str = "run";
+/// Endpoint (and graph) names in diagnostics, in creation order.
+const NAMES: [&str; 2] = ["A", "B"];
+/// The service each endpoint calls; its body knows whose root it got.
+const SERVICES: [&str; 2] = ["svc.a", "svc.b"];
+/// Each endpoint's session nonce, distinct as two real connections'
+/// draws from `fresh_nonce` are.
+const NONCES: [u64; 2] = [0xAAAA_1111, 0xBBBB_2222];
+/// How much a call perturbs every *other* live session root on a node
+/// the endpoints share — distinctive, so a stale read stands out from
+/// the ×3+1 service values.
+const PEER_POKE: i32 = 100;
 
 /// The deterministic service body, shared verbatim between the remote
 /// service and the local oracle twin: DFS from the root, rewrite each
@@ -318,409 +271,27 @@ fn service_logic(heap: &mut dyn HeapAccess, root: ObjId) -> Result<Value, NrmiEr
     Ok(Value::Long(sum))
 }
 
-/// One fresh client/server/twin triple, re-created per enumerated
-/// sequence.
-struct World {
-    client: ClientNode,
-    link: ServerSide,
-    root: ObjId,
-    /// The oracle: a plain local heap holding the same graph, touched by
-    /// the same logic with no middleware in between.
-    twin: Heap,
-    twin_root: ObjId,
-    /// The server-side root of the cached session graph, leaked by the
-    /// service body so `MutateServer` can poke it out-of-band.
-    server_root: Arc<Mutex<Option<ObjId>>>,
-    /// True when the client has written the root object since its last
-    /// completed call. The coherence merge rule keys off this: a
-    /// server-side poke of the root is only *visible* to the next call
-    /// when the client's own request delta does not rewrite the root
-    /// (client wins at object granularity when it does).
-    client_wrote_root: bool,
-    /// Counter for grafted nodes (also mirrored into the twin).
-    next_data: i32,
+/// Adds `by` to `id`'s `data`.
+fn bump(heap: &mut dyn HeapAccess, id: ObjId, by: i32) -> Result<(), NrmiError> {
+    let d = heap
+        .get_field(id, "data")?
+        .as_int()
+        .ok_or_else(|| NrmiError::app("data is not an int"))?;
+    heap.set_field(id, "data", Value::Int(d.wrapping_add(by)))?;
+    Ok(())
 }
 
-impl WorldModel for World {
-    type Action = Action;
-
-    fn new() -> Self {
-        let mut reg = ClassRegistry::new();
-        reg.define("Node")
-            .field_int("data")
-            .field_ref("left")
-            .field_ref("right")
-            .restorable()
-            .register();
-        let registry = reg.snapshot();
-
-        let mut client = ClientNode::new(registry.clone(), MachineSpec::fast());
-        let mut server = ServerNode::new(registry.clone(), MachineSpec::fast());
-        let server_root: Arc<Mutex<Option<ObjId>>> = Arc::new(Mutex::new(None));
-        let leaked = Arc::clone(&server_root);
-        server.bind(
-            SVC,
-            Box::new(FnService::new(move |_method, args, heap| {
-                let root = args[0]
-                    .as_ref_id()
-                    .ok_or_else(|| NrmiError::app("want a root reference"))?;
-                *leaked.lock().expect("poisoned") = Some(root);
-                service_logic(heap, root)
-            })),
-        );
-
-        let root = build_tree(&mut client.state.heap, &registry);
-        let mut twin = Heap::new(registry.clone());
-        let twin_root = build_tree(&mut twin, &registry);
-
-        World {
-            client,
-            link: ServerSide {
-                server,
-                caches: WarmCaches::new(),
-                replies: VecDeque::new(),
-                faults: FaultFlags::default(),
-            },
-            root,
-            twin,
-            twin_root,
-            server_root,
-            client_wrote_root: false,
-            next_data: 100,
-        }
-    }
-
-    /// Applies one action to the world, reporting violations into
-    /// `report`.
-    fn step(&mut self, action: Action, report: &mut Report) {
-        match action {
-            Action::Call => self.do_call(report),
-            Action::MutateClient => self.do_mutate_client(report),
-            Action::Graft => self.do_graft(report),
-            Action::Prune => self.do_prune(report),
-            Action::MutateServer => self.do_mutate_server(),
-            Action::Evict => self.do_evict(report),
-            Action::StaleGeneration => self.inject(ReplyContext::StaleGeneration, report),
-            Action::UnknownCache => self.inject(ReplyContext::UnknownCache, report),
-            Action::GarbagePayload => self.inject(ReplyContext::GarbagePayload, report),
-        }
-        self.check_heaps(report);
-        self.check_lockstep(report);
-    }
-}
-
-impl World {
-    /// Mirrors the coherence merge rule into the twin: a `MutateServer`
-    /// poke of the root becomes visible to the next call exactly when
-    /// the warm session is live on both sides **and** the client has not
-    /// written the root itself since its last call (otherwise the
-    /// client's in-flight slots win and the poke is erased). When
-    /// visible, the server's current root `data` is what the call will
-    /// compute with, so the twin adopts it. When the server was never
-    /// poked this is a no-op: between calls only pokes can make the
-    /// server's root diverge from the twin's.
-    fn sync_twin_with_visible_pokes(&mut self) {
-        if self.client_wrote_root {
-            return;
-        }
-        let Some(server_root) = *self.server_root.lock().expect("poisoned") else {
-            return;
-        };
-        let (Some(cache_id), Some(client_gen)) = (
-            self.client.warm.cache_id(SVC),
-            self.client.warm.generation(SVC),
-        ) else {
-            return; // no client session: the next call reseeds wholesale
-        };
-        if self.link.caches.generation_of(cache_id) != Some(client_gen) {
-            return; // server entry gone or out of step: reseed, not repair
-        }
-        if let Ok(Value::Int(d)) = self.link.server.state.heap.get_field(server_root, "data") {
-            let _ = self.twin.set_field(self.twin_root, "data", Value::Int(d));
-        }
-    }
-
-    fn do_call(&mut self, report: &mut Report) {
-        self.sync_twin_with_visible_pokes();
-        self.client_wrote_root = false;
-        let warm = client_invoke_warm_with_stats(
-            &mut self.client,
-            &mut self.link,
-            SVC,
-            METHOD,
-            &[Value::Ref(self.root)],
-        );
-        let oracle = service_logic(&mut self.twin, self.twin_root);
-        match (warm, oracle) {
-            (Ok((got, _stats)), Ok(want)) => {
-                if got != want {
-                    report.push(
-                        Diagnostic::error(
-                            "NRMI-P003",
-                            format!(
-                                "warm call diverged from the local oracle: warm returned \
-                                 {got:?}, direct execution returned {want:?}"
-                            ),
-                        )
-                        .with("warm", format!("{got:?}"))
-                        .with("oracle", format!("{want:?}")),
-                    );
-                }
-                match graph::isomorphic(
-                    &self.client.state.heap,
-                    self.root,
-                    &self.twin,
-                    self.twin_root,
-                ) {
-                    Ok(true) => {}
-                    Ok(false) => report.push(Diagnostic::error(
-                        "NRMI-P003",
-                        "restored client graph is not isomorphic to the local oracle graph",
-                    )),
-                    Err(e) => report.push(Diagnostic::error(
-                        "NRMI-P003",
-                        format!("isomorphism comparison failed: {e}"),
-                    )),
-                }
-            }
-            (Err(e), Ok(_)) => report.push(
-                Diagnostic::error(
-                    "NRMI-P004",
-                    format!("warm call failed where the oracle succeeded: {e}"),
-                )
-                .with("error", e.to_string()),
-            ),
-            (_, Err(e)) => report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("local oracle itself failed (checker bug): {e}"),
-            )),
-        }
-    }
-
-    fn do_mutate_client(&mut self, report: &mut Report) {
-        for (heap, root) in [
-            (&mut self.client.state.heap, self.root),
-            (&mut self.twin, self.twin_root),
-        ] {
-            let r = (|| -> Result<(), NrmiError> {
-                let d = heap
-                    .get_field(root, "data")?
-                    .as_int()
-                    .ok_or_else(|| NrmiError::app("data is not an int"))?;
-                heap.set_field(root, "data", Value::Int(d.wrapping_add(10)))?;
-                Ok(())
-            })();
-            if let Err(e) = r {
-                report.push(Diagnostic::error(
-                    "NRMI-P001",
-                    format!("client mutation failed: {e}"),
-                ));
-            }
-        }
-        self.client_wrote_root = true;
-    }
-
-    fn do_graft(&mut self, report: &mut Report) {
-        let data = self.next_data;
-        self.next_data += 1;
-        self.client_wrote_root = true; // root.left is rewritten below
-        for (heap, root) in [
-            (&mut self.client.state.heap, self.root),
-            (&mut self.twin, self.twin_root),
-        ] {
-            let r = (|| -> Result<(), NrmiError> {
-                let class = heap.registry().by_name("Node").expect("registered");
-                let old_left = heap.get_field(root, "left")?;
-                let fresh = heap.alloc(class, vec![Value::Int(data), old_left, Value::Null])?;
-                heap.set_field(root, "left", Value::Ref(fresh))?;
-                Ok(())
-            })();
-            if let Err(e) = r {
-                report.push(Diagnostic::error(
-                    "NRMI-P001",
-                    format!("client graft failed: {e}"),
-                ));
-            }
-        }
-    }
-
-    fn do_prune(&mut self, report: &mut Report) {
-        // A prune only writes the root when there is something to cut;
-        // both heaps agree on that by lockstep construction.
-        if matches!(self.client.state.heap.get_ref(self.root, "left"), Ok(Some(_))) {
-            self.client_wrote_root = true;
-        }
-        for (heap, root) in [
-            (&mut self.client.state.heap, self.root),
-            (&mut self.twin, self.twin_root),
-        ] {
-            let r = (|| -> Result<(), NrmiError> {
-                let Some(left) = heap.get_ref(root, "left")? else {
-                    return Ok(()); // nothing to prune
-                };
-                heap.set_field(root, "left", Value::Null)?;
-                // The graph is a tree by construction, so the whole left
-                // subtree is garbage once unlinked.
-                for id in reachable_from(heap, left) {
-                    heap.free(id)?;
-                }
-                Ok(())
-            })();
-            if let Err(e) = r {
-                report.push(Diagnostic::error(
-                    "NRMI-P001",
-                    format!("client prune failed: {e}"),
-                ));
-            }
-        }
-    }
-
-    fn do_mutate_server(&mut self) {
-        // An out-of-band server-side write: another connection or a local
-        // caller touching the cached graph. The version vector must keep
-        // the next warm call from reading stale state — either a
-        // `CacheStale` patch repairs the client's copy, or the client's
-        // own in-flight write to the same object wins the merge.
-        let root = *self.server_root.lock().expect("poisoned");
-        if let Some(root) = root {
-            let heap = &mut self.link.server.state.heap;
-            if let Ok(Value::Int(d)) = heap.get_field(root, "data") {
-                let _ = heap.set_field(root, "data", Value::Int(d.wrapping_add(1000)));
-            }
-        }
-    }
-
-    fn do_evict(&mut self, report: &mut Report) {
-        if let Err(e) = client_evict_warm(&mut self.client, &mut self.link, SVC) {
-            report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("eviction failed: {e}"),
-            ));
-        }
-        // The eviction freed the server's session graph; the leaked root
-        // no longer names anything MutateServer may touch.
-        *self.server_root.lock().expect("poisoned") = None;
-    }
-
-    /// Builds and injects one hostile frame, judging the reply against
-    /// the state machine.
-    fn inject(&mut self, ctx: ReplyContext, report: &mut Report) {
-        let mode = CallOptions::copy_restore_delta().to_wire();
-        let frame = match ctx {
-            ReplyContext::StaleGeneration => {
-                let (Some(cache_id), Some(generation)) = (
-                    self.client.warm.cache_id(SVC),
-                    self.client.warm.generation(SVC),
-                ) else {
-                    return; // no session to be stale against
-                };
-                Frame::CallRequestWarm {
-                    service: SVC.to_owned(),
-                    method: METHOD.to_owned(),
-                    mode,
-                    cache_id,
-                    generation: generation + 7,
-                    payload: Vec::new(),
-                }
-            }
-            ReplyContext::UnknownCache => Frame::CallRequestWarm {
-                service: SVC.to_owned(),
-                method: METHOD.to_owned(),
-                mode,
-                cache_id: u64::MAX,
-                generation: 3,
-                payload: Vec::new(),
-            },
-            ReplyContext::GarbagePayload => {
-                let (Some(cache_id), Some(generation)) = (
-                    self.client.warm.cache_id(SVC),
-                    self.client.warm.generation(SVC),
-                ) else {
-                    return; // garbage against a live session or nothing
-                };
-                Frame::CallRequestWarm {
-                    service: SVC.to_owned(),
-                    method: METHOD.to_owned(),
-                    mode,
-                    cache_id,
-                    generation,
-                    payload: vec![0xFF, 0x00, 0x01],
-                }
-            }
-            _ => unreachable!("inject only models adversarial contexts"),
-        };
-        // The call's own reply is the last frame the step answers with
-        // (pushed invalidations travel ahead of it).
-        match self.link.dispatch(&frame).pop() {
-            Some(reply) => {
-                if let Some(diag) = judge_reply(ctx, &reply) {
-                    report.push(diag);
-                }
-            }
-            None => report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("server produced no reply to {ctx:?} (deadlock)"),
-            )),
-        }
-        // The injected frame consumed the server-side entry (dropped on
-        // mismatch/garbage): the honest client is now out of sync by
-        // design and recovers through CacheMiss → reseed on its next
-        // call. That recovery is part of what the enumeration covers.
-    }
-
-    fn check_heaps(&mut self, report: &mut Report) {
-        for (label, code, heap) in [
-            ("client", "NRMI-P001", &self.client.state.heap),
-            ("server", "NRMI-P002", &self.link.server.state.heap),
-            ("oracle", "NRMI-P001", &self.twin),
-        ] {
-            for v in validate(heap) {
-                report.push(
-                    Diagnostic::error(code, format!("{label} heap corrupted: {v}"))
-                        .with("heap", label),
-                );
-            }
-        }
-    }
-
-    fn check_lockstep(&mut self, report: &mut Report) {
-        let (Some(cache_id), Some(client_gen)) = (
-            self.client.warm.cache_id(SVC),
-            self.client.warm.generation(SVC),
-        ) else {
-            return;
-        };
-        // The server may legitimately have dropped the entry (coherence,
-        // injection); lockstep only binds while both sides are live.
-        if let Some(server_gen) = self.link.caches.generation_of(cache_id) {
-            if server_gen != client_gen {
-                report.push(
-                    Diagnostic::error(
-                        "NRMI-P005",
-                        format!(
-                            "generation lockstep broken: client will send {client_gen}, \
-                             server expects {server_gen}"
-                        ),
-                    )
-                    .with("cache_id", cache_id),
-                );
-            }
-        }
-    }
-}
-
-/// Allocates the initial three-node tree `root(1, left(2), right(3))`.
-fn build_tree(heap: &mut Heap, registry: &nrmi_heap::SharedRegistry) -> ObjId {
-    let class = registry.by_name("Node").expect("registered");
-    let left = heap
-        .alloc(class, vec![Value::Int(2), Value::Null, Value::Null])
-        .expect("alloc");
-    let right = heap
-        .alloc(class, vec![Value::Int(3), Value::Null, Value::Null])
-        .expect("alloc");
+/// Allocates the three-node tree `root(data, left(2), right(3))`.
+fn build_tree(heap: &mut Heap, data: i32) -> ObjId {
+    let class = heap.registry().by_name("Node").expect("registered");
+    let mut leaf = |d| {
+        heap.alloc(class, vec![Value::Int(d), Value::Null, Value::Null])
+            .expect("alloc")
+    };
+    let (left, right) = (leaf(2), leaf(3));
     heap.alloc(
         class,
-        vec![Value::Int(1), Value::Ref(left), Value::Ref(right)],
+        vec![Value::Int(data), Value::Ref(left), Value::Ref(right)],
     )
     .expect("alloc")
 }
@@ -746,13 +317,730 @@ fn reachable_from(heap: &Heap, root: ObjId) -> Vec<ObjId> {
     order
 }
 
+/// A transport that swallows frames and never produces one; stands in
+/// for the (unused) callback channel when a link steps the server.
+struct NullTransport;
+
+impl Transport for NullTransport {
+    fn send(&mut self, _frame: &Frame) -> nrmi_transport::Result<()> {
+        Ok(())
+    }
+    fn recv(&mut self) -> nrmi_transport::Result<Frame> {
+        Err(TransportError::Disconnected)
+    }
+    fn recv_timeout(&mut self, _timeout: Duration) -> nrmi_transport::Result<Frame> {
+        Err(TransportError::Disconnected)
+    }
+}
+
+/// Single-shot faults the reliability alphabet arms; each is consumed by
+/// the next frame it applies to.
+#[derive(Default)]
+struct Faults {
+    drop_requests: u32,
+    drop_replies: u32,
+    duplicate_requests: u32,
+    disconnects: u32,
+}
+
+/// The one in-process link: one connection's server half (a node, this
+/// connection's warm caches built on the node's lease table as every
+/// driver builds them) and its reply queue. As a [`Transport`], `send`
+/// steps the frame synchronously and queues the replies, `recv` drains
+/// the queue. Clones share the state, so the fixture keeps a handle on
+/// a link a `ReliableTransport` owns.
+#[derive(Clone)]
+struct Link(Arc<Mutex<LinkState>>);
+
+struct LinkState {
+    node: Arc<Mutex<ServerNode>>,
+    caches: WarmCaches,
+    replies: VecDeque<Frame>,
+    faults: Faults,
+    /// An empty queue is a `Timeout` the retry loop owns, and the link
+    /// can reconnect. Otherwise it is `Disconnected`: the server produced
+    /// no reply, which the threaded deployment would deadlock on.
+    lossy: bool,
+}
+
+impl Link {
+    fn state(&self) -> MutexGuard<'_, LinkState> {
+        self.0.lock().expect("poisoned")
+    }
+}
+
+impl LinkState {
+    /// The serial driver minus the socket: runs `frame` through the
+    /// production [`Connection::step`] and returns what a driver would
+    /// write, in order. A link has no worker pool and no driver above
+    /// it, so an offload or a frame the step has no rule for is answered
+    /// with an error the checker will surface.
+    fn step(&mut self, frame: &Frame) -> Vec<Frame> {
+        let mut node = self.node.lock().expect("poisoned");
+        match Connection::new(&mut node, &mut self.caches).step(&mut NullTransport, frame.clone()) {
+            step @ (ReactorStep::Offload { .. } | ReactorStep::Escalate(_)) => {
+                vec![Frame::CallError {
+                    message: format!("checker: unmodeled step {step:?}"),
+                }]
+            }
+            step => step.into_replies().collect(),
+        }
+    }
+
+    /// A worker's half of an offloaded call ([`Connection::execute`]).
+    fn execute(&mut self, nonce: u64, seq: u64, call: Frame) -> Frame {
+        let mut node = self.node.lock().expect("poisoned");
+        Connection::new(&mut node, &mut self.caches).execute(&mut NullTransport, nonce, seq, call)
+    }
+
+    /// Connection teardown as the serve drivers run it: this
+    /// connection's warm sessions are released and queued replies die
+    /// with the socket. The next connection starts with caches of its
+    /// own; the reply cache lives on the node and survives.
+    fn release(&mut self) {
+        let mut node = self.node.lock().expect("poisoned");
+        self.caches.release_all(&mut node.state.heap);
+        self.caches = WarmCaches::with_leases(Arc::clone(&node.leases));
+        self.replies.clear();
+    }
+}
+
+impl Transport for Link {
+    fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
+        let mut link = self.state();
+        let tagged = matches!(frame, Frame::Tagged { .. });
+        if tagged && link.faults.drop_requests > 0 {
+            link.faults.drop_requests -= 1;
+            return Ok(()); // the request is lost in flight
+        }
+        let copies = if tagged && link.faults.duplicate_requests > 0 {
+            link.faults.duplicate_requests -= 1;
+            2
+        } else {
+            1
+        };
+        for _ in 0..copies {
+            for reply in link.step(frame) {
+                if link.faults.drop_replies > 0 {
+                    link.faults.drop_replies -= 1; // the reply is lost
+                } else {
+                    link.replies.push_back(reply);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn recv(&mut self) -> nrmi_transport::Result<Frame> {
+        let mut link = self.state();
+        if link.faults.disconnects > 0 {
+            link.faults.disconnects -= 1;
+            return Err(TransportError::Disconnected);
+        }
+        let empty = if link.lossy {
+            TransportError::Timeout
+        } else {
+            TransportError::Disconnected
+        };
+        link.replies.pop_front().ok_or(empty)
+    }
+
+    fn recv_timeout(&mut self, _timeout: Duration) -> nrmi_transport::Result<Frame> {
+        self.recv()
+    }
+
+    fn reconnect(&mut self) -> nrmi_transport::Result<bool> {
+        let mut link = self.state();
+        if link.lossy {
+            link.release();
+        }
+        Ok(link.lossy)
+    }
+}
+
+/// The real retry client over `link`, on instant virtual time: the link
+/// never blocks, so retries are bounded by attempts, not the wall clock.
+fn reliable(ep: usize, link: Link) -> ReliableTransport<Link> {
+    let policy = RetryPolicy {
+        deadline: Duration::from_secs(30),
+        attempt_timeout: Duration::from_millis(1),
+        max_attempts: 16,
+        base_backoff: Duration::ZERO,
+        max_backoff: Duration::ZERO,
+        jitter: false,
+    };
+    ReliableTransport::with_nonce(link, policy, NONCES[ep])
+}
+
+/// How a world wires the fixture.
+struct Shape {
+    endpoints: usize,
+    /// One connection node per link, minted by one [`SharedServer`].
+    /// Otherwise every link steps ONE node, and each call also writes
+    /// every other endpoint's live session root out-of-band.
+    pooled: bool,
+    /// The links answer an empty queue with `Timeout` (see [`LinkState`]).
+    lossy: bool,
+    /// The oracle's code for a diverged return value.
+    value_code: &'static str,
+    /// The oracle's code for a client graph diverged from its twin.
+    graph_code: &'static str,
+}
+
+/// One graph an endpoint holds, and its twin in the endpoint's oracle.
+#[derive(Clone, Copy)]
+struct Graph {
+    name: &'static str,
+    root: ObjId,
+    twin_root: ObjId,
+}
+
+/// One client endpoint: a real [`ClientNode`] behind `wire`, its graphs,
+/// and the private oracle twin holding a copy of each.
+struct Endpoint<W> {
+    client: ClientNode,
+    wire: W,
+    twin: Heap,
+    graphs: Vec<Graph>,
+    /// True when the client wrote its root since its last call: its next
+    /// request delta carries the position, so the positional merge lets
+    /// the client win and an out-of-band write to that root is erased.
+    wrote_root: bool,
+}
+
+/// Fresh per sequence: endpoints, the server arrangement, one link per
+/// endpoint, and the execution counter.
+struct Fixture<W> {
+    endpoints: Vec<Endpoint<W>>,
+    links: Vec<Link>,
+    /// Every distinct server node.
+    nodes: Vec<Arc<Mutex<ServerNode>>>,
+    /// The pooled arrangement's server.
+    shared: Option<Arc<SharedServer>>,
+    /// Each endpoint's live server-side session root, as its service last
+    /// saw it. Cleared at eviction and teardown: a freed id can be
+    /// recycled into another graph, and poking it would be a checker
+    /// artifact (real out-of-band writers hold live references).
+    server_roots: Arc<Mutex<[Option<ObjId>; 2]>>,
+    executions: Arc<AtomicUsize>,
+    /// The service executions the world's calls account for (P007).
+    expected: usize,
+    value_code: &'static str,
+    graph_code: &'static str,
+}
+
+impl<W> Fixture<W> {
+    fn new(shape: Shape, wire: impl Fn(usize, Link) -> W) -> Self {
+        let mut reg = ClassRegistry::new();
+        reg.define("Node")
+            .field_int("data")
+            .field_ref("left")
+            .field_ref("right")
+            .restorable()
+            .register();
+        let registry = reg.snapshot();
+
+        let executions = Arc::new(AtomicUsize::new(0));
+        let server_roots: Arc<Mutex<[Option<ObjId>; 2]>> = Arc::default();
+        let mut server = ServerNode::new(registry.clone(), MachineSpec::fast());
+        for (ep, svc) in SERVICES.iter().enumerate().take(shape.endpoints) {
+            let (counter, roots) = (Arc::clone(&executions), Arc::clone(&server_roots));
+            let peer_pokes = !shape.pooled;
+            server.bind(
+                *svc,
+                Box::new(FnService::new(move |_method, args, heap| {
+                    let root = args[0]
+                        .as_ref_id()
+                        .ok_or_else(|| NrmiError::app("want a root reference"))?;
+                    counter.fetch_add(1, Ordering::SeqCst);
+                    let mut roots = roots.lock().expect("poisoned");
+                    // (Re-)register: a reseed materializes the graph at
+                    // fresh ids.
+                    roots[ep] = Some(root);
+                    // On one shared node, the coherence hazard: every
+                    // other live session's graph changes underneath its
+                    // warm cache.
+                    let peers = roots
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, _)| peer_pokes && i != ep);
+                    for peer in peers.filter_map(|(_, root)| *root) {
+                        bump(heap, peer, PEER_POKE)?;
+                    }
+                    drop(roots);
+                    service_logic(heap, root)
+                })),
+            );
+        }
+        let locked = |node| Arc::new(Mutex::new(node));
+        let (shared, nodes): (_, Vec<Arc<Mutex<ServerNode>>>) = if shape.pooled {
+            let shared = Arc::new(SharedServer::from_node(server));
+            let nodes = (0..shape.endpoints)
+                .map(|_| locked(shared.connection_node()))
+                .collect();
+            (Some(shared), nodes)
+        } else {
+            (None, vec![locked(server)])
+        };
+        let links: Vec<Link> = (0..shape.endpoints)
+            .map(|ep| {
+                let node = Arc::clone(&nodes[ep % nodes.len()]);
+                let caches =
+                    WarmCaches::with_leases(Arc::clone(&node.lock().expect("poisoned").leases));
+                Link(Arc::new(Mutex::new(LinkState {
+                    node,
+                    caches,
+                    replies: VecDeque::new(),
+                    faults: Faults::default(),
+                    lossy: shape.lossy,
+                })))
+            })
+            .collect();
+        let endpoints = links
+            .iter()
+            .enumerate()
+            .map(|(ep, link)| Endpoint {
+                client: ClientNode::new(registry.clone(), MachineSpec::fast()),
+                wire: wire(ep, link.clone()),
+                twin: Heap::new(registry.clone()),
+                graphs: Vec::new(),
+                wrote_root: false,
+            })
+            .collect();
+        let mut fixture = Fixture {
+            endpoints,
+            links,
+            nodes,
+            shared,
+            server_roots,
+            executions,
+            expected: 0,
+            value_code: shape.value_code,
+            graph_code: shape.graph_code,
+        };
+        for ep in 0..shape.endpoints {
+            fixture.add_graph(ep);
+        }
+        fixture
+    }
+
+    /// Gives endpoint `ep` another tree, and its twin a copy. The n-th
+    /// graph's root starts at `100·n`, so a reply routed to the wrong
+    /// graph is observable in both the value and the restored graph.
+    fn add_graph(&mut self, ep: usize) {
+        let n: usize = self.endpoints.iter().map(|e| e.graphs.len()).sum();
+        let data = 100 * (n as i32 + 1);
+        let e = &mut self.endpoints[ep];
+        let root = build_tree(&mut e.client.state.heap, data);
+        let twin_root = build_tree(&mut e.twin, data);
+        e.graphs.push(Graph {
+            name: NAMES[n],
+            root,
+            twin_root,
+        });
+    }
+
+    /// The live warm session `(cache_id, generation)` of endpoint `ep`.
+    fn session(&self, ep: usize) -> Option<(u64, u64)> {
+        let warm = &self.endpoints[ep].client.warm;
+        warm.cache_id(SERVICES[ep])
+            .zip(warm.generation(SERVICES[ep]))
+    }
+
+    /// One client-side write, applied identically to the endpoint's
+    /// graph and to its twin.
+    fn write(
+        &mut self,
+        ep: usize,
+        report: &mut Report,
+        f: impl Fn(&mut Heap, ObjId) -> Result<(), NrmiError>,
+    ) {
+        let e = &mut self.endpoints[ep];
+        let g = e.graphs[0];
+        for (heap, root) in [
+            (&mut e.client.state.heap, g.root),
+            (&mut e.twin, g.twin_root),
+        ] {
+            if let Err(err) = f(heap, root) {
+                report.push(Diagnostic::error(
+                    "NRMI-P001",
+                    format!("{}: client write failed: {err}", g.name),
+                ));
+            }
+        }
+        e.wrote_root = true;
+    }
+
+    /// Mutates the endpoint's root `data` (a dirty position).
+    fn mutate(&mut self, ep: usize, report: &mut Report) {
+        self.write(ep, report, |heap, root| bump(heap, root, 10));
+    }
+
+    /// The coherence merge rule, mirrored into the twin: an out-of-band
+    /// write to the endpoint's server root is visible to its next call
+    /// exactly when the warm session is live in generation lockstep (the
+    /// repair path reaches it) and the client has not written the root
+    /// itself since its last call (else its delta wins positionally).
+    /// When visible, the twin adopts the server root's current `data`;
+    /// with no out-of-band write this is a no-op.
+    fn adopt_pokes(&mut self, ep: usize) {
+        let server_root = self.server_roots.lock().expect("poisoned")[ep];
+        let (Some(server_root), Some((cache_id, generation)), false) =
+            (server_root, self.session(ep), self.endpoints[ep].wrote_root)
+        else {
+            return;
+        };
+        let link = self.links[ep].state();
+        if link.caches.generation_of(cache_id) != Some(generation) {
+            return; // server entry gone or out of step: reseed, not repair
+        }
+        let data = link
+            .node
+            .lock()
+            .expect("poisoned")
+            .state
+            .heap
+            .get_field(server_root, "data");
+        if let Ok(data @ Value::Int(_)) = data {
+            let e = &mut self.endpoints[ep];
+            let _ = e.twin.set_field(e.graphs[0].twin_root, "data", data);
+        }
+    }
+
+    /// Tears down endpoint `ep`'s connection ([`LinkState::release`]).
+    /// Its client keeps a dangling warm session and must recover through
+    /// `CacheMiss`.
+    fn drop_connection(&mut self, ep: usize) {
+        self.server_roots.lock().expect("poisoned")[ep] = None;
+        self.links[ep].state().release();
+    }
+
+    /// The oracle: runs the service body on graph `g`'s twin and judges
+    /// the call's return value against it, then every graph the endpoint
+    /// holds against its twin. A client heap changes only through its
+    /// own endpoint's actions, and only calls can make it diverge, so a
+    /// divergence shows here first.
+    fn judge(&mut self, ep: usize, g: usize, got: Result<Value, NrmiError>, report: &mut Report) {
+        let e = &mut self.endpoints[ep];
+        let Graph {
+            name, twin_root, ..
+        } = e.graphs[g];
+        match (got, service_logic(&mut e.twin, twin_root)) {
+            (Ok(got), Ok(want)) if got != want => report.push(
+                Diagnostic::error(
+                    self.value_code,
+                    format!("{name}: call diverged from its oracle: got {got:?}, want {want:?}"),
+                )
+                .with("got", format!("{got:?}"))
+                .with("oracle", format!("{want:?}")),
+            ),
+            (Ok(_), Ok(_)) => {}
+            (Err(err), Ok(_)) => report.push(
+                Diagnostic::error(
+                    "NRMI-P004",
+                    format!("{name}: call failed where the oracle succeeded: {err}"),
+                )
+                .with("error", err.to_string()),
+            ),
+            (_, Err(err)) => report.push(Diagnostic::error(
+                "NRMI-P004",
+                format!("local oracle itself failed (checker bug): {err}"),
+            )),
+        }
+        for g in &e.graphs {
+            let fault = match graph::isomorphic(&e.client.state.heap, g.root, &e.twin, g.twin_root)
+            {
+                Ok(true) => continue,
+                Ok(false) => "client graph diverged from its private oracle".to_owned(),
+                Err(err) => format!("isomorphism comparison failed: {err}"),
+            };
+            report.push(Diagnostic::error(
+                self.graph_code,
+                format!("{}: {fault}", g.name),
+            ));
+        }
+    }
+
+    /// Marshals a copy-restore call on graph `g` through the real
+    /// split-phase client.
+    fn marshal(
+        &mut self,
+        ep: usize,
+        g: usize,
+        report: &mut Report,
+    ) -> Option<(Frame, PendingCall)> {
+        let e = &mut self.endpoints[ep];
+        let Graph { name, root, .. } = e.graphs[g];
+        let opts = CallOptions::forced(PassMode::CopyRestore);
+        match client_marshal_call(
+            &mut e.client,
+            SERVICES[ep],
+            METHOD,
+            &[Value::Ref(root)],
+            opts,
+        ) {
+            Ok(split) => Some(split),
+            Err(err) => {
+                report.push(Diagnostic::error(
+                    "NRMI-P004",
+                    format!("{name}: marshal failed: {err}"),
+                ));
+                None
+            }
+        }
+    }
+
+    /// Restores a collected reply into graph `g` and judges it.
+    fn apply(
+        &mut self,
+        ep: usize,
+        g: usize,
+        pending: PendingCall,
+        payload: &[u8],
+        report: &mut Report,
+    ) {
+        let got = client_apply_reply(&mut self.endpoints[ep].client, pending, payload);
+        self.judge(ep, g, got.map(|(value, _)| value), report);
+    }
+
+    /// What every world checks after every action: every client and
+    /// server heap validates (P001/P002), and the service ran exactly as
+    /// often as the world's calls account for (P007). A twin holds
+    /// nothing but its graphs, so [`judge`](Self::judge)'s isomorphism
+    /// vouches for its heap.
+    fn check(&self, report: &mut Report) {
+        let mut validated = |code, kind, name: &dyn std::fmt::Display, heap: &Heap| {
+            for v in validate(heap) {
+                report.push(
+                    Diagnostic::error(code, format!("{kind} {name} heap corrupted: {v}"))
+                        .with("heap", format!("{kind} {name}")),
+                );
+            }
+        };
+        for (e, name) in self.endpoints.iter().zip(NAMES) {
+            validated("NRMI-P001", "client", &name, &e.client.state.heap);
+        }
+        for (i, node) in self.nodes.iter().enumerate() {
+            let node = node.lock().expect("poisoned");
+            validated("NRMI-P002", "server", &i, &node.state.heap);
+        }
+        let ran = self.executions.load(Ordering::SeqCst);
+        if ran != self.expected {
+            report.push(
+                Diagnostic::error(
+                    "NRMI-P007",
+                    format!(
+                        "at-most-once violated: {ran} service execution(s) for {} call(s)",
+                        self.expected
+                    ),
+                )
+                .with("executions", ran)
+                .with("calls", self.expected),
+            );
+        }
+    }
+}
+
+impl<W: Transport> Fixture<W> {
+    /// A warm call through the real client API (seeds on first use),
+    /// judged by the oracle.
+    fn call(&mut self, ep: usize, report: &mut Report) {
+        let e = &mut self.endpoints[ep];
+        e.wrote_root = false;
+        let args = [Value::Ref(e.graphs[0].root)];
+        let got =
+            client_invoke_warm_with_stats(&mut e.client, &mut e.wire, SERVICES[ep], METHOD, &args);
+        self.expected += 1;
+        self.judge(ep, 0, got.map(|(value, _)| value), report);
+    }
+
+    /// Orderly client-side eviction of the endpoint's warm session.
+    fn evict(&mut self, ep: usize, report: &mut Report) {
+        self.server_roots.lock().expect("poisoned")[ep] = None;
+        let e = &mut self.endpoints[ep];
+        if let Err(err) = client_evict_warm(&mut e.client, &mut e.wire, SERVICES[ep]) {
+            report.push(Diagnostic::error(
+                "NRMI-P004",
+                format!("{}: eviction failed: {err}", NAMES[ep]),
+            ));
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
-// The reliability model: the real retry client against a lossy link
+// The worlds: alphabet + step + the invariant only that world has
 // ---------------------------------------------------------------------------
 
+/// What the enumerator needs from a world: a fresh state, and one
+/// transition per action that reports violations. Sequencing, failure
+/// tagging and panic capture are [`run_sequence`]'s.
+trait World: Sized {
+    /// The world's alphabet.
+    type Action: Copy + std::fmt::Debug;
+
+    fn new() -> Self;
+
+    /// Applies one action, reporting violations into `report`.
+    fn step(&mut self, action: Self::Action, report: &mut Report);
+}
+
+/// The core and adversarial alphabets: one warm client against an
+/// exclusive node, plus out-of-band server writes and hand-built frames.
+struct CoreWorld {
+    fx: Fixture<Link>,
+    /// Counter for grafted nodes (mirrored into the twin).
+    next_data: i32,
+}
+
+impl World for CoreWorld {
+    type Action = Action;
+
+    fn new() -> Self {
+        let shape = Shape {
+            endpoints: 1,
+            pooled: false,
+            lossy: false,
+            value_code: "NRMI-P003",
+            graph_code: "NRMI-P003",
+        };
+        CoreWorld {
+            fx: Fixture::new(shape, |_, link| link),
+            next_data: 1000,
+        }
+    }
+
+    fn step(&mut self, action: Action, report: &mut Report) {
+        let fx = &mut self.fx;
+        match action {
+            Action::Call => {
+                fx.adopt_pokes(0);
+                fx.call(0, report);
+            }
+            Action::MutateClient => fx.mutate(0, report),
+            Action::Graft => {
+                let data = self.next_data;
+                self.next_data += 1;
+                fx.write(0, report, move |heap, root| {
+                    let class = heap.registry().by_name("Node").expect("registered");
+                    let old_left = heap.get_field(root, "left")?;
+                    let fresh = heap.alloc(class, vec![Value::Int(data), old_left, Value::Null])?;
+                    heap.set_field(root, "left", Value::Ref(fresh))?;
+                    Ok(())
+                });
+            }
+            // A prune writes the root only when there is something to
+            // cut; both heaps agree on that by lockstep construction.
+            Action::Prune => {
+                let e = &mut fx.endpoints[0];
+                if let Ok(Some(_)) = e.client.state.heap.get_ref(e.graphs[0].root, "left") {
+                    fx.write(0, report, |heap, root| {
+                        let Some(left) = heap.get_ref(root, "left")? else {
+                            return Ok(());
+                        };
+                        heap.set_field(root, "left", Value::Null)?;
+                        // A tree by construction: the whole left subtree
+                        // is garbage once unlinked.
+                        for id in reachable_from(heap, left) {
+                            heap.free(id)?;
+                        }
+                        Ok(())
+                    });
+                }
+            }
+            // An out-of-band server-side write to the session graph (another
+            // connection or a local caller): the version vector must keep
+            // the next warm call from reading stale state — a `CacheStale`
+            // patch repairs the client's copy, or the client's own write to
+            // the same object wins the merge.
+            Action::MutateServer => {
+                let root = fx.server_roots.lock().expect("poisoned")[0];
+                if let Some(root) = root {
+                    let mut node = fx.nodes[0].lock().expect("poisoned");
+                    let _ = bump(&mut node.state.heap, root, 1000);
+                }
+            }
+            Action::Evict => fx.evict(0, report),
+            Action::StaleGeneration => self.inject(ReplyContext::StaleGeneration, report),
+            Action::UnknownCache => self.inject(ReplyContext::UnknownCache, report),
+            Action::GarbagePayload => self.inject(ReplyContext::GarbagePayload, report),
+        }
+        self.check_lockstep(report);
+        self.fx.check(report);
+    }
+}
+
+impl CoreWorld {
+    /// Builds and injects one hostile frame, judging the reply against
+    /// the state machine. The injected frame consumes the server-side
+    /// entry (dropped on mismatch or garbage), so the honest client is
+    /// out of sync by design and recovers through `CacheMiss` → reseed on
+    /// its next call; that recovery is part of what the enumeration
+    /// covers.
+    fn inject(&mut self, ctx: ReplyContext, report: &mut Report) {
+        let (cache_id, generation, payload) = match (ctx, self.fx.session(0)) {
+            (ReplyContext::StaleGeneration, Some((id, generation))) => (id, generation + 7, vec![]),
+            (ReplyContext::UnknownCache, _) => (u64::MAX, 3, vec![]),
+            (ReplyContext::GarbagePayload, Some((id, generation))) => {
+                (id, generation, vec![0xFF, 0x00, 0x01])
+            }
+            _ => return, // no session to be stale against, or garbage against nothing
+        };
+        let frame = Frame::CallRequestWarm {
+            service: SERVICES[0].to_owned(),
+            method: METHOD.to_owned(),
+            mode: CallOptions::copy_restore_delta().to_wire(),
+            cache_id,
+            generation,
+            payload,
+        };
+        // The call's own reply is the last frame the step answers with
+        // (pushed invalidations travel ahead of it).
+        match self.fx.links[0].state().step(&frame).pop() {
+            Some(reply) => {
+                if let Some(diag) = judge_reply(ctx, &reply) {
+                    report.push(diag);
+                }
+            }
+            None => report.push(Diagnostic::error(
+                "NRMI-P004",
+                format!("server produced no reply to {ctx:?} (deadlock)"),
+            )),
+        }
+    }
+
+    /// `NRMI-P005`: while both sides hold the session, the client's next
+    /// generation is the server's. The server may legitimately have
+    /// dropped the entry (coherence, injection).
+    fn check_lockstep(&self, report: &mut Report) {
+        let Some((cache_id, client_gen)) = self.fx.session(0) else {
+            return;
+        };
+        let server_gen = self.fx.links[0].state().caches.generation_of(cache_id);
+        if let Some(server_gen) = server_gen.filter(|&g| g != client_gen) {
+            report.push(
+                Diagnostic::error(
+                    "NRMI-P005",
+                    format!(
+                        "generation lockstep broken: client will send {client_gen}, \
+                         server expects {server_gen}"
+                    ),
+                )
+                .with("cache_id", cache_id),
+            );
+        }
+    }
+}
+
+/// Runs one action sequence against a fresh core world, returning all
+/// violations. Panics inside the sequence are caught and reported as
+/// `NRMI-P006` with the action trace.
+pub fn check_sequence(actions: &[Action]) -> Report {
+    run_sequence::<CoreWorld>(actions)
+}
+
 /// One action of the reliability alphabet, driving the real
-/// [`ReliableTransport`](nrmi_core::ReliableTransport) client over a
-/// lossy in-process link against the real server-side reply cache.
+/// [`ReliableTransport`] client over a lossy in-process link against the
+/// real server-side reply cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReliabilityAction {
     /// A warm call through the reliable transport (checked against the
@@ -785,286 +1073,45 @@ pub const RELIABILITY_ALPHABET: [ReliabilityAction; 6] = [
     ReliabilityAction::Disconnect,
 ];
 
-/// The lossy link: a handle on the shared [`ServerSide`] that consumes
-/// the armed fault flags. Unlike the bare `ServerSide` transport (where
-/// an empty queue is a deadlock), an empty queue here is a `Timeout` —
-/// the client's retry loop, not the checker, decides what that means.
-struct LossyLink(Arc<Mutex<ServerSide>>);
-
-impl Transport for LossyLink {
-    fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
-        let mut side = self.0.lock().expect("poisoned");
-        let tagged = matches!(frame, Frame::Tagged { .. });
-        if tagged && side.faults.drop_requests > 0 {
-            side.faults.drop_requests -= 1;
-            return Ok(()); // the request is lost in flight
-        }
-        let copies = if tagged && side.faults.duplicate_requests > 0 {
-            side.faults.duplicate_requests -= 1;
-            2
-        } else {
-            1
-        };
-        for _ in 0..copies {
-            for reply in side.dispatch(frame) {
-                if side.faults.drop_replies > 0 {
-                    side.faults.drop_replies -= 1; // the reply is lost
-                } else {
-                    side.replies.push_back(reply);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn recv(&mut self) -> nrmi_transport::Result<Frame> {
-        let mut side = self.0.lock().expect("poisoned");
-        if side.faults.disconnects > 0 {
-            side.faults.disconnects -= 1;
-            return Err(TransportError::Disconnected);
-        }
-        side.replies.pop_front().ok_or(TransportError::Timeout)
-    }
-
-    fn recv_timeout(&mut self, _timeout: Duration) -> nrmi_transport::Result<Frame> {
-        self.recv()
-    }
-
-    fn reconnect(&mut self) -> nrmi_transport::Result<bool> {
-        let mut side = self.0.lock().expect("poisoned");
-        // A fresh connection: per-connection warm session graphs are
-        // released (as serve_connection's teardown does) and queued
-        // replies die with the old socket. The reply cache lives on the
-        // node and survives — that is the property under test.
-        let ServerSide { server, caches, .. } = &mut *side;
-        caches.release_all(&mut server.state.heap);
-        side.replies.clear();
-        Ok(true)
-    }
-}
-
-/// Fresh world per reliability sequence: the real warm client behind a
-/// real [`ReliableTransport`](nrmi_core::ReliableTransport), the real
-/// server + reply cache behind a [`LossyLink`], and the local oracle
-/// twin. The service counts its executions so duplicate execution is
-/// observable directly, not only through graph divergence.
+/// One warm client behind a real `ReliableTransport` over a lossy link
+/// into an exclusive node; at-most-once is the fixture's P007.
 struct ReliableWorld {
-    client: ClientNode,
-    transport: nrmi_core::ReliableTransport<LossyLink>,
-    side: Arc<Mutex<ServerSide>>,
-    root: ObjId,
-    twin: Heap,
-    twin_root: ObjId,
-    executions: Arc<std::sync::atomic::AtomicUsize>,
-    expected_executions: usize,
+    fx: Fixture<ReliableTransport<Link>>,
 }
 
-impl WorldModel for ReliableWorld {
+impl World for ReliableWorld {
     type Action = ReliabilityAction;
 
     fn new() -> Self {
-        let mut reg = ClassRegistry::new();
-        reg.define("Node")
-            .field_int("data")
-            .field_ref("left")
-            .field_ref("right")
-            .restorable()
-            .register();
-        let registry = reg.snapshot();
-
-        let mut client = ClientNode::new(registry.clone(), MachineSpec::fast());
-        let mut server = ServerNode::new(registry.clone(), MachineSpec::fast());
-        let executions = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let counter = Arc::clone(&executions);
-        server.bind(
-            SVC,
-            Box::new(FnService::new(move |_method, args, heap| {
-                let root = args[0]
-                    .as_ref_id()
-                    .ok_or_else(|| NrmiError::app("want a root reference"))?;
-                counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                service_logic(heap, root)
-            })),
-        );
-
-        let root = build_tree(&mut client.state.heap, &registry);
-        let mut twin = Heap::new(registry.clone());
-        let twin_root = build_tree(&mut twin, &registry);
-
-        let side = Arc::new(Mutex::new(ServerSide {
-            server,
-            caches: WarmCaches::new(),
-            replies: VecDeque::new(),
-            faults: FaultFlags::default(),
-        }));
-        // Instant virtual time: the lossy link never blocks, so retries
-        // are bounded by attempts, not wall clock.
-        let policy = nrmi_core::RetryPolicy {
-            deadline: Duration::from_secs(30),
-            attempt_timeout: Duration::from_millis(1),
-            max_attempts: 16,
-            base_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-            jitter: false,
+        let shape = Shape {
+            endpoints: 1,
+            pooled: false,
+            lossy: true,
+            value_code: "NRMI-P003",
+            graph_code: "NRMI-P003",
         };
-        let transport = nrmi_core::ReliableTransport::with_nonce(
-            LossyLink(Arc::clone(&side)),
-            policy,
-            0xC4_11_1D,
-        );
-
         ReliableWorld {
-            client,
-            transport,
-            side,
-            root,
-            twin,
-            twin_root,
-            executions,
-            expected_executions: 0,
+            fx: Fixture::new(shape, reliable),
         }
     }
 
     fn step(&mut self, action: ReliabilityAction, report: &mut Report) {
+        use ReliabilityAction as R;
         match action {
-            ReliabilityAction::Call => self.do_call(report),
-            ReliabilityAction::MutateClient => self.do_mutate_client(report),
-            ReliabilityAction::DropRequest => {
-                self.side.lock().expect("poisoned").faults.drop_requests += 1;
-            }
-            ReliabilityAction::DropReply => {
-                self.side.lock().expect("poisoned").faults.drop_replies += 1;
-            }
-            ReliabilityAction::DuplicateRequest => {
-                self.side
-                    .lock()
-                    .expect("poisoned")
-                    .faults
-                    .duplicate_requests += 1;
-            }
-            ReliabilityAction::Disconnect => {
-                self.side.lock().expect("poisoned").faults.disconnects += 1;
+            R::Call => self.fx.call(0, report),
+            R::MutateClient => self.fx.mutate(0, report),
+            fault => {
+                let mut link = self.fx.links[0].state();
+                let faults = &mut link.faults;
+                *match fault {
+                    R::DropRequest => &mut faults.drop_requests,
+                    R::DropReply => &mut faults.drop_replies,
+                    R::DuplicateRequest => &mut faults.duplicate_requests,
+                    _ => &mut faults.disconnects,
+                } += 1;
             }
         }
-        self.check_heaps(report);
-        self.check_at_most_once(report);
-    }
-}
-
-impl ReliableWorld {
-    fn do_call(&mut self, report: &mut Report) {
-        let warm = client_invoke_warm_with_stats(
-            &mut self.client,
-            &mut self.transport,
-            SVC,
-            METHOD,
-            &[Value::Ref(self.root)],
-        );
-        let oracle = service_logic(&mut self.twin, self.twin_root);
-        self.expected_executions += 1;
-        match (warm, oracle) {
-            (Ok((got, _stats)), Ok(want)) => {
-                if got != want {
-                    report.push(Diagnostic::error(
-                        "NRMI-P003",
-                        format!(
-                            "reliable warm call diverged from the oracle: got {got:?}, \
-                             want {want:?}"
-                        ),
-                    ));
-                }
-                match graph::isomorphic(
-                    &self.client.state.heap,
-                    self.root,
-                    &self.twin,
-                    self.twin_root,
-                ) {
-                    Ok(true) => {}
-                    Ok(false) => report.push(Diagnostic::error(
-                        "NRMI-P003",
-                        "restored graph diverged from the oracle under faults \
-                         (a retransmission re-applied the mutation?)",
-                    )),
-                    Err(e) => report.push(Diagnostic::error(
-                        "NRMI-P003",
-                        format!("isomorphism comparison failed: {e}"),
-                    )),
-                }
-            }
-            (Err(e), Ok(_)) => report.push(
-                Diagnostic::error(
-                    "NRMI-P004",
-                    format!(
-                        "reliable call failed where the oracle succeeded \
-                         (the retry loop must mask single-shot faults): {e}"
-                    ),
-                )
-                .with("error", e.to_string()),
-            ),
-            (_, Err(e)) => report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("local oracle itself failed (checker bug): {e}"),
-            )),
-        }
-    }
-
-    fn do_mutate_client(&mut self, report: &mut Report) {
-        for (heap, root) in [
-            (&mut self.client.state.heap, self.root),
-            (&mut self.twin, self.twin_root),
-        ] {
-            let r = (|| -> Result<(), NrmiError> {
-                let d = heap
-                    .get_field(root, "data")?
-                    .as_int()
-                    .ok_or_else(|| NrmiError::app("data is not an int"))?;
-                heap.set_field(root, "data", Value::Int(d.wrapping_add(10)))?;
-                Ok(())
-            })();
-            if let Err(e) = r {
-                report.push(Diagnostic::error(
-                    "NRMI-P001",
-                    format!("client mutation failed: {e}"),
-                ));
-            }
-        }
-    }
-
-    fn check_heaps(&mut self, report: &mut Report) {
-        let side = self.side.lock().expect("poisoned");
-        for (label, code, heap) in [
-            ("client", "NRMI-P001", &self.client.state.heap),
-            ("server", "NRMI-P002", &side.server.state.heap),
-            ("oracle", "NRMI-P001", &self.twin),
-        ] {
-            for v in validate(heap) {
-                report.push(
-                    Diagnostic::error(code, format!("{label} heap corrupted: {v}"))
-                        .with("heap", label),
-                );
-            }
-        }
-    }
-
-    /// The tentpole invariant: under any drop/duplicate/disconnect
-    /// schedule, the service body runs exactly once per completed call —
-    /// never twice (`NRMI-P007`).
-    fn check_at_most_once(&mut self, report: &mut Report) {
-        let ran = self.executions.load(std::sync::atomic::Ordering::SeqCst);
-        if ran != self.expected_executions {
-            report.push(
-                Diagnostic::error(
-                    "NRMI-P007",
-                    format!(
-                        "at-most-once violated: {ran} service execution(s) for \
-                         {} completed call(s)",
-                        self.expected_executions
-                    ),
-                )
-                .with("executions", ran)
-                .with("calls", self.expected_executions),
-            );
-        }
+        self.fx.check(report);
     }
 }
 
@@ -1073,10 +1120,6 @@ impl ReliableWorld {
 pub fn check_reliability_sequence(actions: &[ReliabilityAction]) -> Report {
     run_sequence::<ReliableWorld>(actions)
 }
-
-// ---------------------------------------------------------------------------
-// The shared world: two connections against one lock-split server
-// ---------------------------------------------------------------------------
 
 /// One action in the two-connection shared-server model. Actions are
 /// addressed to connection A or B; each connection has its own session
@@ -1109,269 +1152,41 @@ pub const SHARED_ALPHABET: [SharedAction; 6] = [
     SharedAction::EvictB,
 ];
 
-/// One modeled connection's server half: a per-connection node minted by
-/// [`SharedServer::connection_node`] — carrying the *shared* reply cache —
-/// and per-connection warm caches, stepped exactly as
-/// `serve_connection_pooled` steps them. Implements [`Transport`] for
-/// the client the same way [`ServerSide`] does: `send` steps
-/// synchronously, `recv` drains the reply queue.
-struct SharedLink {
-    conn: ServerNode,
-    caches: WarmCaches,
-    replies: VecDeque<Frame>,
-}
-
-impl Transport for SharedLink {
-    fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
-        let replies = step_replies(&mut self.conn, &mut self.caches, frame);
-        self.replies.extend(replies);
-        Ok(())
-    }
-
-    fn recv(&mut self) -> nrmi_transport::Result<Frame> {
-        self.replies.pop_front().ok_or(TransportError::Disconnected)
-    }
-
-    fn recv_timeout(&mut self, _timeout: Duration) -> nrmi_transport::Result<Frame> {
-        self.recv()
-    }
-}
-
-/// One client endpoint of the shared world: the real warm client behind
-/// a real [`ReliableTransport`](nrmi_core::ReliableTransport) (so every
-/// request crosses the shared reply cache), plus its private oracle twin.
-struct SharedEndpoint {
-    client: ClientNode,
-    transport: nrmi_core::ReliableTransport<SharedLink>,
-    root: ObjId,
-    twin: Heap,
-    twin_root: ObjId,
-    completed_calls: usize,
-}
-
-/// Fresh two-connection world per enumerated sequence: one
-/// [`SharedServer`] (shared bindings + sharded reply cache), two
-/// per-connection endpoints, and a shared execution counter for the
-/// exactly-once audit.
+/// Two warm clients, each behind a real `ReliableTransport`, on
+/// connection nodes of one `SharedServer`. Its invariants are the
+/// fixture's: P008 is the graph oracle under every interleaving, P007
+/// the execution counter across both connections.
 struct SharedWorld {
-    a: SharedEndpoint,
-    b: SharedEndpoint,
-    executions: Arc<std::sync::atomic::AtomicUsize>,
+    fx: Fixture<ReliableTransport<Link>>,
 }
 
-impl WorldModel for SharedWorld {
+impl World for SharedWorld {
     type Action = SharedAction;
 
     fn new() -> Self {
-        let mut reg = ClassRegistry::new();
-        reg.define("Node")
-            .field_int("data")
-            .field_ref("left")
-            .field_ref("right")
-            .restorable()
-            .register();
-        let registry = reg.snapshot();
-
-        let executions = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let counter = Arc::clone(&executions);
-        let mut server = ServerNode::new(registry.clone(), MachineSpec::fast());
-        server.bind(
-            SVC,
-            Box::new(FnService::new(move |_method, args, heap| {
-                let root = args[0]
-                    .as_ref_id()
-                    .ok_or_else(|| NrmiError::app("want a root reference"))?;
-                counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                service_logic(heap, root)
-            })),
-        );
-        let shared = Arc::new(nrmi_core::SharedServer::from_node(server));
-
-        let endpoint = |nonce_seed: u64| -> SharedEndpoint {
-            let mut client = ClientNode::new(registry.clone(), MachineSpec::fast());
-            let root = build_tree(&mut client.state.heap, &registry);
-            let mut twin = Heap::new(registry.clone());
-            let twin_root = build_tree(&mut twin, &registry);
-            let link = SharedLink {
-                conn: shared.connection_node(),
-                caches: WarmCaches::new(),
-                replies: VecDeque::new(),
-            };
-            // Instant virtual time, as in the reliability model.
-            let policy = nrmi_core::RetryPolicy {
-                deadline: Duration::from_secs(30),
-                attempt_timeout: Duration::from_millis(1),
-                max_attempts: 16,
-                base_backoff: Duration::ZERO,
-                max_backoff: Duration::ZERO,
-                jitter: false,
-            };
-            SharedEndpoint {
-                client,
-                transport: nrmi_core::ReliableTransport::with_nonce(link, policy, nonce_seed),
-                root,
-                twin,
-                twin_root,
-                completed_calls: 0,
-            }
+        let shape = Shape {
+            endpoints: 2,
+            pooled: true,
+            lossy: false,
+            value_code: "NRMI-P003",
+            graph_code: "NRMI-P008",
         };
-
         SharedWorld {
-            // Distinct nonce streams, as two real connections would draw
-            // from `fresh_nonce`.
-            a: endpoint(0xAAAA_1111),
-            b: endpoint(0xBBBB_2222),
-            executions,
+            fx: Fixture::new(shape, reliable),
         }
     }
 
     fn step(&mut self, action: SharedAction, report: &mut Report) {
+        use SharedAction as S;
         match action {
-            SharedAction::CallA => Self::do_call(&mut self.a, "A", report),
-            SharedAction::CallB => Self::do_call(&mut self.b, "B", report),
-            SharedAction::MutateA => Self::do_mutate(&mut self.a, report),
-            SharedAction::MutateB => Self::do_mutate(&mut self.b, report),
-            SharedAction::EvictA => Self::do_evict(&mut self.a, "A", report),
-            SharedAction::EvictB => Self::do_evict(&mut self.b, "B", report),
+            S::CallA => self.fx.call(0, report),
+            S::CallB => self.fx.call(1, report),
+            S::MutateA => self.fx.mutate(0, report),
+            S::MutateB => self.fx.mutate(1, report),
+            S::EvictA => self.fx.evict(0, report),
+            S::EvictB => self.fx.evict(1, report),
         }
-        // The concurrency invariant, checked after EVERY action: no
-        // endpoint ever observes a torn heap — both restored client
-        // graphs stay isomorphic to their private oracles no matter how
-        // the other connection's calls interleave (NRMI-P008), all four
-        // server/client heaps stay structurally valid, and the service
-        // ran exactly once per completed call across both connections.
-        self.check_isolation(report);
-        self.check_heaps(report);
-        self.check_exactly_once(report);
-    }
-}
-
-impl SharedWorld {
-    fn do_call(ep: &mut SharedEndpoint, who: &str, report: &mut Report) {
-        let warm = client_invoke_warm_with_stats(
-            &mut ep.client,
-            &mut ep.transport,
-            SVC,
-            METHOD,
-            &[Value::Ref(ep.root)],
-        );
-        let oracle = service_logic(&mut ep.twin, ep.twin_root);
-        ep.completed_calls += 1;
-        match (warm, oracle) {
-            (Ok((got, _stats)), Ok(want)) => {
-                if got != want {
-                    report.push(Diagnostic::error(
-                        "NRMI-P003",
-                        format!(
-                            "connection {who}: warm call diverged from its oracle: \
-                             got {got:?}, want {want:?}"
-                        ),
-                    ));
-                }
-            }
-            (Err(e), Ok(_)) => report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("connection {who}: warm call failed where the oracle succeeded: {e}"),
-            )),
-            (_, Err(e)) => report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("local oracle itself failed (checker bug): {e}"),
-            )),
-        }
-    }
-
-    fn do_mutate(ep: &mut SharedEndpoint, report: &mut Report) {
-        for (heap, root) in [
-            (&mut ep.client.state.heap, ep.root),
-            (&mut ep.twin, ep.twin_root),
-        ] {
-            let r = (|| -> Result<(), NrmiError> {
-                let d = heap
-                    .get_field(root, "data")?
-                    .as_int()
-                    .ok_or_else(|| NrmiError::app("data is not an int"))?;
-                heap.set_field(root, "data", Value::Int(d.wrapping_add(10)))?;
-                Ok(())
-            })();
-            if let Err(e) = r {
-                report.push(Diagnostic::error(
-                    "NRMI-P001",
-                    format!("client mutation failed: {e}"),
-                ));
-            }
-        }
-    }
-
-    fn do_evict(ep: &mut SharedEndpoint, who: &str, report: &mut Report) {
-        if let Err(e) = client_evict_warm(&mut ep.client, &mut ep.transport, SVC) {
-            report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("connection {who}: eviction failed: {e}"),
-            ));
-        }
-    }
-
-    /// `NRMI-P008`: the lock-split server must keep each connection's
-    /// view atomic per call — after any interleaving, each client graph
-    /// equals what its own private oracle computed, untouched by the
-    /// other connection.
-    fn check_isolation(&mut self, report: &mut Report) {
-        for (who, ep) in [("A", &self.a), ("B", &self.b)] {
-            match graph::isomorphic(&ep.client.state.heap, ep.root, &ep.twin, ep.twin_root) {
-                Ok(true) => {}
-                Ok(false) => report.push(Diagnostic::error(
-                    "NRMI-P008",
-                    format!(
-                        "connection {who}: client graph diverged from its private oracle — \
-                         a reply observed state torn by the other connection"
-                    ),
-                )),
-                Err(e) => report.push(Diagnostic::error(
-                    "NRMI-P008",
-                    format!("connection {who}: isomorphism comparison failed: {e}"),
-                )),
-            }
-        }
-    }
-
-    fn check_heaps(&mut self, report: &mut Report) {
-        for (label, code, heap) in [
-            ("client A", "NRMI-P001", &self.a.client.state.heap),
-            ("client B", "NRMI-P001", &self.b.client.state.heap),
-            (
-                "connection A",
-                "NRMI-P002",
-                &self.a.transport.inner().conn.state.heap,
-            ),
-            (
-                "connection B",
-                "NRMI-P002",
-                &self.b.transport.inner().conn.state.heap,
-            ),
-            ("oracle A", "NRMI-P001", &self.a.twin),
-            ("oracle B", "NRMI-P001", &self.b.twin),
-        ] {
-            for v in validate(heap) {
-                report.push(
-                    Diagnostic::error(code, format!("{label} heap corrupted: {v}"))
-                        .with("heap", label),
-                );
-            }
-        }
-    }
-
-    fn check_exactly_once(&mut self, report: &mut Report) {
-        let ran = self.executions.load(std::sync::atomic::Ordering::SeqCst);
-        let expected = self.a.completed_calls + self.b.completed_calls;
-        if ran != expected {
-            report.push(Diagnostic::error(
-                "NRMI-P007",
-                format!(
-                    "shared reply cache broke exactly-once across connections: \
-                     {ran} execution(s) for {expected} completed call(s)"
-                ),
-            ));
-        }
+        self.fx.check(report);
     }
 }
 
@@ -1380,10 +1195,6 @@ impl SharedWorld {
 pub fn check_shared_sequence(actions: &[SharedAction]) -> Report {
     run_sequence::<SharedWorld>(actions)
 }
-
-// ---------------------------------------------------------------------------
-// The shared-graph world: two warm clients leased onto one server heap
-// ---------------------------------------------------------------------------
 
 /// One action in the two-client shared-graph model (`NRMI-P011`). Unlike
 /// the [`SharedAction`] world — two connections with *disjoint* session
@@ -1430,371 +1241,73 @@ pub const SHARED_GRAPH_ALPHABET: [SharedGraphAction; 7] = [
     SharedGraphAction::DropA,
 ];
 
-/// Name → server-side root of each endpoint's *live* session graph, as
-/// the services see it. The MODEL maintains hygiene — entries leave at
-/// eviction and teardown — because a freed root id can be recycled into
-/// another session's graph, and poking a recycled id would be a checker
-/// artifact, not a middleware bug (real out-of-band writers reach the
-/// shared graph through live references, not saved ids).
-type SgRegistry = Arc<Mutex<Vec<(&'static str, ObjId)>>>;
-
-/// One endpoint's connection half: the shared [`ServerNode`] behind a
-/// mutex (the model is sequential; the lock only shares ownership), this
-/// connection's own lease-registered [`WarmCaches`], and a reply queue.
-/// `send` steps synchronously like [`ServerSide`] — lock, step, queue:
-/// the big-lock driver without the socket.
-struct SgLink {
-    server: Arc<Mutex<ServerNode>>,
-    caches: WarmCaches,
-    replies: VecDeque<Frame>,
-}
-
-impl Transport for SgLink {
-    fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
-        let mut server = self.server.lock().expect("poisoned");
-        let replies = step_replies(&mut server, &mut self.caches, frame);
-        self.replies.extend(replies);
-        Ok(())
-    }
-
-    fn recv(&mut self) -> nrmi_transport::Result<Frame> {
-        self.replies.pop_front().ok_or(TransportError::Disconnected)
-    }
-
-    fn recv_timeout(&mut self, _timeout: Duration) -> nrmi_transport::Result<Frame> {
-        self.recv()
-    }
-}
-
-/// One client endpoint of the shared-graph world: the real warm client,
-/// its connection link, and a private oracle twin with the
-/// visible-pokes bookkeeping of the single-client [`World`].
-struct SgEndpoint {
-    /// The service this endpoint calls; its body knows the endpoint's
-    /// name and pokes every OTHER registered root.
-    svc: &'static str,
-    name: &'static str,
-    client: ClientNode,
-    link: SgLink,
-    root: ObjId,
-    twin: Heap,
-    twin_root: ObjId,
-    /// True if this endpoint wrote its root since its last call: its
-    /// next request delta carries the position, so the positional merge
-    /// lets the client win and the peer's poke is erased (the twin must
-    /// NOT adopt it).
-    wrote_root: bool,
-}
-
-/// Fresh two-client shared-graph world per enumerated sequence: one
-/// server heap, one lease table, two leased connections, one root
-/// registry the services poke through.
+/// Two warm clients on bare links into ONE node, each call writing the
+/// other's session root. The graph oracle (P011) catches a stale read or
+/// a clobbered local write; lease liveness is this world's own check.
 struct SharedGraphWorld {
-    server: Arc<Mutex<ServerNode>>,
-    registry: SgRegistry,
-    a: SgEndpoint,
-    b: SgEndpoint,
+    fx: Fixture<Link>,
 }
 
-/// How much a service call perturbs the OTHER endpoint's root `data` —
-/// distinctive so a stale read stands out from the ×3+1 service values.
-const SG_POKE: i32 = 100;
-
-impl WorldModel for SharedGraphWorld {
+impl World for SharedGraphWorld {
     type Action = SharedGraphAction;
 
     fn new() -> Self {
-        let mut reg = ClassRegistry::new();
-        reg.define("Node")
-            .field_int("data")
-            .field_ref("left")
-            .field_ref("right")
-            .restorable()
-            .register();
-        let registry = reg.snapshot();
-
-        let roots: SgRegistry = Arc::new(Mutex::new(Vec::new()));
-        let mut server = ServerNode::new(registry.clone(), MachineSpec::fast());
-        for (svc, name) in [("svc.a", "A"), ("svc.b", "B")] {
-            let roots = Arc::clone(&roots);
-            server.bind(
-                svc,
-                Box::new(FnService::new(move |_method, args, heap| {
-                    let root = args[0]
-                        .as_ref_id()
-                        .ok_or_else(|| NrmiError::app("want a root reference"))?;
-                    let mut reg = roots.lock().expect("poisoned");
-                    // (Re-)register this endpoint's live root — a reseed
-                    // materializes the graph at fresh ids.
-                    match reg.iter_mut().find(|(n, _)| *n == name) {
-                        Some(slot) => slot.1 = root,
-                        None => reg.push((name, root)),
-                    }
-                    // The out-of-band write: perturb every OTHER live
-                    // root. From the peer session's point of view this
-                    // is exactly the coherence hazard — its server-side
-                    // graph changed underneath its warm cache.
-                    for &(other, id) in reg.iter().filter(|(n, _)| *n != name) {
-                        let d = heap
-                            .get_field(id, "data")?
-                            .as_int()
-                            .ok_or_else(|| NrmiError::app(format!("{other}: data not int")))?;
-                        heap.set_field(id, "data", Value::Int(d.wrapping_add(SG_POKE)))?;
-                    }
-                    drop(reg);
-                    service_logic(heap, root)
-                })),
-            );
-        }
-        let leases = Arc::clone(&server.leases);
-        let server = Arc::new(Mutex::new(server));
-
-        let endpoint = |svc: &'static str, name: &'static str| -> SgEndpoint {
-            let mut client = ClientNode::new(registry.clone(), MachineSpec::fast());
-            let root = build_tree(&mut client.state.heap, &registry);
-            let mut twin = Heap::new(registry.clone());
-            let twin_root = build_tree(&mut twin, &registry);
-            SgEndpoint {
-                svc,
-                name,
-                client,
-                link: SgLink {
-                    server: Arc::clone(&server),
-                    caches: WarmCaches::with_leases(Arc::clone(&leases)),
-                    replies: VecDeque::new(),
-                },
-                root,
-                twin,
-                twin_root,
-                wrote_root: false,
-            }
+        let shape = Shape {
+            endpoints: 2,
+            pooled: false,
+            lossy: false,
+            value_code: "NRMI-P003",
+            graph_code: "NRMI-P011",
         };
-
         SharedGraphWorld {
-            a: endpoint("svc.a", "A"),
-            b: endpoint("svc.b", "B"),
-            server,
-            registry: roots,
+            fx: Fixture::new(shape, |_, link| link),
         }
     }
 
     fn step(&mut self, action: SharedGraphAction, report: &mut Report) {
+        use SharedGraphAction as G;
+        let fx = &mut self.fx;
         match action {
-            SharedGraphAction::CallA => self.do_call(true, report),
-            SharedGraphAction::CallB => self.do_call(false, report),
-            SharedGraphAction::MutateA => Self::do_mutate(&mut self.a, report),
-            SharedGraphAction::MutateB => Self::do_mutate(&mut self.b, report),
-            SharedGraphAction::EvictA => self.do_evict(true, report),
-            SharedGraphAction::EvictB => self.do_evict(false, report),
-            SharedGraphAction::DropA => self.do_drop_a(report),
+            G::CallA | G::CallB => {
+                let ep = usize::from(action == G::CallB);
+                fx.adopt_pokes(ep);
+                fx.call(ep, report);
+            }
+            G::MutateA => fx.mutate(0, report),
+            G::MutateB => fx.mutate(1, report),
+            G::EvictA => fx.evict(0, report),
+            G::EvictB => fx.evict(1, report),
+            G::DropA => fx.drop_connection(0),
         }
-        // Checked after EVERY action: neither client ever reads stale
-        // state or loses a write (graph ≡ its private oracle), every
-        // live session's leased objects are still alive, and all heaps
-        // stay structurally valid.
-        self.check_coherence(report);
         self.check_lease_liveness(report);
-        self.check_heaps(report);
+        self.fx.check(report);
     }
 }
 
 impl SharedGraphWorld {
-    /// The oracle's visibility rule, as in the single-client [`World`]:
-    /// a peer's poke becomes visible to this endpoint's next call iff
-    /// its warm session is live in generation lockstep (the repair path
-    /// reaches it) AND it has not written the root itself since its last
-    /// call (else its delta wins positionally and the poke is erased).
-    /// When visible, the twin adopts the server root's current data.
-    fn sync_twin_with_visible_pokes(&mut self, a_side: bool) {
-        let ep = if a_side { &mut self.a } else { &mut self.b };
-        if ep.wrote_root {
-            return;
-        }
-        let (Some(cache_id), Some(client_gen)) = (
-            ep.client.warm.cache_id(ep.svc),
-            ep.client.warm.generation(ep.svc),
-        ) else {
-            return;
-        };
-        if ep.link.caches.generation_of(cache_id) != Some(client_gen) {
-            return;
-        }
-        let Some(server_root) = self
-            .registry
-            .lock()
-            .expect("poisoned")
-            .iter()
-            .find(|(n, _)| *n == ep.name)
-            .map(|&(_, id)| id)
-        else {
-            return;
-        };
-        let mut server = self.server.lock().expect("poisoned");
-        if let Ok(Value::Int(d)) = server.state.heap.get_field(server_root, "data") {
-            let _ = ep.twin.set_field(ep.twin_root, "data", Value::Int(d));
-        }
-    }
-
-    fn do_call(&mut self, a_side: bool, report: &mut Report) {
-        self.sync_twin_with_visible_pokes(a_side);
-        let ep = if a_side { &mut self.a } else { &mut self.b };
-        ep.wrote_root = false;
-        let warm = client_invoke_warm_with_stats(
-            &mut ep.client,
-            &mut ep.link,
-            ep.svc,
-            METHOD,
-            &[Value::Ref(ep.root)],
-        );
-        let oracle = service_logic(&mut ep.twin, ep.twin_root);
-        let who = ep.name;
-        match (warm, oracle) {
-            (Ok((got, _stats)), Ok(want)) => {
-                if got != want {
-                    report.push(Diagnostic::error(
-                        "NRMI-P003",
-                        format!(
-                            "endpoint {who}: warm call diverged from its oracle: \
-                             got {got:?}, want {want:?}"
-                        ),
-                    ));
-                }
-            }
-            (Err(e), Ok(_)) => report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("endpoint {who}: warm call failed where the oracle succeeded: {e}"),
-            )),
-            (_, Err(e)) => report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("local oracle itself failed (checker bug): {e}"),
-            )),
-        }
-    }
-
-    fn do_mutate(ep: &mut SgEndpoint, report: &mut Report) {
-        for (heap, root) in [
-            (&mut ep.client.state.heap, ep.root),
-            (&mut ep.twin, ep.twin_root),
-        ] {
-            let r = (|| -> Result<(), NrmiError> {
-                let d = heap
-                    .get_field(root, "data")?
-                    .as_int()
-                    .ok_or_else(|| NrmiError::app("data is not an int"))?;
-                heap.set_field(root, "data", Value::Int(d.wrapping_add(10)))?;
-                Ok(())
-            })();
-            if let Err(e) = r {
-                report.push(Diagnostic::error(
-                    "NRMI-P001",
-                    format!("client mutation failed: {e}"),
-                ));
-            }
-        }
-        ep.wrote_root = true;
-    }
-
-    fn do_evict(&mut self, a_side: bool, report: &mut Report) {
-        let ep = if a_side { &mut self.a } else { &mut self.b };
-        // The session graph is leaving the server (or leaking, if a
-        // peer's poke made it incoherent); either way its root id stops
-        // being a live out-of-band target.
-        self.registry
-            .lock()
-            .expect("poisoned")
-            .retain(|(n, _)| *n != ep.name);
-        if let Err(e) = client_evict_warm(&mut ep.client, &mut ep.link, ep.svc) {
-            report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("endpoint {}: eviction failed: {e}", ep.name),
-            ));
-        }
-    }
-
-    /// Connection teardown for A, exactly as the serve drivers run it
-    /// (`Connection::release`): `release_all` on THIS connection's caches, then the
-    /// connection state is gone. A's client keeps its (now dangling)
-    /// warm session and must recover through `CacheMiss`; B's leased
-    /// session must be untouched.
-    fn do_drop_a(&mut self, _report: &mut Report) {
-        self.registry
-            .lock()
-            .expect("poisoned")
-            .retain(|(n, _)| *n != self.a.name);
-        {
-            let mut server = self.server.lock().expect("poisoned");
-            self.a.link.caches.release_all(&mut server.state.heap);
-            let leases = Arc::clone(&server.leases);
-            self.a.link.caches = WarmCaches::with_leases(leases);
-        }
-        self.a.link.replies.clear();
-    }
-
-    /// `NRMI-P011` (stale read / lost write): after any interleaving,
-    /// each client graph equals its private oracle under the
-    /// visible-pokes rule — a divergence means a repair patch clobbered
-    /// an unshipped client write, or a call read the shared graph stale.
-    fn check_coherence(&mut self, report: &mut Report) {
-        for ep in [&self.a, &self.b] {
-            match graph::isomorphic(&ep.client.state.heap, ep.root, &ep.twin, ep.twin_root) {
-                Ok(true) => {}
-                Ok(false) => report.push(Diagnostic::error(
-                    "NRMI-P011",
-                    format!(
-                        "endpoint {}: client graph diverged from its oracle — \
-                         a stale read or a clobbered local write on the shared graph",
-                        ep.name
-                    ),
-                )),
-                Err(e) => report.push(Diagnostic::error(
-                    "NRMI-P011",
-                    format!("endpoint {}: isomorphism comparison failed: {e}", ep.name),
-                )),
-            }
-        }
-    }
-
     /// `NRMI-P011` (lease safety): every object a live warm session
     /// synchronizes is still alive on the shared heap — no teardown or
     /// eviction by the OTHER connection freed it out from under us.
-    fn check_lease_liveness(&mut self, report: &mut Report) {
-        let server = self.server.lock().expect("poisoned");
-        for ep in [&self.a, &self.b] {
-            let Some(cache_id) = ep.client.warm.cache_id(ep.svc) else {
+    fn check_lease_liveness(&self, report: &mut Report) {
+        for (ep, link) in self.fx.links.iter().enumerate() {
+            let Some((cache_id, _)) = self.fx.session(ep) else {
                 continue;
             };
-            let Some(sync) = ep.link.caches.sync_ids_of(cache_id) else {
-                continue;
-            };
-            for &id in sync {
-                if server.state.heap.class_if_live(id).is_none() {
-                    report.push(Diagnostic::error(
-                        "NRMI-P011",
-                        format!(
-                            "endpoint {}: leased object {id:?} of live session \
-                             {cache_id} was freed by another connection",
-                            ep.name
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-
-    fn check_heaps(&mut self, report: &mut Report) {
-        let server = self.server.lock().expect("poisoned");
-        for (label, code, heap) in [
-            ("client A", "NRMI-P001", &self.a.client.state.heap),
-            ("client B", "NRMI-P001", &self.b.client.state.heap),
-            ("shared server", "NRMI-P002", &server.state.heap),
-            ("oracle A", "NRMI-P001", &self.a.twin),
-            ("oracle B", "NRMI-P001", &self.b.twin),
-        ] {
-            for v in validate(heap) {
-                report.push(
-                    Diagnostic::error(code, format!("{label} heap corrupted: {v}"))
-                        .with("heap", label),
-                );
+            let link = link.state();
+            let node = link.node.lock().expect("poisoned");
+            let sync = link.caches.sync_ids_of(cache_id).unwrap_or_default();
+            for id in sync
+                .iter()
+                .filter(|&&id| node.state.heap.class_if_live(id).is_none())
+            {
+                report.push(Diagnostic::error(
+                    "NRMI-P011",
+                    format!(
+                        "{}: leased object {id:?} of live session {cache_id} was freed \
+                         by another connection",
+                        NAMES[ep]
+                    ),
+                ));
             }
         }
     }
@@ -1806,18 +1319,13 @@ pub fn check_shared_graph_sequence(actions: &[SharedGraphAction]) -> Report {
     run_sequence::<SharedGraphWorld>(actions)
 }
 
-// ---------------------------------------------------------------------------
-// The pipelined world: two calls in flight on one multiplexed link
-// ---------------------------------------------------------------------------
-
 /// One action in the pipelined single-connection model: two call slots
 /// (A and B, each owning a private graph) share one
-/// [`ReliableTransport`](nrmi_core::ReliableTransport), and both may be
-/// in flight at once through the split-phase client API
-/// ([`client_marshal_call`] + `send_call`, collected later with
-/// `recv_reply` + [`client_apply_reply`]). The adversary reorders and
-/// drops queued replies; the request map must still route every reply to
-/// the call that issued it.
+/// [`ReliableTransport`], and both may be in flight at once through the
+/// split-phase client API ([`client_marshal_call`] + `send_call`,
+/// collected later with `recv_reply` + [`client_apply_reply`]). The
+/// adversary reorders and drops queued replies; the request map must
+/// still route every reply to the call that issued it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PipelinedAction {
     /// Issue a copy-restore call on slot A without collecting it (a
@@ -1849,316 +1357,117 @@ pub const PIPELINED_ALPHABET: [PipelinedAction; 6] = [
     PipelinedAction::CollectB,
 ];
 
-/// The reorderable link: synchronous dispatch as in [`ServerSide`], but
-/// an empty queue is a [`TransportError::Timeout`] (the retry loop's
-/// concern, not a deadlock), and the checker permutes or drops queued
-/// replies between actions.
-struct PipeLink(Arc<Mutex<ServerSide>>);
-
-impl Transport for PipeLink {
-    fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
-        let mut side = self.0.lock().expect("poisoned");
-        let replies = side.dispatch(frame);
-        side.replies.extend(replies);
-        Ok(())
-    }
-
-    fn recv(&mut self) -> nrmi_transport::Result<Frame> {
-        self.0
-            .lock()
-            .expect("poisoned")
-            .replies
-            .pop_front()
-            .ok_or(TransportError::Timeout)
-    }
-
-    fn recv_timeout(&mut self, _timeout: Duration) -> nrmi_transport::Result<Frame> {
-        self.recv()
-    }
-}
-
-/// One call slot of the pipelined world: a private three-node tree, its
-/// oracle twin root, and the in-flight state of its current call.
-struct PipeSlot {
-    root: ObjId,
-    twin_root: ObjId,
-    pending: Option<(u64, PendingCall)>,
-    consumed_seq: Option<u64>,
-}
-
-/// Fresh world per pipelined sequence: one client with two disjoint
-/// graphs, the real request-map client over a reorderable link, the real
-/// server + reply cache, and a per-slot oracle twin. Each slot's values
-/// depend on its own history (`data` starts 100 vs 200 and evolves as
-/// `3d+1`), so a reply routed to the wrong call is observable both in
-/// the returned sum and in the restored graph.
+/// One client holding two graphs (the call slots), one `ReliableTransport`
+/// over a lossy link into an exclusive node.
 struct PipelinedWorld {
-    client: ClientNode,
-    transport: nrmi_core::ReliableTransport<PipeLink>,
-    side: Arc<Mutex<ServerSide>>,
-    twin: Heap,
-    slots: [PipeSlot; 2],
-    executions: Arc<std::sync::atomic::AtomicUsize>,
-    issued: usize,
+    fx: Fixture<ReliableTransport<Link>>,
+    slots: [Slot; 2],
 }
 
-impl WorldModel for PipelinedWorld {
+/// One call slot's in-flight call, and the last call id it consumed.
+#[derive(Default)]
+struct Slot {
+    pending: Option<(u64, PendingCall)>,
+    consumed: Option<u64>,
+}
+
+impl World for PipelinedWorld {
     type Action = PipelinedAction;
 
     fn new() -> Self {
-        let mut reg = ClassRegistry::new();
-        reg.define("Node")
-            .field_int("data")
-            .field_ref("left")
-            .field_ref("right")
-            .restorable()
-            .register();
-        let registry = reg.snapshot();
-
-        let mut client = ClientNode::new(registry.clone(), MachineSpec::fast());
-        let mut server = ServerNode::new(registry.clone(), MachineSpec::fast());
-        let executions = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let counter = Arc::clone(&executions);
-        server.bind(
-            SVC,
-            Box::new(FnService::new(move |_method, args, heap| {
-                let root = args[0]
-                    .as_ref_id()
-                    .ok_or_else(|| NrmiError::app("want a root reference"))?;
-                counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                service_logic(heap, root)
-            })),
-        );
-
-        let mut twin = Heap::new(registry.clone());
-        let slot = |client: &mut ClientNode, twin: &mut Heap, seed: i32| -> PipeSlot {
-            let root = build_tree(&mut client.state.heap, &registry);
-            let twin_root = build_tree(twin, &registry);
-            client
-                .state
-                .heap
-                .set_field(root, "data", Value::Int(seed))
-                .expect("seed slot");
-            twin.set_field(twin_root, "data", Value::Int(seed))
-                .expect("seed twin");
-            PipeSlot {
-                root,
-                twin_root,
-                pending: None,
-                consumed_seq: None,
-            }
+        let shape = Shape {
+            endpoints: 1,
+            pooled: false,
+            lossy: true,
+            value_code: "NRMI-P009",
+            graph_code: "NRMI-P008",
         };
-        let slot_a = slot(&mut client, &mut twin, 100);
-        let slot_b = slot(&mut client, &mut twin, 200);
-
-        let side = Arc::new(Mutex::new(ServerSide {
-            server,
-            caches: WarmCaches::new(),
-            replies: VecDeque::new(),
-            faults: FaultFlags::default(),
-        }));
-        // Instant virtual time, as in the reliability model: retries are
-        // bounded by attempts, not wall clock.
-        let policy = nrmi_core::RetryPolicy {
-            deadline: Duration::from_secs(30),
-            attempt_timeout: Duration::from_millis(1),
-            max_attempts: 16,
-            base_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-            jitter: false,
-        };
-        let transport =
-            nrmi_core::ReliableTransport::with_nonce(PipeLink(Arc::clone(&side)), policy, 0xF1F0);
-
+        let mut fx = Fixture::new(shape, reliable);
+        fx.add_graph(0);
         PipelinedWorld {
-            client,
-            transport,
-            side,
-            twin,
-            slots: [slot_a, slot_b],
-            executions,
-            issued: 0,
+            fx,
+            slots: Default::default(),
         }
     }
 
     fn step(&mut self, action: PipelinedAction, report: &mut Report) {
+        use PipelinedAction as P;
         match action {
-            PipelinedAction::IssueA => self.do_issue(0, "A", report),
-            PipelinedAction::IssueB => self.do_issue(1, "B", report),
-            PipelinedAction::SwapReplies => {
-                let mut side = self.side.lock().expect("poisoned");
-                if side.replies.len() >= 2 {
-                    side.replies.swap(0, 1);
+            P::IssueA => self.issue(0, report),
+            P::IssueB => self.issue(1, report),
+            P::SwapReplies => {
+                let mut link = self.fx.links[0].state();
+                if link.replies.len() >= 2 {
+                    link.replies.swap(0, 1);
                 }
             }
-            PipelinedAction::DropReply => {
-                self.side.lock().expect("poisoned").replies.pop_front();
+            P::DropReply => {
+                self.fx.links[0].state().replies.pop_front();
             }
-            PipelinedAction::CollectA => self.do_collect(0, "A", report),
-            PipelinedAction::CollectB => self.do_collect(1, "B", report),
+            P::CollectA => self.collect(0, report),
+            P::CollectB => self.collect(1, report),
         }
-        self.check_heaps(report);
-        self.check_exactly_once(report);
+        self.fx.check(report);
     }
 }
 
 impl PipelinedWorld {
-    fn do_issue(&mut self, which: usize, who: &str, report: &mut Report) {
-        if self.slots[which].pending.is_some() {
+    fn issue(&mut self, slot: usize, report: &mut Report) {
+        if self.slots[slot].pending.is_some() {
             return;
         }
-        let root = self.slots[which].root;
-        let marshalled = client_marshal_call(
-            &mut self.client,
-            SVC,
-            METHOD,
-            &[Value::Ref(root)],
-            CallOptions::forced(PassMode::CopyRestore),
-        );
-        let (frame, pending) = match marshalled {
-            Ok(split) => split,
-            Err(e) => {
-                report.push(Diagnostic::error(
-                    "NRMI-P004",
-                    format!("slot {who}: marshal failed: {e}"),
-                ));
-                return;
-            }
+        let Some((frame, pending)) = self.fx.marshal(0, slot, report) else {
+            return;
         };
-        match self.transport.send_call(&frame) {
+        let name = self.fx.endpoints[0].graphs[slot].name;
+        match self.fx.endpoints[0].wire.send_call(&frame) {
             Ok(Some(seq)) => {
-                self.issued += 1;
-                self.slots[which].pending = Some((seq, pending));
+                self.fx.expected += 1;
+                self.slots[slot].pending = Some((seq, pending));
             }
             Ok(None) => report.push(Diagnostic::error(
                 "NRMI-P009",
-                format!("slot {who}: call frame passed through untagged — its reply can never be demultiplexed"),
+                format!("{name}: call frame passed through untagged — its reply can never be demultiplexed"),
             )),
-            Err(e) => report.push(Diagnostic::error(
+            Err(err) => report.push(Diagnostic::error(
                 "NRMI-P004",
-                format!("slot {who}: pipelined issue failed: {e}"),
+                format!("{name}: pipelined issue failed: {err}"),
             )),
         }
     }
 
-    fn do_collect(&mut self, which: usize, who: &str, report: &mut Report) {
-        let Some((seq, pending)) = self.slots[which].pending.take() else {
+    fn collect(&mut self, slot: usize, report: &mut Report) {
+        let name = self.fx.endpoints[0].graphs[slot].name;
+        let wire = &mut self.fx.endpoints[0].wire;
+        let Some((seq, pending)) = self.slots[slot].pending.take() else {
             // Nothing in flight: collecting the already-consumed call id
-            // must yield the typed error. (The `expect()` this replaced
-            // panicked here; a ghost reply would mean a neighbor's reply
-            // leaked out of the request map.)
-            if let Some(stale) = self.slots[which].consumed_seq {
-                match self.transport.recv_reply(stale) {
+            // must yield the typed error; a ghost reply would mean a
+            // neighbor's reply leaked out of the request map.
+            if let Some(stale) = self.slots[slot].consumed {
+                match wire.recv_reply(stale) {
                     Err(TransportError::NoPendingCall { .. }) => {}
-                    Ok(frame) => report.push(Diagnostic::error(
+                    other => report.push(Diagnostic::error(
                         "NRMI-P009",
                         format!(
-                            "slot {who}: consumed call {stale} produced a ghost reply {frame:?}"
-                        ),
-                    )),
-                    Err(e) => report.push(Diagnostic::error(
-                        "NRMI-P009",
-                        format!(
-                            "slot {who}: collecting consumed call {stale}: expected the typed \
-                             NoPendingCall error, got {e}"
+                            "{name}: collecting consumed call {stale} must fail with \
+                             NoPendingCall, got {other:?}"
                         ),
                     )),
                 }
             }
             return;
         };
-        let reply = self.transport.recv_reply(seq);
-        self.slots[which].consumed_seq = Some(seq);
-        let payload = match reply {
-            Ok(Frame::CallReply { payload }) => payload,
-            Ok(other) => {
-                report.push(Diagnostic::error(
-                    "NRMI-P009",
-                    format!("slot {who}: call {seq} answered with {other:?}"),
-                ));
-                return;
-            }
-            Err(e) => {
-                report.push(Diagnostic::error(
-                    "NRMI-P004",
-                    format!("slot {who}: collect of call {seq} failed: {e}"),
-                ));
-                return;
-            }
-        };
-        let twin_root = self.slots[which].twin_root;
-        let got = client_apply_reply(&mut self.client, pending, &payload);
-        let want = service_logic(&mut self.twin, twin_root);
-        match (got, want) {
-            (Ok((got, _stats)), Ok(want)) => {
-                if got != want {
-                    report.push(Diagnostic::error(
-                        "NRMI-P009",
-                        format!(
-                            "slot {who}: reply routed to the wrong call: got {got:?}, \
-                             want {want:?}"
-                        ),
-                    ));
-                }
-                match graph::isomorphic(
-                    &self.client.state.heap,
-                    self.slots[which].root,
-                    &self.twin,
-                    twin_root,
-                ) {
-                    Ok(true) => {}
-                    Ok(false) => report.push(Diagnostic::error(
-                        "NRMI-P008",
-                        format!(
-                            "slot {who}: restored graph diverged from its oracle — a \
-                             neighboring in-flight call tore the restore"
-                        ),
-                    )),
-                    Err(e) => report.push(Diagnostic::error(
-                        "NRMI-P008",
-                        format!("slot {who}: isomorphism comparison failed: {e}"),
-                    )),
-                }
-            }
-            (Err(e), _) => report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("slot {who}: restore failed: {e}"),
+        self.slots[slot].consumed = Some(seq);
+        match wire.recv_reply(seq) {
+            Ok(Frame::CallReply { payload }) => self.fx.apply(0, slot, pending, &payload, report),
+            Ok(other) => report.push(Diagnostic::error(
+                "NRMI-P009",
+                format!("{name}: call {seq} answered with {other:?}"),
             )),
-            (_, Err(e)) => report.push(Diagnostic::error(
+            Err(err) => report.push(Diagnostic::error(
                 "NRMI-P004",
-                format!("local oracle itself failed (checker bug): {e}"),
+                format!("{name}: collect of call {seq} failed: {err}"),
             )),
-        }
-    }
-
-    fn check_heaps(&mut self, report: &mut Report) {
-        let side = self.side.lock().expect("poisoned");
-        for (label, code, heap) in [
-            ("client", "NRMI-P001", &self.client.state.heap),
-            ("server", "NRMI-P002", &side.server.state.heap),
-            ("oracle", "NRMI-P001", &self.twin),
-        ] {
-            for v in validate(heap) {
-                report.push(
-                    Diagnostic::error(code, format!("{label} heap corrupted: {v}"))
-                        .with("heap", label),
-                );
-            }
-        }
-    }
-
-    /// Every issued call executes exactly once, at dispatch; replays
-    /// (after a dropped reply's retransmission) never re-execute.
-    fn check_exactly_once(&mut self, report: &mut Report) {
-        let ran = self.executions.load(std::sync::atomic::Ordering::SeqCst);
-        if ran != self.issued {
-            report.push(Diagnostic::error(
-                "NRMI-P007",
-                format!(
-                    "pipelined at-most-once broken: {ran} execution(s) for {} issued call(s)",
-                    self.issued
-                ),
-            ));
         }
     }
 }
@@ -2168,10 +1477,6 @@ impl PipelinedWorld {
 pub fn check_pipelined_sequence(actions: &[PipelinedAction]) -> Report {
     run_sequence::<PipelinedWorld>(actions)
 }
-
-// ---------------------------------------------------------------------------
-// The reactor dispatch model: NRMI-P010
-// ---------------------------------------------------------------------------
 
 /// One action of the reactor dispatch model: two client connections
 /// multiplexed through the **real** reactor step function
@@ -2213,238 +1518,150 @@ pub const REACTOR_ALPHABET: [ReactorAction; 6] = [
     ReactorAction::CollectB,
 ];
 
-/// One client connection of the reactor model: its own real
-/// [`ClientNode`] and private oracle twin (the reactor's workers share
-/// heaps *across* calls of different connections, so a torn restore
-/// shows up as client-vs-twin divergence), plus the in-flight state the
-/// reactor tracks per connection.
+/// A reactor connection's client half: the tagged frames it sends by
+/// hand and the replies the reactor routes back to it.
+#[derive(Default)]
 struct ReactorConn {
-    client: ClientNode,
-    twin: Heap,
-    root: ObjId,
-    twin_root: ObjId,
-    nonce: u64,
-    next_seq: u64,
+    last_seq: u64,
     pending: Option<(u64, PendingCall)>,
     /// The exact tagged frame last sent, for retransmission.
     last_tagged: Option<Frame>,
-    /// Tagged replies routed back to this connection (the reactor's
-    /// completion channel keyed by connection token).
+    /// Replies routed to this connection (the reactor's completion
+    /// channel keyed by connection token).
     inbox: VecDeque<Frame>,
 }
 
-/// Fresh world per reactor sequence: one [`SharedServer`], two
-/// connections with distinct session nonces, the shared job queue, and
-/// two worker nodes built with [`SharedServer::connection_node`]
-/// exactly as the reactor's pool builds them.
+/// Two connections classified against one `SharedServer`, with the
+/// fixture's links as the pool's two worker nodes and an explicit job
+/// queue between them.
 struct ReactorWorld {
-    shared: Arc<nrmi_core::SharedServer>,
-    conns: [ReactorConn; 2],
-    /// Queued jobs: (connection index, nonce, seq, inner call frame).
+    fx: Fixture<ReactorConn>,
+    /// Queued jobs: (endpoint, nonce, seq, inner call frame).
     jobs: VecDeque<(usize, u64, u64, Frame)>,
-    workers: Vec<(ServerNode, WarmCaches)>,
     next_worker: usize,
-    executions: Arc<std::sync::atomic::AtomicUsize>,
-    dispatched: usize,
 }
 
-impl WorldModel for ReactorWorld {
+impl World for ReactorWorld {
     type Action = ReactorAction;
 
     fn new() -> Self {
-        let mut reg = ClassRegistry::new();
-        reg.define("Node")
-            .field_int("data")
-            .field_ref("left")
-            .field_ref("right")
-            .restorable()
-            .register();
-        let registry = reg.snapshot();
-
-        let mut server = ServerNode::new(registry.clone(), MachineSpec::fast());
-        let executions = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let counter = Arc::clone(&executions);
-        server.bind(
-            SVC,
-            Box::new(FnService::new(move |_method, args, heap| {
-                let root = args[0]
-                    .as_ref_id()
-                    .ok_or_else(|| NrmiError::app("want a root reference"))?;
-                counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                service_logic(heap, root)
-            })),
-        );
-        let shared = Arc::new(nrmi_core::SharedServer::from_node(server));
-
-        let conn = |nonce: u64, seed: i32| -> ReactorConn {
-            let mut client = ClientNode::new(registry.clone(), MachineSpec::fast());
-            let mut twin = Heap::new(registry.clone());
-            let root = build_tree(&mut client.state.heap, &registry);
-            let twin_root = build_tree(&mut twin, &registry);
-            client
-                .state
-                .heap
-                .set_field(root, "data", Value::Int(seed))
-                .expect("seed conn");
-            twin.set_field(twin_root, "data", Value::Int(seed))
-                .expect("seed twin");
-            ReactorConn {
-                client,
-                twin,
-                root,
-                twin_root,
-                nonce,
-                next_seq: 1,
-                pending: None,
-                last_tagged: None,
-                inbox: VecDeque::new(),
-            }
+        let shape = Shape {
+            endpoints: 2,
+            pooled: true,
+            lossy: false,
+            value_code: "NRMI-P010",
+            graph_code: "NRMI-P010",
         };
-        // Distinct nonces and histories: connection A's values evolve
-        // from 100, B's from 200, so a reply executed on the wrong
-        // state or routed to the wrong connection is observable.
-        let conn_a = conn(0xAAAA_1111, 100);
-        let conn_b = conn(0xBBBB_2222, 200);
-
-        let workers = (0..2)
-            .map(|_| (shared.connection_node(), WarmCaches::new()))
-            .collect();
-
         ReactorWorld {
-            shared,
-            conns: [conn_a, conn_b],
+            fx: Fixture::new(shape, |_, _| ReactorConn::default()),
             jobs: VecDeque::new(),
-            workers,
             next_worker: 0,
-            executions,
-            dispatched: 0,
         }
     }
 
     fn step(&mut self, action: ReactorAction, report: &mut Report) {
+        use ReactorAction as R;
         match action {
-            ReactorAction::IssueA => self.do_issue(0, "A", report),
-            ReactorAction::IssueB => self.do_issue(1, "B", report),
-            ReactorAction::RunJob => self.do_run_job(report),
-            ReactorAction::RetransmitA => self.do_retransmit(0, "A", report),
-            ReactorAction::CollectA => self.do_collect(0, "A", report),
-            ReactorAction::CollectB => self.do_collect(1, "B", report),
+            R::IssueA => self.issue(0, report),
+            R::IssueB => self.issue(1, report),
+            R::RunJob => self.run_job(),
+            R::RetransmitA => self.retransmit(0, report),
+            R::CollectA => self.collect(0, report),
+            R::CollectB => self.collect(1, report),
         }
-        self.check_heaps(report);
-        self.check_exactly_once(report);
+        self.fx.check(report);
     }
 }
 
 impl ReactorWorld {
-    fn do_issue(&mut self, which: usize, who: &str, report: &mut Report) {
-        if self.conns[which].pending.is_some() {
+    fn classify(&self, tagged: Frame) -> ReactorStep {
+        reactor_classify(self.fx.shared.as_ref().expect("pooled"), true, tagged)
+    }
+
+    fn issue(&mut self, ep: usize, report: &mut Report) {
+        if self.fx.endpoints[ep].wire.pending.is_some() {
             return;
         }
-        let root = self.conns[which].root;
-        let marshalled = client_marshal_call(
-            &mut self.conns[which].client,
-            SVC,
-            METHOD,
-            &[Value::Ref(root)],
-            CallOptions::forced(PassMode::CopyRestore),
-        );
-        let (frame, pending) = match marshalled {
-            Ok(split) => split,
-            Err(e) => {
-                report.push(Diagnostic::error(
-                    "NRMI-P004",
-                    format!("conn {who}: marshal failed: {e}"),
-                ));
-                return;
-            }
+        let Some((frame, pending)) = self.fx.marshal(ep, 0, report) else {
+            return;
         };
-        let seq = self.conns[which].next_seq;
-        self.conns[which].next_seq += 1;
+        let conn = &mut self.fx.endpoints[ep].wire;
+        conn.last_seq += 1;
+        let (nonce, seq) = (NONCES[ep], conn.last_seq);
         let tagged = Frame::Tagged {
-            nonce: self.conns[which].nonce,
+            nonce,
             seq,
             frame: Box::new(frame),
         };
-        self.conns[which].last_tagged = Some(tagged.clone());
-        match nrmi_core::reactor_classify(&self.shared, true, tagged) {
+        conn.last_tagged = Some(tagged.clone());
+        match self.classify(tagged) {
             ReactorStep::Offload {
-                nonce,
-                seq: got_seq,
+                nonce: n,
+                seq: s,
                 call,
-            } => {
-                if nonce != self.conns[which].nonce || got_seq != seq {
-                    report.push(Diagnostic::error(
-                        "NRMI-P010",
-                        format!(
-                            "conn {who}: classify mangled the call id: sent \
-                             ({:#x}, {seq}), offloaded ({nonce:#x}, {got_seq})",
-                            self.conns[which].nonce
-                        ),
-                    ));
-                    return;
-                }
-                self.jobs.push_back((which, nonce, got_seq, call));
-                self.conns[which].pending = Some((seq, pending));
+            } if (n, s) == (nonce, seq) => {
+                self.jobs.push_back((ep, nonce, seq, call));
+                self.fx.endpoints[ep].wire.pending = Some((seq, pending));
             }
             other => report.push(Diagnostic::error(
                 "NRMI-P010",
                 format!(
-                    "conn {who}: a fresh pipelineable call must offload to the \
-                     worker pool; the reactor answered {other:?}"
+                    "{}: a fresh pipelineable call ({nonce:#x}, {seq}) must offload to the \
+                     worker pool under its own id; the reactor answered {other:?}",
+                    NAMES[ep]
                 ),
             )),
         }
     }
 
-    fn do_run_job(&mut self, _report: &mut Report) {
-        let Some((which, nonce, seq, call)) = self.jobs.pop_front() else {
+    fn run_job(&mut self) {
+        let Some((ep, nonce, seq, call)) = self.jobs.pop_front() else {
             return;
         };
         // Workers alternate, as the real pool's threads race: the same
-        // connection's consecutive calls may execute on different
-        // worker heaps.
-        let slot = self.next_worker % self.workers.len();
+        // connection's consecutive calls may execute on different worker
+        // heaps.
+        let worker = &self.fx.links[self.next_worker % self.fx.links.len()];
         self.next_worker += 1;
-        let (node, warm) = &mut self.workers[slot];
-        let mut conn = Connection::new(node, warm);
-        let reply = conn.execute(&mut NullTransport, nonce, seq, call);
-        self.dispatched += 1;
-        self.conns[which].inbox.push_back(reply);
+        let reply = worker.state().execute(nonce, seq, call);
+        self.fx.expected += 1;
+        self.fx.endpoints[ep].wire.inbox.push_back(reply);
     }
 
-    fn do_retransmit(&mut self, which: usize, who: &str, report: &mut Report) {
-        let Some(tagged) = self.conns[which].last_tagged.clone() else {
+    fn retransmit(&mut self, ep: usize, report: &mut Report) {
+        let Some(tagged) = self.fx.endpoints[ep].wire.last_tagged.clone() else {
             return;
         };
-        match nrmi_core::reactor_classify(&self.shared, true, tagged) {
+        match self.classify(tagged) {
             // Still queued or executing: the duplicate is dropped
-            // unanswered and the client's next retransmission replays
-            // the stored reply.
+            // unanswered and the client's next retransmission replays the
+            // stored reply.
             ReactorStep::Ignore => {}
-            // Executed: answered from the cache. Route it to the
-            // connection like any reply; a stale duplicate for an
-            // already-collected call just sits in the inbox, exactly as
-            // the client's demultiplexer discards unsolicited frames.
-            step @ ReactorStep::Reply { .. } => self.conns[which].inbox.extend(step.into_replies()),
+            // Executed: answered from the cache and routed like any reply;
+            // a stale duplicate for an already-collected call just sits in
+            // the inbox, as the client's demultiplexer discards it.
+            step @ ReactorStep::Reply { .. } => {
+                self.fx.endpoints[ep].wire.inbox.extend(step.into_replies());
+            }
             other => report.push(Diagnostic::error(
                 "NRMI-P010",
                 format!(
-                    "conn {who}: a retransmitted call id must be ignored or \
-                     answered from the reply cache, never {other:?} — that is a \
-                     double execution"
+                    "{}: a retransmitted call id must be ignored or answered from the \
+                     reply cache, never {other:?} — that is a double execution",
+                    NAMES[ep]
                 ),
             )),
         }
     }
 
-    fn do_collect(&mut self, which: usize, who: &str, report: &mut Report) {
-        let Some(&(seq, _)) = self.conns[which].pending.as_ref() else {
+    fn collect(&mut self, ep: usize, report: &mut Report) {
+        let conn = &mut self.fx.endpoints[ep].wire;
+        let Some(&(seq, _)) = conn.pending.as_ref() else {
             return;
         };
-        let want_nonce = self.conns[which].nonce;
         // The reply may not have been produced yet (job still queued):
         // leave the call pending, as the blocked client would.
-        let Some(pos) = self.conns[which].inbox.iter().position(|f| {
+        let Some(pos) = conn.inbox.iter().position(|f| {
             matches!(
                 f,
                 Frame::Tagged { seq: s, .. } | Frame::ReplyCached { seq: s, .. } if *s == seq
@@ -2452,117 +1669,28 @@ impl ReactorWorld {
         }) else {
             return;
         };
-        let frame = self.conns[which].inbox.remove(pos).expect("indexed");
-        let (nonce, inner) = match frame {
+        let (nonce, inner) = match conn.inbox.remove(pos).expect("indexed") {
             Frame::Tagged { nonce, frame, .. } | Frame::ReplyCached { nonce, frame, .. } => {
                 (nonce, *frame)
             }
             other => unreachable!("matched above: {other:?}"),
         };
-        if nonce != want_nonce {
-            report.push(Diagnostic::error(
-                "NRMI-P010",
-                format!(
-                    "conn {who}: reply crossed connections: call id nonce \
-                     {nonce:#x}, connection nonce {want_nonce:#x}"
-                ),
-            ));
-            return;
-        }
-        let payload = match inner {
-            Frame::CallReply { payload } => payload,
-            other => {
-                report.push(Diagnostic::error(
-                    "NRMI-P010",
-                    format!("conn {who}: call {seq} answered with {other:?}"),
-                ));
+        let fault = match inner {
+            _ if nonce != NONCES[ep] => format!(
+                "reply crossed connections: call id nonce {nonce:#x}, connection nonce {:#x}",
+                NONCES[ep]
+            ),
+            Frame::CallReply { payload } => {
+                let (_, pending) = conn.pending.take().expect("checked above");
+                self.fx.apply(ep, 0, pending, &payload, report);
                 return;
             }
+            other => format!("call {seq} answered with {other:?}"),
         };
-        let (_, pending) = self.conns[which].pending.take().expect("checked above");
-        let twin_root = self.conns[which].twin_root;
-        let got = client_apply_reply(&mut self.conns[which].client, pending, &payload);
-        let want = service_logic(&mut self.conns[which].twin, twin_root);
-        match (got, want) {
-            (Ok((got, _stats)), Ok(want)) => {
-                if got != want {
-                    report.push(Diagnostic::error(
-                        "NRMI-P010",
-                        format!(
-                            "conn {who}: reply routed to the wrong call or executed \
-                             on torn state: got {got:?}, want {want:?}"
-                        ),
-                    ));
-                }
-                match graph::isomorphic(
-                    &self.conns[which].client.state.heap,
-                    self.conns[which].root,
-                    &self.conns[which].twin,
-                    twin_root,
-                ) {
-                    Ok(true) => {}
-                    Ok(false) => report.push(Diagnostic::error(
-                        "NRMI-P010",
-                        format!(
-                            "conn {who}: restored graph diverged from its oracle — \
-                             another connection's call tore this worker dispatch"
-                        ),
-                    )),
-                    Err(e) => report.push(Diagnostic::error(
-                        "NRMI-P010",
-                        format!("conn {who}: isomorphism comparison failed: {e}"),
-                    )),
-                }
-            }
-            (Err(e), _) => report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("conn {who}: restore failed: {e}"),
-            )),
-            (_, Err(e)) => report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("local oracle itself failed (checker bug): {e}"),
-            )),
-        }
-    }
-
-    fn check_heaps(&mut self, report: &mut Report) {
-        for (which, who) in [(0usize, "A"), (1, "B")] {
-            for (label, code, heap) in [
-                ("client", "NRMI-P001", &self.conns[which].client.state.heap),
-                ("oracle", "NRMI-P001", &self.conns[which].twin),
-            ] {
-                for v in validate(heap) {
-                    report.push(
-                        Diagnostic::error(code, format!("conn {who} {label} heap corrupted: {v}"))
-                            .with("heap", label),
-                    );
-                }
-            }
-        }
-        for (i, (node, _)) in self.workers.iter().enumerate() {
-            for v in validate(&node.state.heap) {
-                report.push(
-                    Diagnostic::error("NRMI-P002", format!("worker {i} heap corrupted: {v}"))
-                        .with("heap", "worker"),
-                );
-            }
-        }
-    }
-
-    /// Every offloaded job executes exactly once, when a `RunJob` pops
-    /// it — retransmissions must never enqueue a second execution.
-    fn check_exactly_once(&mut self, report: &mut Report) {
-        let ran = self.executions.load(std::sync::atomic::Ordering::SeqCst);
-        if ran != self.dispatched {
-            report.push(Diagnostic::error(
-                "NRMI-P007",
-                format!(
-                    "reactor at-most-once broken: {ran} service execution(s) for \
-                     {} dispatched job(s)",
-                    self.dispatched
-                ),
-            ));
-        }
+        report.push(Diagnostic::error(
+            "NRMI-P010",
+            format!("{}: {fault}", NAMES[ep]),
+        ));
     }
 }
 
@@ -2576,75 +1704,33 @@ pub fn check_reactor_sequence(actions: &[ReactorAction]) -> Report {
 // Enumeration
 // ---------------------------------------------------------------------------
 
-/// Bounds and alphabet for one [`model_check`] run.
+/// Bounds for one [`model_check`] run. Each world's own depth is a row of
+/// the world table in [`model_check`].
 #[derive(Clone, Debug)]
 pub struct ModelCheckConfig {
-    /// Exhaustive depth over [`CORE_ALPHABET`].
-    pub core_depth: usize,
-    /// Exhaustive depth over [`ADVERSARIAL_ALPHABET`].
-    pub adversarial_depth: usize,
-    /// Exhaustive depth over [`RELIABILITY_ALPHABET`] (the retry /
-    /// duplicate-suppression / reconnect state machine).
-    pub reliability_depth: usize,
-    /// Exhaustive depth over [`SHARED_ALPHABET`] (two connections
-    /// interleaved on one lock-split server).
-    pub shared_depth: usize,
-    /// Exhaustive depth over [`SHARED_GRAPH_ALPHABET`] (two warm clients
-    /// leased onto ONE server heap, each call writing the other's graph
-    /// out-of-band — the coherence/lease model).
-    pub shared_graph_depth: usize,
-    /// Exhaustive depth over [`PIPELINED_ALPHABET`] (two calls in flight
-    /// on one multiplexed connection, replies reordered and dropped).
-    pub pipelined_depth: usize,
-    /// Exhaustive depth over [`REACTOR_ALPHABET`] (two connections
-    /// multiplexed through the reactor's classify/offload/complete step
-    /// function onto alternating worker nodes).
-    pub reactor_depth: usize,
+    /// Caps every world's exhaustive depth: a world runs at the smaller
+    /// of its own depth and this.
+    pub max_depth: usize,
     /// Stop after this many error diagnostics (a broken invariant tends
     /// to fail thousands of sequences identically).
     pub max_errors: usize,
 }
 
 impl Default for ModelCheckConfig {
+    /// Every world at its own depth: 67,282 sequences.
     fn default() -> Self {
-        // Depth 6 over the 6-action core alphabet: 46_656 sequences,
-        // ~280k protocol actions; plus 9^4 = 6_561 adversarial sequences,
-        // 6^4 = 1_296 reliability sequences, 6^5 = 7_776 two-connection
-        // shared-server sequences, 7^4 = 2_401 shared-graph coherence
-        // sequences, 6^4 = 1_296 pipelined reply-routing sequences, and
-        // 6^4 = 1_296 reactor dispatch sequences.
         ModelCheckConfig {
-            core_depth: 6,
-            adversarial_depth: 4,
-            reliability_depth: 4,
-            shared_depth: 5,
-            shared_graph_depth: 4,
-            pipelined_depth: 4,
-            reactor_depth: 4,
+            max_depth: usize::MAX,
             max_errors: 25,
         }
     }
-}
-
-/// What the enumerator needs from a model: a fresh state, and one
-/// transition per action that reports violations of the model's
-/// invariants. Each world keeps its own state, oracle and alphabet;
-/// sequencing, failure tagging and panic capture are [`run_sequence`]'s.
-trait WorldModel: Sized {
-    /// The world's alphabet.
-    type Action: Copy + std::fmt::Debug;
-
-    fn new() -> Self;
-
-    /// Applies one action, reporting violations into `report`.
-    fn step(&mut self, action: Self::Action, report: &mut Report);
 }
 
 /// Runs one action sequence against a fresh `W`, returning all
 /// violations: stops at the first failing step and tags its findings
 /// with the trace and the step; a panic inside the sequence is caught
 /// and reported as `NRMI-P006` with the trace.
-fn run_sequence<W: WorldModel>(actions: &[W::Action]) -> Report {
+fn run_sequence<W: World>(actions: &[W::Action]) -> Report {
     let trace = actions
         .iter()
         .map(|a| format!("{a:?}"))
@@ -2681,13 +1767,6 @@ fn run_sequence<W: WorldModel>(actions: &[W::Action]) -> Report {
     }
 }
 
-/// Runs one action sequence against a fresh core world, returning all
-/// violations. Panics inside the sequence are caught and reported as
-/// `NRMI-P006` with the action trace.
-pub fn check_sequence(actions: &[Action]) -> Report {
-    run_sequence::<World>(actions)
-}
-
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
@@ -2698,114 +1777,96 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Exhaustively enumerates every action sequence of exactly
-/// `cfg.core_depth` over the core alphabet and `cfg.adversarial_depth`
-/// over the adversarial alphabet, running each against a fresh
-/// client/server pair. Checking full-depth sequences covers every
-/// shorter prefix, since each sequence re-executes (and re-checks) its
-/// prefix from scratch.
+/// Exhaustively enumerates, for every row of the world table, every
+/// action sequence of exactly the row's depth (capped by
+/// `cfg.max_depth`) over its alphabet, each against a fresh world.
+/// Checking full-depth sequences covers every shorter prefix, since each
+/// sequence re-executes (and re-checks) its prefix from scratch. The
+/// `NRMI-P000` note counts sequences per world.
 pub fn model_check(cfg: &ModelCheckConfig) -> Report {
-    let mut report = Report::new();
-    let mut sequences = 0usize;
-
+    let mut run = Enumeration {
+        cfg: cfg.clone(),
+        report: Report::new(),
+        coverage: Vec::new(),
+    };
     // Panics are expected to be absent; silence the default hook so a
     // genuine finding doesn't spray 46k backtraces, and restore it after.
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut run = Enumeration {
-            max_errors: cfg.max_errors,
-            report: Report::new(),
-            sequences: 0,
-        };
-        run.all::<World>(&CORE_ALPHABET, cfg.core_depth);
-        run.all::<World>(&ADVERSARIAL_ALPHABET, cfg.adversarial_depth);
-        run.all::<ReliableWorld>(&RELIABILITY_ALPHABET, cfg.reliability_depth);
-        run.all::<SharedWorld>(&SHARED_ALPHABET, cfg.shared_depth);
-        run.all::<SharedGraphWorld>(&SHARED_GRAPH_ALPHABET, cfg.shared_graph_depth);
-        run.all::<PipelinedWorld>(&PIPELINED_ALPHABET, cfg.pipelined_depth);
-        run.all::<ReactorWorld>(&REACTOR_ALPHABET, cfg.reactor_depth);
-        run
+        // The world table: name, alphabet, depth.
+        run.all::<CoreWorld>("core", &CORE_ALPHABET, 6);
+        run.all::<CoreWorld>("adversarial", &ADVERSARIAL_ALPHABET, 4);
+        run.all::<ReliableWorld>("reliability", &RELIABILITY_ALPHABET, 4);
+        run.all::<SharedWorld>("shared", &SHARED_ALPHABET, 5);
+        run.all::<SharedGraphWorld>("shared-graph", &SHARED_GRAPH_ALPHABET, 4);
+        run.all::<PipelinedWorld>("pipelined", &PIPELINED_ALPHABET, 4);
+        run.all::<ReactorWorld>("reactor", &REACTOR_ALPHABET, 4);
     }));
     std::panic::set_hook(prev_hook);
 
-    match result {
-        Ok(run) => {
-            report.merge(run.report);
-            sequences = run.sequences;
-        }
-        Err(_) => report.push(Diagnostic::error(
+    let mut report = run.report;
+    if result.is_err() {
+        report.push(Diagnostic::error(
             "NRMI-P006",
             "the enumerator itself panicked (checker bug)",
-        )),
+        ));
     }
-
     let (errors, _, _) = report.counts();
-    report.push(
-        Diagnostic::info(
+    if errors >= cfg.max_errors {
+        report.push(Diagnostic::warning(
             "NRMI-P000",
-            format!(
-                "protocol enumeration explored {sequences} sequences \
-                 (core depth {}, adversarial depth {}, reliability depth {}, \
-                 shared depth {}, shared-graph depth {}, pipelined depth {}, \
-                 reactor depth {}): {errors} violation(s)",
-                cfg.core_depth,
-                cfg.adversarial_depth,
-                cfg.reliability_depth,
-                cfg.shared_depth,
-                cfg.shared_graph_depth,
-                cfg.pipelined_depth,
-                cfg.reactor_depth
-            ),
-        )
-        .with("sequences", sequences),
-    );
+            format!("stopped after {errors} errors; enumeration incomplete"),
+        ));
+    }
+    let sequences: usize = run.coverage.iter().map(|&(_, _, n)| n).sum();
+    let worlds = run
+        .coverage
+        .iter()
+        .map(|(name, depth, n)| format!("{name} {n} at depth {depth}"))
+        .collect::<Vec<_>>()
+        .join(", ");
+    let mut note = Diagnostic::info(
+        "NRMI-P000",
+        format!(
+            "protocol enumeration explored {sequences} sequences ({worlds}): {errors} violation(s)"
+        ),
+    )
+    .with("sequences", sequences);
+    for (name, _, n) in run.coverage {
+        note = note.with(name, n);
+    }
+    report.push(note);
     report
 }
 
-/// The findings and sequence count of one [`model_check`] run.
+/// The findings and per-world coverage of one [`model_check`] run.
 struct Enumeration {
-    max_errors: usize,
+    cfg: ModelCheckConfig,
     report: Report,
-    sequences: usize,
+    /// (world, depth run, sequences run), in table order.
+    coverage: Vec<(&'static str, usize, usize)>,
 }
 
 impl Enumeration {
     /// Odometer-style enumeration of all `|alphabet|^depth` sequences,
     /// each run against a fresh `W`.
-    fn all<W: WorldModel>(&mut self, alphabet: &[W::Action], depth: usize) {
-        if depth == 0 {
-            return;
-        }
+    fn all<W: World>(&mut self, name: &'static str, alphabet: &[W::Action], depth: usize) {
+        let depth = depth.min(self.cfg.max_depth);
         let mut digits = vec![0usize; depth];
-        loop {
+        let mut sequences = 0;
+        while depth > 0 && self.report.counts().0 < self.cfg.max_errors {
             let actions: Vec<W::Action> = digits.iter().map(|&d| alphabet[d]).collect();
             self.report.merge(run_sequence::<W>(&actions));
-            self.sequences += 1;
-            if self.report.counts().0 >= self.max_errors {
-                self.report.push(Diagnostic::warning(
-                    "NRMI-P000",
-                    format!(
-                        "stopped after {} errors; enumeration incomplete",
-                        self.max_errors
-                    ),
-                ));
-                return;
-            }
-            // Advance the odometer.
-            let mut i = 0;
-            loop {
-                digits[i] += 1;
-                if digits[i] < alphabet.len() {
-                    break;
-                }
-                digits[i] = 0;
-                i += 1;
-                if i == depth {
-                    return;
-                }
-            }
+            sequences += 1;
+            // Advance the odometer; past the last sequence, stop.
+            let Some(i) = digits.iter().position(|&d| d + 1 < alphabet.len()) else {
+                break;
+            };
+            digits[i] += 1;
+            digits[..i].fill(0);
         }
+        self.coverage.push((name, depth, sequences));
     }
 }
 
@@ -2851,21 +1912,50 @@ mod tests {
 
     #[test]
     fn shallow_exhaustive_core_enumeration_is_clean() {
-        // Depth 3 over both alphabets runs fast enough for debug builds;
-        // CI's `tables -- check` job runs the full depth-6 configuration
-        // in release.
+        // Depth 3 runs fast enough for debug builds; CI's
+        // `tables -- check` job runs every world at its full depth in
+        // release.
         let report = model_check(&ModelCheckConfig {
-            core_depth: 3,
-            adversarial_depth: 2,
-            reliability_depth: 2,
-            shared_depth: 3,
-            shared_graph_depth: 3,
-            pipelined_depth: 3,
-            reactor_depth: 3,
+            max_depth: 3,
             max_errors: 25,
         });
         assert!(!report.has_errors(), "{}", report.render());
         assert!(report.has_code("NRMI-P000"), "coverage note present");
+    }
+
+    #[test]
+    fn coverage_note_counts_sequences_per_world() {
+        // At depth 1 each world runs one sequence per action, so a world
+        // dropped from the table (or an alphabet that lost an action)
+        // shows up here instead of hiding in the total.
+        let report = model_check(&ModelCheckConfig {
+            max_depth: 1,
+            max_errors: 25,
+        });
+        assert!(!report.has_errors(), "{}", report.render());
+        let note = report
+            .diagnostics()
+            .iter()
+            .find(|d| d.code == "NRMI-P000")
+            .expect("coverage note");
+        let counts: Vec<(&str, &str)> = note
+            .context
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .collect();
+        assert_eq!(
+            counts,
+            [
+                ("sequences", "46"),
+                ("core", "6"),
+                ("adversarial", "9"),
+                ("reliability", "6"),
+                ("shared", "6"),
+                ("shared-graph", "7"),
+                ("pipelined", "6"),
+                ("reactor", "6"),
+            ]
+        );
     }
 
     #[test]
@@ -2941,7 +2031,14 @@ mod tests {
             vec![G::CallA, G::CallB, G::MutateA, G::CallA, G::CallB],
             // Both sides write locally, then both call: client-wins on
             // both roots, no repair patch may clobber either.
-            vec![G::CallA, G::CallB, G::MutateA, G::MutateB, G::CallA, G::CallB],
+            vec![
+                G::CallA,
+                G::CallB,
+                G::MutateA,
+                G::MutateB,
+                G::CallA,
+                G::CallB,
+            ],
             // A's teardown while B holds a leased session on the same
             // heap: B's objects must survive, A reconnects via miss.
             vec![G::CallA, G::CallB, G::DropA, G::CallB, G::CallA],
@@ -2984,7 +2081,7 @@ mod tests {
             // from the cache while B's reply sits queued behind it.
             vec![P::IssueA, P::IssueB, P::DropReply, P::CollectA, P::CollectB],
             // Collect with nothing in flight: the typed NoPendingCall
-            // error, not a panic (the regression the satellite fixed).
+            // error, not a panic.
             vec![P::IssueA, P::CollectA, P::CollectA],
             // Back-to-back rounds reuse the slots with evolved values.
             vec![
@@ -3054,24 +2151,37 @@ mod tests {
         }
     }
 
+    /// Steps a fresh `W` through `actions` and returns its report with
+    /// the number of service executions the world saw.
+    fn executions_after<W: World>(
+        actions: &[W::Action],
+        fx: impl Fn(&W) -> &Arc<AtomicUsize>,
+    ) -> (Report, usize) {
+        let mut world = W::new();
+        let mut report = Report::new();
+        for &action in actions {
+            world.step(action, &mut report);
+        }
+        let ran = fx(&world).load(Ordering::SeqCst);
+        (report, ran)
+    }
+
     #[test]
     fn reactor_world_replays_retransmissions_from_the_cache() {
         use ReactorAction as R;
-        let mut world = ReactorWorld::new();
-        let mut report = Report::new();
-        for action in [
-            R::IssueA,
-            R::RetransmitA,
-            R::RunJob,
-            R::RetransmitA,
-            R::CollectA,
-        ] {
-            world.step(action, &mut report);
-        }
+        let (report, ran) = executions_after::<ReactorWorld>(
+            &[
+                R::IssueA,
+                R::RetransmitA,
+                R::RunJob,
+                R::RetransmitA,
+                R::CollectA,
+            ],
+            |w| &w.fx.executions,
+        );
         assert!(!report.has_errors(), "{}", report.render());
         assert_eq!(
-            world.executions.load(std::sync::atomic::Ordering::SeqCst),
-            1,
+            ran, 1,
             "two retransmissions around one execution must not re-execute"
         );
     }
@@ -3079,30 +2189,25 @@ mod tests {
     #[test]
     fn pipelined_world_counts_one_execution_per_issued_call() {
         use PipelinedAction as P;
-        let mut world = PipelinedWorld::new();
-        let mut report = Report::new();
-        for action in [P::IssueA, P::IssueB, P::DropReply, P::CollectA, P::CollectB] {
-            world.step(action, &mut report);
-        }
+        let (report, ran) = executions_after::<PipelinedWorld>(
+            &[P::IssueA, P::IssueB, P::DropReply, P::CollectA, P::CollectB],
+            |w| &w.fx.executions,
+        );
         assert!(!report.has_errors(), "{}", report.render());
         assert_eq!(
-            world.executions.load(std::sync::atomic::Ordering::SeqCst),
-            2,
+            ran, 2,
             "the dropped reply's retransmission must replay, not re-execute"
         );
     }
 
     #[test]
     fn shared_world_counts_executions_across_connections() {
-        let mut world = SharedWorld::new();
-        let mut report = Report::new();
-        world.step(SharedAction::CallA, &mut report);
-        world.step(SharedAction::CallB, &mut report);
-        world.step(SharedAction::CallA, &mut report);
+        use SharedAction as S;
+        let (report, ran) =
+            executions_after::<SharedWorld>(&[S::CallA, S::CallB, S::CallA], |w| &w.fx.executions);
         assert!(!report.has_errors(), "{}", report.render());
         assert_eq!(
-            world.executions.load(std::sync::atomic::Ordering::SeqCst),
-            3,
+            ran, 3,
             "each connection's calls execute exactly once on the shared server"
         );
     }
@@ -3112,16 +2217,142 @@ mod tests {
         // Sanity that the at-most-once counter is live: dispatching the
         // same tagged request twice directly at a fresh server must
         // execute once and replay once.
-        let mut world = ReliableWorld::new();
-        let mut report = Report::new();
-        world.step(ReliabilityAction::DuplicateRequest, &mut report);
-        world.step(ReliabilityAction::Call, &mut report);
+        use ReliabilityAction as R;
+        let (report, ran) =
+            executions_after::<ReliableWorld>(&[R::DuplicateRequest, R::Call], |w| {
+                &w.fx.executions
+            });
         assert!(!report.has_errors(), "{}", report.render());
-        assert_eq!(
-            world.executions.load(std::sync::atomic::Ordering::SeqCst),
-            1,
-            "the duplicated request must execute exactly once"
+        assert_eq!(ran, 1, "the duplicated request must execute exactly once");
+    }
+
+    // -----------------------------------------------------------------------
+    // Planted faults: every oracle code still fires
+    // -----------------------------------------------------------------------
+
+    /// Steps a fresh `W` cleanly through `before`, plants a fault in its
+    /// fixture state, steps `after`, and returns what that step reported.
+    fn planted<W: World>(
+        before: &[W::Action],
+        plant: impl FnOnce(&mut W),
+        after: W::Action,
+    ) -> Report {
+        let mut world = W::new();
+        let mut report = Report::new();
+        for &action in before {
+            world.step(action, &mut report);
+        }
+        assert!(!report.has_errors(), "clean prefix: {}", report.render());
+        plant(&mut world);
+        world.step(after, &mut report);
+        report
+    }
+
+    /// Writes endpoint `ep`'s client root behind its twin's back.
+    fn write_client_root<W>(fx: &mut Fixture<W>, ep: usize) {
+        let e = &mut fx.endpoints[ep];
+        bump(&mut e.client.state.heap, e.graphs[0].root, 1).expect("planted write");
+    }
+
+    /// Writes graph `g` of endpoint `ep` in the twin behind the client's
+    /// back, so the oracle's next answer differs from the middleware's.
+    fn write_twin_root<W>(fx: &mut Fixture<W>, ep: usize, g: usize) {
+        let e = &mut fx.endpoints[ep];
+        bump(&mut e.twin, e.graphs[g].twin_root, 1).expect("planted write");
+    }
+
+    #[test]
+    fn p003_fires_when_the_client_graph_leaves_its_twin() {
+        let report = planted::<CoreWorld>(
+            &[Action::Call],
+            |w| write_client_root(&mut w.fx, 0),
+            Action::Call,
         );
+        assert!(report.has_code("NRMI-P003"), "{}", report.render());
+    }
+
+    #[test]
+    fn p007_fires_on_an_unaccounted_execution() {
+        use ReliabilityAction as R;
+        let report = planted::<ReliableWorld>(
+            &[R::Call],
+            |w| {
+                w.fx.executions.fetch_add(1, Ordering::SeqCst);
+            },
+            R::Call,
+        );
+        assert!(report.has_code("NRMI-P007"), "{}", report.render());
+    }
+
+    #[test]
+    fn p008_fires_when_one_connection_sees_a_torn_graph() {
+        use SharedAction as S;
+        let report = planted::<SharedWorld>(
+            &[S::CallA, S::CallB],
+            |w| write_client_root(&mut w.fx, 1),
+            S::CallB,
+        );
+        assert!(report.has_code("NRMI-P008"), "{}", report.render());
+    }
+
+    #[test]
+    fn p009_fires_when_a_collected_value_is_not_its_calls() {
+        use PipelinedAction as P;
+        let report = planted::<PipelinedWorld>(
+            &[P::IssueA, P::IssueB],
+            |w| write_twin_root(&mut w.fx, 0, 1),
+            P::CollectB,
+        );
+        assert!(report.has_code("NRMI-P009"), "{}", report.render());
+    }
+
+    #[test]
+    fn p010_fires_when_a_worker_reply_is_not_its_calls() {
+        use ReactorAction as R;
+        let report = planted::<ReactorWorld>(
+            &[R::IssueA, R::RunJob],
+            |w| write_twin_root(&mut w.fx, 0, 0),
+            R::CollectA,
+        );
+        assert!(report.has_code("NRMI-P010"), "{}", report.render());
+    }
+
+    #[test]
+    fn p011_fires_when_a_shared_graph_client_leaves_its_twin() {
+        use SharedGraphAction as G;
+        let report = planted::<SharedGraphWorld>(
+            &[G::CallA, G::CallB],
+            |w| write_client_root(&mut w.fx, 0),
+            G::CallA,
+        );
+        assert!(report.has_code("NRMI-P011"), "{}", report.render());
+    }
+
+    #[test]
+    fn p011_fires_when_a_leased_object_dies() {
+        use SharedGraphAction as G;
+        let report = planted::<SharedGraphWorld>(
+            &[G::CallA, G::CallB],
+            |w| {
+                let (cache_id, _) = w.fx.session(1).expect("B holds a session");
+                let link = w.fx.links[1].state();
+                let leased = *link
+                    .caches
+                    .sync_ids_of(cache_id)
+                    .expect("live")
+                    .last()
+                    .expect("synced");
+                link.node
+                    .lock()
+                    .expect("poisoned")
+                    .state
+                    .heap
+                    .free(leased)
+                    .expect("planted free");
+            },
+            G::MutateA,
+        );
+        assert!(report.has_code("NRMI-P011"), "{}", report.render());
     }
 
     #[test]
@@ -3132,6 +2363,7 @@ mod tests {
     fn full_depth_enumeration_is_clean() {
         let report = model_check(&ModelCheckConfig::default());
         assert!(!report.has_errors(), "{}", report.render());
+        assert!(report.render().contains("explored 67282 sequences"));
     }
 
     #[test]

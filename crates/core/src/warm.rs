@@ -1049,10 +1049,7 @@ mod tests {
         fn recv(&mut self) -> nrmi_transport::Result<Frame> {
             Err(TransportError::Disconnected)
         }
-        fn recv_timeout(
-            &mut self,
-            _timeout: std::time::Duration,
-        ) -> nrmi_transport::Result<Frame> {
+        fn recv_timeout(&mut self, _timeout: std::time::Duration) -> nrmi_transport::Result<Frame> {
             Err(TransportError::Disconnected)
         }
     }
@@ -1077,10 +1074,7 @@ mod tests {
         fn recv(&mut self) -> nrmi_transport::Result<Frame> {
             self.replies.pop_front().ok_or(TransportError::Disconnected)
         }
-        fn recv_timeout(
-            &mut self,
-            _timeout: std::time::Duration,
-        ) -> nrmi_transport::Result<Frame> {
+        fn recv_timeout(&mut self, _timeout: std::time::Duration) -> nrmi_transport::Result<Frame> {
             self.recv()
         }
     }
@@ -1215,7 +1209,11 @@ mod tests {
         let (_, s2) = call(&mut client, &mut link, "poke", poke_root);
         assert_eq!(s2.stale_patches, 1, "one pushed patch consumed inline");
         assert_eq!(
-            client.state.heap.get_field(leak_root, "data").expect("live"),
+            client
+                .state
+                .heap
+                .get_field(leak_root, "data")
+                .expect("live"),
             Value::Int(105),
             "the patch repaired exactly the dirty position client-side"
         );
@@ -1315,7 +1313,11 @@ mod tests {
         assert!(!apply_stale(&mut client, cache_id, 1, b"garbage"));
         assert_eq!(client.warm.cache_id("leak"), Some(cache_id));
         assert_eq!(
-            client.state.heap.get_field(leak_root, "data").expect("live"),
+            client
+                .state
+                .heap
+                .get_field(leak_root, "data")
+                .expect("live"),
             Value::Int(105)
         );
     }
@@ -1330,10 +1332,10 @@ mod tests {
         call(&mut client, &mut link, "leak", leak_root);
 
         // Out-of-band server-side write to the session's root...
-        let server_root = link.caches.sync_ids_of(
-            client.warm.cache_id("leak").expect("warm"),
-        )
-        .expect("live")[0];
+        let server_root = link
+            .caches
+            .sync_ids_of(client.warm.cache_id("leak").expect("warm"))
+            .expect("live")[0];
         link.server
             .state
             .heap
@@ -1348,9 +1350,16 @@ mod tests {
 
         let (v, s) = call(&mut client, &mut link, "leak", leak_root);
         assert_eq!(v, Value::Int(7), "the client's write won");
-        assert_eq!(s.stale_patches, 0, "no repair patch for a position the delta rewrites");
         assert_eq!(
-            client.state.heap.get_field(leak_root, "data").expect("live"),
+            s.stale_patches, 0,
+            "no repair patch for a position the delta rewrites"
+        );
+        assert_eq!(
+            client
+                .state
+                .heap
+                .get_field(leak_root, "data")
+                .expect("live"),
             Value::Int(7)
         );
     }
@@ -1364,10 +1373,10 @@ mod tests {
         let (mut client, mut link, leak_root, _poke_root) = world();
         call(&mut client, &mut link, "leak", leak_root);
 
-        let server_root = link.caches.sync_ids_of(
-            client.warm.cache_id("leak").expect("warm"),
-        )
-        .expect("live")[0];
+        let server_root = link
+            .caches
+            .sync_ids_of(client.warm.cache_id("leak").expect("warm"))
+            .expect("live")[0];
         link.server
             .state
             .heap
@@ -1378,7 +1387,11 @@ mod tests {
         assert_eq!(v, Value::Int(400), "the call saw the repaired state");
         assert_eq!(s.stale_patches, 1, "one CacheStale reply absorbed");
         assert_eq!(
-            client.state.heap.get_field(leak_root, "data").expect("live"),
+            client
+                .state
+                .heap
+                .get_field(leak_root, "data")
+                .expect("live"),
             Value::Int(400)
         );
     }

@@ -107,7 +107,8 @@ fn build_tree(heap: &mut Heap, registry: &SharedRegistry, spec: &TreeSpec) -> Ob
         let node = alloc_leaf(heap, d);
         if let Some(ll) = spec.left_left {
             let grand = alloc_leaf(heap, ll);
-            heap.set_field(node, "left", Value::Ref(grand)).expect("live");
+            heap.set_field(node, "left", Value::Ref(grand))
+                .expect("live");
         }
         node
     });
@@ -191,7 +192,8 @@ fn apply_edit(heap: &mut Heap, registry: &SharedRegistry, root: ObjId, edit: &Ed
                     ],
                 )
                 .expect("alloc");
-            heap.set_field(root, "left", Value::Ref(node)).expect("live");
+            heap.set_field(root, "left", Value::Ref(node))
+                .expect("live");
         }
     }
 }

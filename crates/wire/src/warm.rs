@@ -1080,9 +1080,7 @@ mod tests {
             Err(WireError::BadMagic)
         ));
         // Sync-count mismatch.
-        server
-            .set_field(s_sync[1], "data", Value::Int(9))
-            .unwrap();
+        server.set_field(s_sync[1], "data", Value::Int(9)).unwrap();
         let enc = encode_invalidation(&server, &s_sync, &[1]).unwrap();
         assert!(matches!(
             apply_invalidation(&enc.bytes, &mut client, &c_sync[..2]),
