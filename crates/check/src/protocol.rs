@@ -43,7 +43,7 @@
 //! | adversarial | [`ADVERSARIAL_ALPHABET`] | 4 | as core | as core | as core, plus P004 for hostile frames |
 //! | reliability | [`RELIABILITY_ALPHABET`] | 4 | 1, exclusive node, lossy link | P003, P003 | — |
 //! | shared | [`SHARED_ALPHABET`] | 5 | 2, connection nodes | P003, P008 | — |
-//! | shared-graph | [`SHARED_GRAPH_ALPHABET`] | 4 | 2, one leased node | P003, P011 | P011 lease liveness |
+//! | shared-graph | [`SHARED_GRAPH_ALPHABET`] | 4 | 2, one leased node | P003, P011 | P011 lease liveness and exact lease accounting |
 //! | pipelined | [`PIPELINED_ALPHABET`] | 4 | 1 with two graphs, exclusive node, lossy link | P009, P008 | P009 ghost replies, untagged frames |
 //! | reactor | [`REACTOR_ALPHABET`] | 4 | 2, worker nodes | P010, P010 | P010 classify outcomes |
 //!
@@ -101,10 +101,11 @@
 //!   warm clients leased onto ONE server heap, each call writing the
 //!   other's graph out-of-band, a client read stale state, a `CacheStale`
 //!   repair clobbered an unshipped local write (the positional merge
-//!   rule), or a connection teardown freed an object another connection's
-//!   live session still synchronizes.
+//!   rule), a connection teardown freed an object another connection's
+//!   live session still synchronizes, or the node's lease table is not
+//!   exactly the multiset of the live sessions' sync lists.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -1243,7 +1244,8 @@ pub const SHARED_GRAPH_ALPHABET: [SharedGraphAction; 7] = [
 
 /// Two warm clients on bare links into ONE node, each call writing the
 /// other's session root. The graph oracle (P011) catches a stale read or
-/// a clobbered local write; lease liveness is this world's own check.
+/// a clobbered local write; lease liveness and lease accounting are this
+/// world's own checks.
 struct SharedGraphWorld {
     fx: Fixture<Link>,
 }
@@ -1280,6 +1282,7 @@ impl World for SharedGraphWorld {
             G::DropA => fx.drop_connection(0),
         }
         self.check_lease_liveness(report);
+        self.check_lease_accounting(report);
         self.fx.check(report);
     }
 }
@@ -1309,6 +1312,38 @@ impl SharedGraphWorld {
                     ),
                 ));
             }
+        }
+    }
+
+    /// `NRMI-P011` (lease accounting): the node's lease table is exactly
+    /// the multiset of both links' live sync lists. A lease no session
+    /// holds pins its objects past every eviction; a synchronized object
+    /// left unleased can be freed by the other connection's teardown.
+    fn check_lease_accounting(&self, report: &mut Report) {
+        let mut want: HashMap<ObjId, usize> = HashMap::new();
+        for link in &self.fx.links {
+            for sync in link.state().caches.sync_lists() {
+                for &id in sync {
+                    *want.entry(id).or_default() += 1;
+                }
+            }
+        }
+        let node = self.fx.nodes[0].lock().expect("poisoned");
+        let table = node.leases.lock();
+        let miscounted = want
+            .iter()
+            .filter(|&(&id, &count)| table.cover_count(id) != count)
+            .count();
+        if miscounted > 0 || table.covered_len() != want.len() {
+            report.push(Diagnostic::error(
+                "NRMI-P011",
+                format!(
+                    "lease table out of step with the live sessions: {} leased object(s) \
+                     for {} synchronized, {miscounted} miscounted",
+                    table.covered_len(),
+                    want.len()
+                ),
+            ));
         }
     }
 }
@@ -2353,6 +2388,24 @@ mod tests {
             G::MutateA,
         );
         assert!(report.has_code("NRMI-P011"), "{}", report.render());
+    }
+
+    #[test]
+    fn p011_fires_when_a_lease_is_miscounted() {
+        use SharedGraphAction as G;
+        let report = planted::<SharedGraphWorld>(
+            &[G::CallA, G::CallB],
+            |w| {
+                // A teardown that forgets to release: A's caches are
+                // replaced without giving their leases back.
+                let mut link = w.fx.links[0].state();
+                let leases = Arc::clone(&link.node.lock().expect("poisoned").leases);
+                link.caches = WarmCaches::with_leases(leases);
+            },
+            G::MutateB,
+        );
+        assert!(report.has_code("NRMI-P011"), "{}", report.render());
+        assert!(report.render().contains("lease table out of step"));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use nrmi_heap::{Heap, ObjId, SharedRegistry, Value};
 use nrmi_transport::{MachineSpec, RVal, SimEnv};
-use nrmi_wire::{Codec, GraphSnapshot, RemoteHooks, WireError};
+use nrmi_wire::{Codec, RemoteHooks, WireError};
 
 use crate::export::ExportTable;
 use crate::profile::RuntimeProfile;
@@ -31,10 +31,6 @@ pub struct NodeState {
     /// every encode this node performs runs through it so steady-state
     /// calls stop allocating bookkeeping.
     pub codec: Codec,
-    /// Pooled pre-call snapshot for delta replies, recaptured per call so
-    /// its per-object slot storage is reused. Taken out with `mem::take`
-    /// around the service invocation (which needs the whole node state).
-    pub(crate) reply_snapshot: GraphSnapshot,
 }
 
 impl NodeState {
@@ -48,7 +44,6 @@ impl NodeState {
             profile: RuntimeProfile::default(),
             env: None,
             codec: Codec::new(),
-            reply_snapshot: GraphSnapshot::default(),
         }
     }
 

@@ -27,11 +27,11 @@
 //! |---|---|---|
 //! | marshal / unmarshal | `client_marshal_target` (graph or export keys) | `server_call` (the same payload, decoded) |
 //! | deliver | `client_collect_reply`, the one receive loop | [`Connection::step`] |
-//! | execute + reply | — | `invoke_and_reply` (delta against a snapshot, else annotated full reply) |
+//! | execute + reply | — | `invoke_and_reply` (delta of the order's objects written since the mark, else annotated full reply) |
 //! | restore | `apply_reply_payload` over a `ReplyOrder` | — |
 //!
 //! A seed is a cold `copy_restore_delta` call in a `CallRequestWarm`
-//! envelope whose order and snapshot both sides keep; a warm call swaps
+//! envelope whose order both sides keep; a warm call swaps
 //! only the request payload (a request delta against the kept order)
 //! and passes the advanced order where a cold call passes its linear
 //! map. The receive loop doubles as the callback server and as the
@@ -46,7 +46,7 @@ use std::time::Duration;
 
 use nrmi_heap::{ClassId, Heap, LinearMap, ObjId, Value};
 use nrmi_transport::{decode_rvals, encode_rvals, Frame, Transport, TransportError};
-use nrmi_wire::{apply_delta, deserialize_graph_with, GraphSnapshot, WireError};
+use nrmi_wire::{apply_delta, deserialize_graph_with, WireError};
 
 use crate::error::NrmiError;
 use crate::node::{ClientNode, NodeHooks, NodeState, ServerNode};
@@ -744,9 +744,11 @@ pub(crate) struct Invocation<'a> {
     pub(crate) opts: CallOptions,
     /// The order old-index annotations and delta positions refer to.
     pub(crate) order: ReplyOrder<'a>,
-    /// The pre-call state of `order`'s objects, when the caller asked
-    /// for a delta reply.
-    pub(crate) snapshot: Option<&'a GraphSnapshot>,
+    /// The mark a delta reply is read from, when the caller asked for
+    /// one: the heap epoch once the request was unmarshalled (or its
+    /// request delta applied). Objects of `order` stamped above it are
+    /// what the call changed.
+    pub(crate) delta_since: Option<u64>,
 }
 
 /// What [`invoke_and_reply`] answered.
@@ -762,8 +764,8 @@ pub(crate) struct Replied {
 /// [`RemoteHeapProxy`] — plain heap accesses go straight through, stub
 /// accesses cross the network; no read/write barriers on the local
 /// path, the paper's "full speed" property — then marshals the reply:
-/// export keys in remote-reference mode; a delta against `snapshot`
-/// when there is one (§5.2.4, optimization 2); otherwise, or when the
+/// export keys in remote-reference mode; a delta of what the call wrote
+/// when a mark was taken (§5.2.4, optimization 2); otherwise, or when the
 /// method linked something a delta cannot carry into the restorable
 /// state (a remote stub), the annotated full reply of step 3, whose
 /// payload self-describes via its magic so the client copes.
@@ -796,10 +798,10 @@ pub(crate) fn invoke_and_reply(
         });
     }
 
-    if let Some(snapshot) = call.snapshot {
+    if let Some(since) = call.delta_since {
         let outcome = {
             let NodeState { heap, codec, .. } = &mut *state;
-            codec.encode_reply_delta(heap, snapshot, std::slice::from_ref(&ret))
+            codec.encode_reply_delta(heap, call.order.ids(), since, std::slice::from_ref(&ret))
         };
         match outcome {
             Ok(delta) => {
@@ -868,10 +870,9 @@ pub(crate) fn invoke_and_reply(
 /// Runs one full-request call on the server — cold, or the seed of a
 /// warm session, which is the same call with its order kept: resolve
 /// the callee, unmarshal the arguments (export keys, or the graph whose
-/// deserialization is the server half of step 2), capture the pre-call
-/// snapshot when a delta reply was asked for, and
-/// [`invoke_and_reply`]. Returns the reply and the server-side linear
-/// map it is relative to.
+/// deserialization is the server half of step 2), take the mark when a
+/// delta reply was asked for, and [`invoke_and_reply`]. Returns the
+/// reply and the server-side linear map it is relative to.
 pub(crate) fn server_call(
     server: &mut ServerNode,
     transport: &mut dyn Transport,
@@ -915,16 +916,9 @@ pub(crate) fn server_call(
         (decoded.roots, server_map)
     };
 
-    // The node's pooled snapshot storage, taken out because the service
-    // invocation needs the whole node state, and put back whatever the
-    // call's outcome (a seed then adopts it as its entry's pool).
-    let snapshot = if opts.delta_reply {
-        let mut snapshot = std::mem::take(&mut state.reply_snapshot);
-        snapshot.recapture(&state.heap, server_map.order())?;
-        Some(snapshot)
-    } else {
-        None
-    };
+    // The mark: everything the call writes from here on is stamped above
+    // it.
+    let delta_since = opts.delta_reply.then(|| state.heap.epoch());
     let replied = invoke_and_reply(
         state,
         service,
@@ -935,13 +929,10 @@ pub(crate) fn server_call(
             args: &args,
             opts,
             order: ReplyOrder::Map(&server_map),
-            snapshot: snapshot.as_ref(),
+            delta_since,
         },
-    );
-    if let Some(snapshot) = snapshot {
-        state.reply_snapshot = snapshot;
-    }
-    Ok((replied?, server_map))
+    )?;
+    Ok((replied, server_map))
 }
 
 /// The reply frame for a call's outcome: `CallReply` on success,

@@ -74,9 +74,9 @@ pub struct CallOptions {
     /// class markers. Benchmarks use this to run the same workload under
     /// every semantics.
     pub mode_override: Option<PassMode>,
-    /// Ship the reply as a delta against the request snapshot instead of
-    /// a full graph (§5.2.4 optimization 2; only meaningful for
-    /// copy-restore).
+    /// Ship the reply as a delta — the request's objects the call wrote
+    /// — instead of a full graph (§5.2.4 optimization 2; only meaningful
+    /// for copy-restore).
     pub delta_reply: bool,
     /// Abandon the call if no reply (or callback) arrives within this
     /// window. `None` waits indefinitely. A timed-out copy/copy-restore

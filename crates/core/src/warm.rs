@@ -15,7 +15,7 @@
 //! * a **seed** is the cold `copy_restore_delta` call, byte for byte,
 //!   in a `CallRequestWarm` envelope — afterwards each side keeps the
 //!   call's linear-map order (plus the objects the reply introduced) as
-//!   the session's sync list, and the server keeps the snapshot storage;
+//!   the session's sync list;
 //! * a **warm call** replaces the graph request by a request delta
 //!   against that list (the client's classification of it, the server's
 //!   application of it), and hands the advanced list to the same
@@ -66,7 +66,7 @@ use nrmi_heap::{Heap, ObjId, Value};
 use nrmi_transport::{Frame, Transport};
 use nrmi_wire::{
     apply_invalidation_filtered, apply_request_delta, encode_invalidation, next_sync,
-    EncodedInvalidation, GraphSnapshot, WireError,
+    AppliedRequestDelta, EncodedInvalidation, WireError,
 };
 
 use crate::error::NrmiError;
@@ -75,7 +75,7 @@ use crate::node::{ClientNode, NodeState, ServerNode};
 use crate::protocol::{
     apply_reply_payload, client_collect_reply, client_invoke_target, client_invoke_with_stats,
     invoke_and_reply, reply_frame, resolve_callee, server_call, CallStats, CallTarget, Callee,
-    Collected, Invocation, ReplyOrder,
+    Collected, Invocation, Replied, ReplyOrder,
 };
 use crate::semantics::CallOptions;
 
@@ -506,21 +506,20 @@ pub fn client_evict_warm(
 /// Which warm sessions currently cover which heap objects, across every
 /// connection serving one node. Kept on [`ServerNode::leases`] and
 /// mirrored by every [`WarmCaches`] built over it
-/// ([`with_leases`](WarmCaches::with_leases)): an entry's sync objects are
-/// registered when the entry is (re)inserted and unregistered when it is
-/// taken out, so an orderly eviction can free exactly the objects no
-/// OTHER session still reads — one client disconnecting no longer
-/// poisons a second client's warm session by freeing the shared graph
-/// out from under it.
+/// ([`with_leases`](WarmCaches::with_leases)), so an orderly eviction can
+/// free exactly the objects no OTHER session still reads — one client
+/// disconnecting no longer poisons a second client's warm session by
+/// freeing the shared graph out from under it.
 ///
-/// The table is a refcount per object, which is exact under two
-/// invariants the [`WarmCaches`] funnel maintains: a sync list never
-/// repeats an id (it is a linear-map order), and every
-/// [`register`](Self::register) is balanced by exactly one
-/// [`unregister`](Self::unregister) of the same list. Counts instead of
-/// per-object holder lists keep the steady-state warm call free of
-/// allocations — the count map's capacity persists across the per-call
-/// take/put cycle.
+/// The table is a refcount per object and equals, at all times, the
+/// multiset union of the live entries' sync lists — an entry checked
+/// out for a call included. Two invariants keep that exact: a sync list
+/// never repeats an id (it is a linear-map order, extended only by
+/// objects it did not hold), and [`WarmCaches`] moves an entry's lease
+/// by exactly its sync list's change: the whole list when an entry is
+/// created or dropped, and only the retired and appended ids when a call
+/// or repair advances it. A steady warm call therefore touches the
+/// table in proportion to what moved, not to the graph.
 ///
 /// Lock discipline: always a leaf. Critical sections are pure map
 /// updates; no other lock (and no transport I/O) is ever taken while a
@@ -600,9 +599,6 @@ struct ServerWarmEntry {
     /// frame for this session so the client can order and deduplicate
     /// patch deliveries.
     version: u64,
-    /// Pooled pre-call snapshot storage, recaptured per warm call so the
-    /// per-object slot buffers are reused instead of reallocated.
-    snapshot: GraphSnapshot,
 }
 
 /// The warm caches of one server connection. Each connection owns its
@@ -671,18 +667,33 @@ impl WarmCaches {
         self.entries.get(&cache_id).map(|e| e.sync.as_slice())
     }
 
-    /// Takes an entry out, releasing its leases. Every removal funnels
-    /// through here so the lease table mirrors `entries` exactly.
-    fn take_entry(&mut self, cache_id: u64) -> Option<ServerWarmEntry> {
-        let entry = self.entries.remove(&cache_id)?;
-        self.leases.lock().unregister(&entry.sync);
-        Some(entry)
+    /// Every live session's sync list. Exposed so checkers can audit the
+    /// lease table against the sessions it mirrors.
+    pub fn sync_lists(&self) -> impl Iterator<Item = &[ObjId]> {
+        self.entries.values().map(|e| e.sync.as_slice())
     }
 
-    /// Inserts an entry, registering its leases. The twin of
-    /// [`take_entry`](Self::take_entry).
-    fn put_entry(&mut self, cache_id: u64, entry: ServerWarmEntry) {
-        self.leases.lock().register(&entry.sync);
+    /// Checks an entry out for a call or a repair: out of the set, its
+    /// lease kept. It comes back through [`commit`](Self::commit), or
+    /// its call failed and it is [`release`](Self::release)d.
+    fn check_out(&mut self, cache_id: u64) -> Option<ServerWarmEntry> {
+        self.entries.remove(&cache_id)
+    }
+
+    /// Releases a dropped entry's whole lease.
+    fn release(&self, entry: &ServerWarmEntry) {
+        self.leases.lock().unregister(&entry.sync);
+    }
+
+    /// Puts an entry (back) into the set, its lease moved by its sync
+    /// list's change only: the `retired` ids drop out, and the last
+    /// `added` ids of its list come in. A new entry is all `added`.
+    fn commit(&mut self, cache_id: u64, entry: ServerWarmEntry, retired: &[ObjId], added: usize) {
+        {
+            let mut table = self.leases.lock();
+            table.unregister(retired);
+            table.register(&entry.sync[entry.sync.len() - added..]);
+        }
         self.entries.insert(cache_id, entry);
     }
 
@@ -691,9 +702,10 @@ impl WarmCaches {
     /// warm twin of a DGC clean); slots already freed or never seeded
     /// are ignored.
     pub fn evict(&mut self, heap: &mut Heap, cache_id: u64) {
-        let Some(entry) = self.take_entry(cache_id) else {
+        let Some(entry) = self.check_out(cache_id) else {
             return;
         };
+        self.release(&entry);
         // Free the graph only if every synchronized slot still holds the
         // object the session left there, untouched since validation. Any
         // out-of-band activity — a mutation (server state aliases the
@@ -798,11 +810,11 @@ fn classify(heap: &Heap, entry: &ServerWarmEntry) -> Staleness {
     }
 }
 
-/// The tail of every repair, on the reply path and the push path alike:
-/// the session grows by the objects the patch ships, is revalidated at
-/// the current heap state (same generation — no call executed) under a
-/// bumped revalidation version, goes back into the cache set, and the
-/// patch travels as `CacheStale`.
+/// The tail of every repair of a checked-out entry, on the reply path
+/// and the push path alike: the session grows by the objects the patch
+/// ships, is revalidated at the current heap state (same generation —
+/// no call executed) under a bumped revalidation version, is committed
+/// back into the cache set, and the patch travels as `CacheStale`.
 fn publish_patch(
     state: &NodeState,
     caches: &mut WarmCaches,
@@ -823,7 +835,7 @@ fn publish_patch(
     );
     entry.version += 1;
     let version = entry.version;
-    caches.put_entry(cache_id, entry);
+    caches.commit(cache_id, entry, &[], patch.new_objects.len());
     Frame::CacheStale {
         cache_id,
         version,
@@ -866,11 +878,12 @@ pub(crate) fn collect_stale_pushes(server: &mut ServerNode, caches: &mut WarmCac
                 if !patch.new_objects.is_empty() {
                     continue;
                 }
-                let entry = caches.take_entry(cache_id).expect("present above");
+                let entry = caches.check_out(cache_id).expect("present above");
                 out.push(publish_patch(state, caches, cache_id, entry, patch));
             }
             Staleness::Lost => {
-                caches.take_entry(cache_id);
+                let entry = caches.check_out(cache_id).expect("present above");
+                caches.release(&entry);
             }
         }
     }
@@ -892,38 +905,36 @@ pub(crate) fn server_handle_warm_call(
     payload: &[u8],
 ) -> Frame {
     if generation == 0 {
-        // A seed: the cold delta-reply call, whose order and snapshot
-        // storage are kept as the session's entry. A full reply — the
-        // result graph could not travel as a delta — establishes no
-        // cache.
+        // A seed: the cold delta-reply call, whose order is kept as the
+        // session's entry. A full reply — the result graph could not
+        // travel as a delta — establishes no cache.
         let callee = Callee::Named(service);
         let called = server_call(server, transport, method, callee, mode_byte, payload);
         return reply_frame(called.map(|(replied, map)| {
             if let Some(new_objects) = replied.delta_new {
-                let state = &mut server.state;
                 let mut sync = map.order().to_vec();
                 sync.extend_from_slice(&new_objects);
+                let added = sync.len();
                 let entry = ServerWarmEntry {
                     generation: 1,
-                    versions: versions_of(&state.heap, &sync, Vec::new()),
+                    versions: versions_of(&server.state.heap, &sync, Vec::new()),
                     sync,
                     version: 0,
-                    // The node's snapshot pool, just used by the call,
-                    // seeds the entry's.
-                    snapshot: std::mem::take(&mut state.reply_snapshot),
                 };
-                caches.put_entry(cache_id, entry);
+                caches.commit(cache_id, entry, &[], added);
             }
             replied.payload
         }));
     }
-    // Take the entry out up front: every non-success path below must
-    // leave it dropped (the client drops its side symmetrically); only a
-    // completed call or an in-place repair re-inserts it.
-    let Some(entry) = caches.take_entry(cache_id) else {
+    // Check the entry out up front: every non-success path below must
+    // leave it dropped and its lease released (the client drops its side
+    // symmetrically); only a completed call or an in-place repair
+    // commits it back.
+    let Some(entry) = caches.check_out(cache_id) else {
         return Frame::CacheMiss;
     };
     if entry.generation != generation {
+        caches.release(&entry);
         return Frame::CacheMiss;
     }
     match classify(&server.state.heap, &entry) {
@@ -949,11 +960,14 @@ pub(crate) fn server_handle_warm_call(
                     // Encode failures (a dirty object grew a dangling
                     // edge into a freed neighbor, or now references
                     // something a patch cannot carry) degrade to the
-                    // legacy drop: entry out, unfreed, `CacheMiss`.
+                    // legacy drop: entry released, unfreed, `CacheMiss`.
                     let state = &server.state;
                     return match encode_invalidation(&state.heap, &entry.sync, &patch) {
                         Ok(patch) => publish_patch(state, caches, cache_id, entry, patch),
-                        Err(_) => Frame::CacheMiss,
+                        Err(_) => {
+                            caches.release(&entry);
+                            Frame::CacheMiss
+                        }
                     };
                 }
             }
@@ -962,6 +976,7 @@ pub(crate) fn server_handle_warm_call(
             // Freed or recycled out-of-band: nothing to patch against.
             // Drop without freeing (the out-of-band activity proves
             // server state aliases the graph).
+            caches.release(&entry);
             return Frame::CacheMiss;
         }
     }
@@ -970,8 +985,10 @@ pub(crate) fn server_handle_warm_call(
     ))
 }
 
-/// A warm call proper: apply the request delta to the cached graph,
-/// invoke and reply against the advanced sync list, advance the entry.
+/// A warm call proper: runs the call ([`run_warm_call`]) and commits the
+/// checked-out entry at its advanced sync list. A failed call or a full
+/// reply releases the entry instead (the client retires its side on
+/// seeing either).
 #[allow(clippy::too_many_arguments)]
 fn server_warm_call(
     server: &mut ServerNode,
@@ -983,6 +1000,43 @@ fn server_warm_call(
     mut entry: ServerWarmEntry,
     payload: &[u8],
 ) -> Result<Vec<u8>, NrmiError> {
+    let (replied, applied, mut sync) =
+        match run_warm_call(server, transport, service, method, &entry.sync, payload) {
+            Ok(called) => called,
+            Err(e) => {
+                caches.release(&entry);
+                return Err(e);
+            }
+        };
+    let Some(reply_new) = &replied.delta_new else {
+        caches.release(&entry);
+        return Ok(replied.payload);
+    };
+    let retired: Vec<ObjId> = applied
+        .freed_positions
+        .iter()
+        .map(|&pos| entry.sync[pos as usize])
+        .collect();
+    sync.extend_from_slice(reply_new);
+    entry.versions = versions_of(&server.state.heap, &sync, entry.versions);
+    entry.sync = sync;
+    entry.generation += 1;
+    let added = applied.new_objects.len() + reply_new.len();
+    caches.commit(cache_id, entry, &retired, added);
+    Ok(replied.payload)
+}
+
+/// Applies a warm request delta to the cached graph `sync` and invokes
+/// and replies against the advanced sync list, which it returns with
+/// the reply and what the delta did.
+fn run_warm_call(
+    server: &mut ServerNode,
+    transport: &mut dyn Transport,
+    service: &str,
+    method: &str,
+    sync: &[ObjId],
+    payload: &[u8],
+) -> Result<(Replied, AppliedRequestDelta, Vec<ObjId>), NrmiError> {
     let ServerNode {
         state,
         services,
@@ -992,17 +1046,16 @@ fn server_warm_call(
     let cost = state.profile.cost();
     let (svc, receiver) = resolve_callee(services, class_services, state, Callee::Named(service))?;
 
-    let applied = apply_request_delta(payload, &mut state.heap, &entry.sync)?;
+    let applied = apply_request_delta(payload, &mut state.heap, sync)?;
     state.charge_cpu(
         cost.dispatch_overhead_us
             + (applied.changed_count + applied.new_objects.len()) as f64 * cost.de_per_obj_us
             + payload.len() as f64 * cost.per_byte_us,
     );
-    let mut sync = next_sync(&entry.sync, &applied.freed_positions, &applied.new_objects);
-    // Recapture into the entry's pooled snapshot: in steady state this
-    // reuses every per-object slot buffer from the previous call.
-    entry.snapshot.recapture(&state.heap, &sync)?;
-
+    let next = next_sync(sync, &applied.freed_positions, &applied.new_objects);
+    // The mark: everything the call writes from here on is stamped above
+    // it.
+    let delta_since = Some(state.heap.epoch());
     let replied = invoke_and_reply(
         state,
         svc,
@@ -1012,20 +1065,11 @@ fn server_warm_call(
             receiver,
             args: &applied.roots,
             opts: CallOptions::copy_restore_delta(),
-            order: ReplyOrder::List(&sync),
-            snapshot: Some(&entry.snapshot),
+            order: ReplyOrder::List(&next),
+            delta_since,
         },
     )?;
-    // A full reply leaves the entry dropped (the client retires its side
-    // on seeing one).
-    if let Some(new_objects) = &replied.delta_new {
-        sync.extend_from_slice(new_objects);
-        entry.versions = versions_of(&state.heap, &sync, entry.versions);
-        entry.sync = sync;
-        entry.generation += 1;
-        caches.put_entry(cache_id, entry);
-    }
-    Ok(replied.payload)
+    Ok((replied, applied, next))
 }
 
 #[cfg(test)]
@@ -1167,15 +1211,18 @@ mod tests {
         let leases = new_lease_table();
         let mut conn_a = WarmCaches::with_leases(Arc::clone(&leases));
         let mut conn_b = WarmCaches::with_leases(Arc::clone(&leases));
-        let entry = |heap: &Heap, sync: Vec<ObjId>| ServerWarmEntry {
-            generation: 1,
-            versions: versions_of(heap, &sync, Vec::new()),
-            sync,
-            version: 0,
-            snapshot: GraphSnapshot::default(),
+        let seed = |conn: &mut WarmCaches, cache_id, sync: Vec<ObjId>| {
+            let entry = ServerWarmEntry {
+                generation: 1,
+                versions: versions_of(&heap, &sync, Vec::new()),
+                version: 0,
+                sync,
+            };
+            let added = entry.sync.len();
+            conn.commit(cache_id, entry, &[], added);
         };
-        conn_a.put_entry(1, entry(&heap, vec![x, y, shared]));
-        conn_b.put_entry(2, entry(&heap, vec![z, shared]));
+        seed(&mut conn_a, 1, vec![x, y, shared]);
+        seed(&mut conn_b, 2, vec![z, shared]);
         assert_eq!(leases.lock().cover_count(shared), 2);
 
         conn_a.release_all(&mut heap);
@@ -1394,5 +1441,241 @@ mod tests {
                 .expect("live"),
             Value::Int(400)
         );
+    }
+
+    /// Two warm sessions, on services `a` and `b` of one node, over one
+    /// service body whose method says what the call does to its root
+    /// `Node`: `splice` links a fresh node under `left` and the node-wide
+    /// shared node under `right` (reply-new objects, the shared one in
+    /// both sessions), `fail` throws, `attach` links a remote-marked
+    /// object (a delta cannot carry it: the full reply), anything else
+    /// reads. Each client root heads a three-node chain down `left`.
+    fn lease_world() -> (ClientNode, Link, nrmi_heap::ClassId, [ObjId; 2]) {
+        let mut reg = ClassRegistry::new();
+        let node = reg
+            .define("Node")
+            .field_int("data")
+            .field_ref("left")
+            .field_ref("right")
+            .restorable()
+            .register();
+        let device = reg.define("Device").field_str("name").remote().register();
+        let registry = reg.snapshot();
+        let shared: Arc<Mutex<Option<ObjId>>> = Arc::default();
+        let mut server = ServerNode::new(registry.clone(), MachineSpec::fast());
+        for name in ["a", "b"] {
+            let shared = Arc::clone(&shared);
+            let body = move |method: &str, args: &[Value], heap: &mut dyn HeapAccess| {
+                let root = args[0]
+                    .as_ref_id()
+                    .ok_or_else(|| NrmiError::app("want a ref"))?;
+                let leaf = |data| vec![Value::Int(data), Value::Null, Value::Null];
+                match method {
+                    "fail" => return Err(NrmiError::app("planted failure")),
+                    "attach" => {
+                        let dev = heap.alloc_raw(device, vec![Value::Str("lp0".into())])?;
+                        heap.set_field(root, "right", Value::Ref(dev))?;
+                    }
+                    "splice" => {
+                        let fresh = heap.alloc_raw(node, leaf(7))?;
+                        heap.set_field(root, "left", Value::Ref(fresh))?;
+                        let mut shared = shared.lock().expect("poisoned");
+                        let id = match *shared {
+                            Some(id) => id,
+                            None => *shared.insert(heap.alloc_raw(node, leaf(9))?),
+                        };
+                        heap.set_field(root, "right", Value::Ref(id))?;
+                    }
+                    _ => {}
+                }
+                Ok(heap.get_field(root, "data")?)
+            };
+            server.bind(name, Box::new(FnService::new(body)));
+        }
+        let caches = WarmCaches::with_leases(Arc::clone(&server.leases));
+        let mut client = ClientNode::new(registry, MachineSpec::fast());
+        let heap = &mut client.state.heap;
+        let mut chain = |data| {
+            let mut left = Value::Null;
+            for i in (0..3).rev() {
+                let id = heap.alloc(node, vec![Value::Int(data + i), left, Value::Null]);
+                left = Value::Ref(id.expect("alloc"));
+            }
+            left.as_ref_id().expect("built")
+        };
+        let roots = [chain(10), chain(20)];
+        let link = Link {
+            server,
+            caches,
+            replies: VecDeque::new(),
+        };
+        (client, link, node, roots)
+    }
+
+    /// Checks the lease table against the sessions it mirrors: each id
+    /// counts the live entries whose sync list holds it, and nothing
+    /// else is leased. Returns those counts.
+    fn assert_leases_exact(caches: &WarmCaches) -> HashMap<ObjId, usize> {
+        let mut want: HashMap<ObjId, usize> = HashMap::new();
+        for sync in caches.sync_lists() {
+            for &id in sync {
+                *want.entry(id).or_default() += 1;
+            }
+        }
+        let table = caches.leases.lock();
+        for (&id, &count) in &want {
+            assert_eq!(table.cover_count(id), count, "cover count of {id}");
+        }
+        assert_eq!(table.covered_len(), want.len(), "only live sessions lease");
+        want
+    }
+
+    fn warm(client: &mut ClientNode, link: &mut Link, service: &str, method: &str, root: ObjId) {
+        client_invoke_warm_with_stats(client, link, service, method, &[Value::Ref(root)])
+            .expect("warm call");
+    }
+
+    /// The server-side object at position `pos` of `service`'s session.
+    fn server_obj(client: &ClientNode, link: &Link, service: &str, pos: usize) -> ObjId {
+        let cache_id = client.warm.cache_id(service).expect("warm");
+        link.caches.sync_ids_of(cache_id).expect("live")[pos]
+    }
+
+    /// Warm calls move each lease by exactly the sync list's change: the
+    /// client's pruned positions drop out, and the objects spliced in by
+    /// the request, by the reply and by a repair patch come in — one of
+    /// them, the node-wide shared node, into both sessions.
+    #[test]
+    fn leases_follow_the_sync_lists_change() {
+        let (mut client, mut link, node, [a, b]) = lease_world();
+        let heap = &mut client.state.heap;
+        let l1 = heap.get_ref(a, "left").expect("live").expect("chain");
+        let l2 = heap.get_ref(l1, "left").expect("live").expect("chain");
+        warm(&mut client, &mut link, "a", "splice", a);
+        warm(&mut client, &mut link, "b", "splice", b);
+        let counts = assert_leases_exact(&link.caches);
+        assert!(
+            counts.values().any(|&c| c == 2),
+            "one node in both sessions"
+        );
+
+        // Client side: free the chain the reply detached (freed
+        // positions) and link a new node under the spliced-in one
+        // (request-new); the server splices again (reply-new).
+        let heap = &mut client.state.heap;
+        heap.free(l2).expect("live");
+        heap.free(l1).expect("live");
+        let spliced = heap.get_ref(a, "left").expect("live").expect("spliced");
+        let fresh = heap
+            .alloc(node, vec![Value::Int(3), Value::Null, Value::Null])
+            .expect("alloc");
+        heap.set_field(spliced, "left", Value::Ref(fresh))
+            .expect("live");
+        let (gen, len) = (client.warm.generation("a"), client.warm.sync_len("a"));
+        warm(&mut client, &mut link, "a", "splice", a);
+        assert_eq!(client.warm.generation("a"), gen.map(|g| g + 1), "ran warm");
+        assert_eq!(client.warm.sync_len("a"), len.map(|n| n - 2 + 1 + 1));
+        assert_leases_exact(&link.caches);
+
+        // A repair patch that splices: an out-of-band link under b's
+        // spliced node travels as a `CacheStale` with one new object.
+        let server_root = server_obj(&client, &link, "b", 0);
+        let heap = &mut link.server.state.heap;
+        let spliced = heap
+            .get_ref(server_root, "left")
+            .expect("live")
+            .expect("spliced");
+        let patched = heap
+            .alloc(node, vec![Value::Int(4), Value::Null, Value::Null])
+            .expect("alloc");
+        heap.set_field(spliced, "left", Value::Ref(patched))
+            .expect("live");
+        let (gen, len) = (client.warm.generation("b"), client.warm.sync_len("b"));
+        let (_, stats) = call(&mut client, &mut link, "b", b);
+        assert_eq!(stats.stale_patches, 1, "repaired, then ran");
+        assert_eq!(client.warm.generation("b"), gen.map(|g| g + 1));
+        assert_eq!(client.warm.sync_len("b"), len.map(|n| n + 1));
+        assert_leases_exact(&link.caches);
+    }
+
+    /// Every way a warm call fails releases the failed entry's whole
+    /// lease and nothing else: a generation mismatch, a `Lost` entry met
+    /// by its own call and by another session's push scan, a repair
+    /// patch that cannot be encoded, a service error and a full-reply
+    /// fallback each leave exactly the surviving sessions' leases.
+    #[test]
+    fn failed_warm_calls_leave_exactly_the_surviving_leases() {
+        let (mut client, mut link, _, [a, b]) = lease_world();
+        warm(&mut client, &mut link, "a", "splice", a);
+        warm(&mut client, &mut link, "b", "splice", b);
+        let reseeded = |client: &ClientNode, service, before| {
+            client
+                .warm
+                .cache_id(service)
+                .is_some_and(|id| Some(id) != before)
+        };
+
+        // Generation mismatch: b misses and reseeds.
+        let b_id = client.warm.cache_id("b");
+        let entry = link.caches.entries.get_mut(&b_id.expect("warm"));
+        entry.expect("live").generation += 1;
+        warm(&mut client, &mut link, "b", "read", b);
+        assert!(reseeded(&client, "b", b_id));
+        assert_leases_exact(&link.caches);
+
+        // Lost, met by a's own call: a synchronized object of a's is
+        // unlinked and freed out of band; a misses and reseeds.
+        let lose = |client: &ClientNode, link: &mut Link, service| {
+            let root = server_obj(client, link, service, 0);
+            let heap = &mut link.server.state.heap;
+            let child = heap.get_ref(root, "left").expect("live").expect("spliced");
+            heap.set_field(root, "left", Value::Null).expect("live");
+            heap.free(child).expect("live");
+        };
+        let a_id = client.warm.cache_id("a");
+        lose(&client, &mut link, "a");
+        warm(&mut client, &mut link, "a", "read", a);
+        assert!(reseeded(&client, "a", a_id));
+        assert_leases_exact(&link.caches);
+
+        // Lost, met by the push scan after a's warm call.
+        let b_id = client.warm.cache_id("b");
+        lose(&client, &mut link, "b");
+        warm(&mut client, &mut link, "a", "read", a);
+        assert_eq!(link.caches.generation_of(b_id.expect("warm")), None);
+        assert_leases_exact(&link.caches);
+        warm(&mut client, &mut link, "b", "read", b);
+        assert!(reseeded(&client, "b", b_id));
+        assert_leases_exact(&link.caches);
+
+        // A repair patch that cannot travel: an out-of-band write links
+        // a remote-marked object under a's root; a misses and reseeds.
+        let a_id = client.warm.cache_id("a");
+        let root = server_obj(&client, &link, "a", 0);
+        let heap = &mut link.server.state.heap;
+        let device = heap.registry_handle().by_name("Device").expect("Device");
+        let dev = heap
+            .alloc(device, vec![Value::Str("lp1".into())])
+            .expect("alloc");
+        heap.set_field(root, "right", Value::Ref(dev))
+            .expect("live");
+        warm(&mut client, &mut link, "a", "read", a);
+        assert!(reseeded(&client, "a", a_id));
+        assert_leases_exact(&link.caches);
+
+        // A service error retires b on both sides.
+        let args = [Value::Ref(b)];
+        client_invoke_warm_with_stats(&mut client, &mut link, "b", "fail", &args)
+            .expect_err("planted failure");
+        assert_eq!(client.warm.cache_id("b"), None);
+        assert_eq!(link.caches.len(), 1);
+        assert_leases_exact(&link.caches);
+
+        // A full-reply fallback retires a; b, reseeded, survives it.
+        warm(&mut client, &mut link, "b", "read", b);
+        warm(&mut client, &mut link, "a", "attach", a);
+        assert_eq!(client.warm.cache_id("a"), None);
+        assert_eq!(link.caches.len(), 1);
+        assert_leases_exact(&link.caches);
     }
 }

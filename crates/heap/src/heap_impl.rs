@@ -215,7 +215,7 @@ impl Heap {
     /// of its last mutation ([`Heap::version_of`]); comparing versions
     /// against a remembered epoch yields the dirty subset of a graph in
     /// O(objects) with no slot diffing — the basis of warm-call request
-    /// deltas.
+    /// deltas and of reply deltas.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -517,20 +517,6 @@ impl Heap {
     /// [`HeapError::DanglingRef`].
     pub fn slots_of(&self, id: ObjId) -> Result<Vec<Value>> {
         Ok(self.get(id)?.body().slots().to_vec())
-    }
-
-    /// Clones the slots of `id` into `out` (cleared first), reusing
-    /// `out`'s storage — the pooled-snapshot path of [`slots_of`].
-    ///
-    /// [`slots_of`]: Heap::slots_of
-    ///
-    /// # Errors
-    /// [`HeapError::DanglingRef`] if `id` is freed or unallocated.
-    pub fn clone_slots_into(&self, id: ObjId, out: &mut Vec<Value>) -> Result<()> {
-        let slots = self.get(id)?.body().slots();
-        out.clear();
-        out.extend_from_slice(slots);
-        Ok(())
     }
 
     /// Rewrites every reference slot of `id` through `map`; slots whose

@@ -30,7 +30,7 @@
 
 use nrmi_heap::{DensePositionMap, Heap, ObjId, Value};
 
-use crate::delta::{self, EncodedDelta, GraphSnapshot};
+use crate::delta::{self, EncodedDelta};
 use crate::ser::{EncodedGraph, RemoteHooks, Serializer};
 use crate::warm::{self, EncodedRequestDelta};
 use crate::Result;
@@ -114,12 +114,14 @@ impl Codec {
     pub fn encode_reply_delta(
         &mut self,
         heap: &Heap,
-        snapshot: &GraphSnapshot,
+        order: &[ObjId],
+        since: u64,
         roots: &[Value],
     ) -> Result<EncodedDelta> {
         let (delta, old, new) = delta::encode_delta_pooled(
             heap,
-            snapshot,
+            order,
+            since,
             roots,
             std::mem::take(&mut self.delta_old),
             std::mem::take(&mut self.delta_new),
@@ -222,16 +224,17 @@ mod tests {
         let enc = serialize_graph(&client, &[Value::Ref(root)]).unwrap();
         let mut server = Heap::new(client.registry_handle().clone());
         let dec = deserialize_graph(&enc.bytes, &mut server).unwrap();
-        let snapshot = GraphSnapshot::capture(&server, &dec.linear).unwrap();
+        let mark = server.epoch();
         let server_root = dec.roots[0].as_ref_id().unwrap();
         server
             .set_field(server_root, "data", Value::Int(5))
             .unwrap();
-        let fresh = encode_delta(&server, &snapshot, &[Value::Ref(server_root)]).unwrap();
+        let roots = [Value::Ref(server_root)];
+        let fresh = encode_delta(&server, &dec.linear, mark, &roots).unwrap();
         let mut codec = Codec::new();
         for round in 0..3 {
             let pooled = codec
-                .encode_reply_delta(&server, &snapshot, &[Value::Ref(server_root)])
+                .encode_reply_delta(&server, &dec.linear, mark, &roots)
                 .unwrap();
             assert_eq!(pooled.bytes, fresh.bytes, "round {round}");
             assert_eq!(pooled.stats, fresh.stats, "round {round}");

@@ -9,10 +9,13 @@
 //! work; this module implements it, and the benchmark suite ablates it
 //! against the full-reply path.
 //!
-//! Protocol: when the server deserializes the request it captures a
-//! [`GraphSnapshot`] of every received ("old") object's slots. After the
-//! method runs, [`encode_delta`] emits only the old objects whose slots
-//! changed, plus any new objects they (or the reply roots) reference.
+//! Protocol: when the server has unmarshalled the request it notes the
+//! heap epoch, the *mark*. Every heap write stamps the written object
+//! with a later version, so after the method runs the changed old
+//! objects are exactly those of the request's order stamped above the
+//! mark: [`encode_delta`] emits those, plus any new objects they (or the
+//! reply roots) reference. Version stamps record writes, not
+//! differences, so a write that stores an object's old value ships it.
 //! The client applies the delta *in place* with [`apply_delta`]: old
 //! objects are patched directly through its own linear map, so the
 //! restore needs no temporary copies and no pointer-fixup pass at all —
@@ -31,63 +34,12 @@ pub(crate) const DTAG_OLDREF: u8 = 10;
 pub(crate) const DTAG_NEWOBJ: u8 = 11;
 pub(crate) const DTAG_NEWBACK: u8 = 12;
 
-/// The server-side snapshot of the objects received in a request, taken
-/// before the remote method runs.
-#[derive(Clone, Debug, Default)]
-pub struct GraphSnapshot {
-    linear: Vec<ObjId>,
-    slots: Vec<Vec<Value>>,
-}
-
-impl GraphSnapshot {
-    /// Captures the current slots of every object in `linear` (the
-    /// receiver-side linear map of the request).
-    ///
-    /// # Errors
-    /// Propagates dangling-reference errors.
-    pub fn capture(heap: &Heap, linear: &[ObjId]) -> Result<Self> {
-        let mut snap = GraphSnapshot {
-            linear: Vec::new(),
-            slots: Vec::new(),
-        };
-        snap.recapture(heap, linear)?;
-        Ok(snap)
-    }
-
-    /// Re-captures the snapshot in place over (a possibly different)
-    /// `linear`, reusing the existing per-object slot storage. A session
-    /// that snapshots the same cached graph between warm calls reaches a
-    /// steady state where recapture allocates nothing.
-    ///
-    /// # Errors
-    /// Propagates dangling-reference errors.
-    pub fn recapture(&mut self, heap: &Heap, linear: &[ObjId]) -> Result<()> {
-        self.linear.clear();
-        self.linear.extend_from_slice(linear);
-        self.slots.resize_with(linear.len(), Vec::new);
-        for (i, &id) in linear.iter().enumerate() {
-            heap.clone_slots_into(id, &mut self.slots[i])?;
-        }
-        Ok(())
-    }
-
-    /// Number of old objects in the snapshot.
-    pub fn len(&self) -> usize {
-        self.linear.len()
-    }
-
-    /// True if the snapshot covers no objects.
-    pub fn is_empty(&self) -> bool {
-        self.linear.is_empty()
-    }
-}
-
 /// Size accounting for a delta encoding.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaStats {
-    /// Old objects covered by the snapshot.
+    /// Old objects the delta is relative to (the order's length).
     pub old_count: usize,
-    /// Old objects whose slots changed and were re-sent.
+    /// Old objects written since the mark, re-sent.
     pub changed_count: usize,
     /// New objects shipped in full.
     pub new_count: usize,
@@ -199,19 +151,22 @@ impl<'h> DeltaEncoder<'h> {
     }
 }
 
-/// Encodes the difference between `snapshot` and the current state of
-/// `heap`, along with the reply `roots` (e.g. the return value).
+/// Encodes what the call changed in `order` — the objects stamped above
+/// the heap epoch `since` — along with the reply `roots` (e.g. the return
+/// value).
 ///
 /// # Errors
 /// Fails on dangling references or non-serializable new objects.
 pub fn encode_delta(
     heap: &Heap,
-    snapshot: &GraphSnapshot,
+    order: &[ObjId],
+    since: u64,
     roots: &[Value],
 ) -> Result<EncodedDelta> {
     let (delta, _, _) = encode_delta_pooled(
         heap,
-        snapshot,
+        order,
+        since,
         roots,
         DensePositionMap::new(),
         DensePositionMap::new(),
@@ -225,22 +180,20 @@ pub fn encode_delta(
 /// caller and the maps are handed back for reuse.
 pub(crate) fn encode_delta_pooled(
     heap: &Heap,
-    snapshot: &GraphSnapshot,
+    order: &[ObjId],
+    since: u64,
     roots: &[Value],
     mut old_pos: DensePositionMap,
     new_pos: DensePositionMap,
     buf: Vec<u8>,
 ) -> Result<(EncodedDelta, DensePositionMap, DensePositionMap)> {
+    // One pass fills the position map and counts the changed objects
+    // (the count precedes them on the wire).
     old_pos.clear();
-    for (i, &id) in snapshot.linear.iter().enumerate() {
-        old_pos.insert(id, i as u32);
-    }
-
-    // Count changed old objects first (one comparison pass against the
-    // snapshot, borrowing slots in place — no clones).
     let mut changed_count: usize = 0;
-    for (i, &id) in snapshot.linear.iter().enumerate() {
-        if heap.get(id)?.body().slots() != snapshot.slots[i].as_slice() {
+    for (i, &id) in order.iter().enumerate() {
+        old_pos.insert(id, i as u32);
+        if heap.get(id)?.version() > since {
             changed_count += 1;
         }
     }
@@ -248,13 +201,14 @@ pub(crate) fn encode_delta_pooled(
     let mut enc = DeltaEncoder::with_scratch(heap, old_pos, new_pos, buf);
     enc.writer.put_slice(&DELTA_MAGIC);
     enc.writer.put_u8(crate::FORMAT_VERSION);
-    enc.writer.put_varint(snapshot.len() as u64);
+    enc.writer.put_varint(order.len() as u64);
     enc.writer.put_varint(changed_count as u64);
-    for (i, &id) in snapshot.linear.iter().enumerate() {
-        let now = heap.get(id)?.body().slots();
-        if now == snapshot.slots[i].as_slice() {
+    for (i, &id) in order.iter().enumerate() {
+        let obj = heap.get(id)?;
+        if obj.version() <= since {
             continue;
         }
+        let now = obj.body().slots();
         enc.writer.put_varint(i as u64);
         enc.writer.put_varint(now.len() as u64);
         for v in now {
@@ -275,7 +229,7 @@ pub(crate) fn encode_delta_pooled(
     } = enc;
     let bytes = writer.into_bytes();
     let stats = DeltaStats {
-        old_count: snapshot.len(),
+        old_count: order.len(),
         changed_count,
         new_count: new_objects.len(),
         bytes: bytes.len(),
@@ -434,7 +388,9 @@ pub fn apply_delta(bytes: &[u8], heap: &mut Heap, client_linear: &[ObjId]) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{deserialize_graph, serialize_graph};
+    use crate::{deserialize_graph, serialize_graph, DecodedGraph, EncodedGraph};
+    use nrmi_heap::copy::deep_copy_between;
+    use nrmi_heap::graph::isomorphic;
     use nrmi_heap::tree::{self, TreeClasses};
     use nrmi_heap::{ClassRegistry, HeapAccess};
 
@@ -444,21 +400,30 @@ mod tests {
         (Heap::new(reg.snapshot()), classes)
     }
 
-    /// Full client/server delta round trip: serialize request, snapshot,
-    /// mutate server-side, encode delta, apply on client. Returns the
-    /// client heap (mutated in place) and the applied delta.
+    /// The request half of a call: the client's graph marshalled and
+    /// unmarshalled onto a fresh server heap. Returns the request, the
+    /// server heap and its decoded copy, and the mark — the server's
+    /// epoch right after unmarshal.
+    fn request(client: &Heap, root: ObjId) -> (EncodedGraph, Heap, DecodedGraph, u64) {
+        let enc = serialize_graph(client, &[Value::Ref(root)]).unwrap();
+        let mut server = Heap::new(client.registry_handle().clone());
+        let dec = deserialize_graph(&enc.bytes, &mut server).unwrap();
+        let mark = server.epoch();
+        (enc, server, dec, mark)
+    }
+
+    /// Full client/server delta round trip: marshal the request, mutate
+    /// server-side, encode the delta since the mark, apply on the client.
+    /// Returns the applied delta and the encoder's statistics.
     fn delta_roundtrip(
         client: &mut Heap,
         root: ObjId,
         mutate: impl FnOnce(&mut Heap, ObjId),
     ) -> (AppliedDelta, DeltaStats) {
-        let enc = serialize_graph(client, &[Value::Ref(root)]).unwrap();
-        let mut server = Heap::new(client.registry_handle().clone());
-        let dec = deserialize_graph(&enc.bytes, &mut server).unwrap();
-        let snapshot = GraphSnapshot::capture(&server, &dec.linear).unwrap();
+        let (enc, mut server, dec, mark) = request(client, root);
         let server_root = dec.roots[0].as_ref_id().unwrap();
         mutate(&mut server, server_root);
-        let delta = encode_delta(&server, &snapshot, &[]).unwrap();
+        let delta = encode_delta(&server, &dec.linear, mark, &[]).unwrap();
         let applied = apply_delta(&delta.bytes, client, &enc.linear).unwrap();
         (applied, delta.stats)
     }
@@ -467,11 +432,8 @@ mod tests {
     fn trailing_bytes_rejected() {
         let (mut client, classes) = setup();
         let root = tree::build_random_tree(&mut client, &classes, 8, 5).unwrap();
-        let enc = serialize_graph(&client, &[Value::Ref(root)]).unwrap();
-        let mut server = Heap::new(client.registry_handle().clone());
-        let dec = deserialize_graph(&enc.bytes, &mut server).unwrap();
-        let snapshot = GraphSnapshot::capture(&server, &dec.linear).unwrap();
-        let mut bytes = encode_delta(&server, &snapshot, &[]).unwrap().bytes;
+        let (enc, server, dec, mark) = request(&client, root);
+        let mut bytes = encode_delta(&server, &dec.linear, mark, &[]).unwrap().bytes;
         bytes.push(0x7f);
         match apply_delta(&bytes, &mut client, &enc.linear) {
             Err(WireError::TrailingBytes { trailing, .. }) => assert_eq!(trailing, 1),
@@ -506,6 +468,28 @@ mod tests {
         assert_eq!(client.get_field(root, "data").unwrap(), Value::Int(31337));
     }
 
+    /// Version stamps record writes, not differences: a service write
+    /// that stores an object's own old value ships it, where a diff
+    /// against a pre-call copy found nothing to send. The restore stays
+    /// exact — the client ends isomorphic to a local twin that ran the
+    /// same write.
+    #[test]
+    fn rewriting_an_old_value_ships_and_restores_exactly() {
+        let (mut client, classes) = setup();
+        let root = tree::build_random_tree(&mut client, &classes, 32, 7).unwrap();
+        let mut twin = Heap::new(client.registry_handle().clone());
+        let twin_root = deep_copy_between(&client, &[root], &mut twin).unwrap()[&root];
+        let rewrite = |heap: &mut Heap, r: ObjId| {
+            let old = heap.get_field(r, "data").unwrap();
+            heap.set_field(r, "data", old).unwrap();
+        };
+        rewrite(&mut twin, twin_root);
+        let (applied, stats) = delta_roundtrip(&mut client, root, rewrite);
+        assert_eq!(stats.changed_count, 1, "the write ships");
+        assert_eq!(applied.changed_count, 1);
+        assert!(isomorphic(&client, root, &twin, twin_root).unwrap());
+    }
+
     #[test]
     fn running_example_restored_exactly_via_delta() {
         let (mut client, classes) = setup();
@@ -513,7 +497,7 @@ mod tests {
         let (applied, stats) = delta_roundtrip(&mut client, ex.root, |server, r| {
             tree::run_foo(server, r).unwrap();
         });
-        // foo changes: t (left/right fields), t.left (data), t.right
+        // foo writes: t (left/right fields), t.left (data), t.right
         // (data + right), t.right.right (data) → 4 changed old objects,
         // 1 new object.
         assert_eq!(stats.changed_count, 4);
@@ -577,18 +561,11 @@ mod tests {
     fn roots_travel_through_delta() {
         let (mut client, classes) = setup();
         let root = tree::build_random_tree(&mut client, &classes, 4, 4).unwrap();
-        let enc = serialize_graph(&client, &[Value::Ref(root)]).unwrap();
-        let mut server = Heap::new(client.registry_handle().clone());
-        let dec = deserialize_graph(&enc.bytes, &mut server).unwrap();
-        let snapshot = GraphSnapshot::capture(&server, &dec.linear).unwrap();
+        let (enc, server, dec, mark) = request(&client, root);
         let server_root = dec.roots[0].as_ref_id().unwrap();
         // Return value: an int and the root itself (as an old-ref).
-        let delta = encode_delta(
-            &server,
-            &snapshot,
-            &[Value::Int(5), Value::Ref(server_root)],
-        )
-        .unwrap();
+        let roots = [Value::Int(5), Value::Ref(server_root)];
+        let delta = encode_delta(&server, &dec.linear, mark, &roots).unwrap();
         let applied = apply_delta(&delta.bytes, &mut client, &enc.linear).unwrap();
         assert_eq!(applied.roots[0], Value::Int(5));
         assert_eq!(
@@ -602,11 +579,8 @@ mod tests {
     fn mismatched_linear_map_rejected() {
         let (mut client, classes) = setup();
         let root = tree::build_random_tree(&mut client, &classes, 4, 5).unwrap();
-        let enc = serialize_graph(&client, &[Value::Ref(root)]).unwrap();
-        let mut server = Heap::new(client.registry_handle().clone());
-        let dec = deserialize_graph(&enc.bytes, &mut server).unwrap();
-        let snapshot = GraphSnapshot::capture(&server, &dec.linear).unwrap();
-        let delta = encode_delta(&server, &snapshot, &[]).unwrap();
+        let (enc, server, dec, mark) = request(&client, root);
+        let delta = encode_delta(&server, &dec.linear, mark, &[]).unwrap();
         let err = apply_delta(&delta.bytes, &mut client, &enc.linear[..2]).unwrap_err();
         assert!(matches!(err, WireError::BadOldIndex { .. }));
     }
@@ -618,17 +592,5 @@ mod tests {
             apply_delta(b"XXXX\x01\x00\x00\x00", &mut client, &[]),
             Err(WireError::BadMagic)
         ));
-    }
-
-    #[test]
-    fn snapshot_len_and_empty() {
-        let (mut client, classes) = setup();
-        let root = tree::build_random_tree(&mut client, &classes, 3, 6).unwrap();
-        let map = nrmi_heap::LinearMap::build(&client, &[root]).unwrap();
-        let snap = GraphSnapshot::capture(&client, map.order()).unwrap();
-        assert_eq!(snap.len(), 3);
-        assert!(!snap.is_empty());
-        let empty = GraphSnapshot::capture(&client, &[]).unwrap();
-        assert!(empty.is_empty());
     }
 }

@@ -32,11 +32,11 @@ pub enum WireError {
         /// Number of objects decoded when it was encountered.
         decoded: u32,
     },
-    /// A delta referenced an old-object index outside the snapshot.
+    /// A delta referenced an old-object index outside its order.
     BadOldIndex {
         /// The referenced old index.
         index: u32,
-        /// Snapshot size.
+        /// Length of the order the delta is relative to.
         len: u32,
     },
     /// A string was not valid UTF-8.
@@ -94,7 +94,7 @@ impl fmt::Display for WireError {
                 "back-reference to position {position} but only {decoded} objects decoded"
             ),
             WireError::BadOldIndex { index, len } => {
-                write!(f, "old-object index {index} outside snapshot of {len}")
+                write!(f, "old-object index {index} outside an order of {len}")
             }
             WireError::InvalidUtf8 { offset } => {
                 write!(f, "invalid UTF-8 string at byte {offset}")

@@ -88,7 +88,7 @@ pub mod warm;
 
 pub use codec::Codec;
 pub use de::{deserialize_graph, deserialize_graph_with, DecodedGraph, Deserializer};
-pub use delta::{apply_delta, encode_delta, DeltaStats, GraphSnapshot};
+pub use delta::{apply_delta, encode_delta, DeltaStats};
 pub use dump::{dump_graph, DumpStats, GraphDump};
 pub use error::WireError;
 pub use io::{ByteReader, ByteWriter};

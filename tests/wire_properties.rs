@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use nrmi::heap::copy::deep_copy_between;
 use nrmi::heap::graph::isomorphic_multi;
 use nrmi::heap::{ClassRegistry, Heap, HeapAccess, LinearMap, ObjId, Value};
-use nrmi::wire::{apply_delta, deserialize_graph, encode_delta, serialize_graph, GraphSnapshot};
+use nrmi::wire::{apply_delta, deserialize_graph, encode_delta, serialize_graph};
 
 /// Specification of a random graph: node payloads and an edge list.
 #[derive(Clone, Debug)]
@@ -106,10 +106,11 @@ proptest! {
         let root = nodes[0];
         let enc = serialize_graph(&client, &[Value::Ref(root)]).unwrap();
 
-        // Server: decode, snapshot, mutate, delta.
+        // Server: decode, mark, mutate, delta of what was written since
+        // the mark.
         let mut server = Heap::new(client.registry_handle().clone());
         let dec = deserialize_graph(&enc.bytes, &mut server).unwrap();
-        let snapshot = GraphSnapshot::capture(&server, &dec.linear).unwrap();
+        let mark = server.epoch();
         for &(i, v) in &tweaks {
             let target = dec.linear[i % dec.linear.len()];
             server.set_field(target, "data", Value::Int(v)).unwrap();
@@ -120,7 +121,7 @@ proptest! {
             server.set_field(target, side, Value::Null).unwrap();
         }
         let server_root = dec.roots[0].as_ref_id().unwrap();
-        let delta = encode_delta(&server, &snapshot, &[Value::Ref(server_root)]).unwrap();
+        let delta = encode_delta(&server, &dec.linear, mark, &[Value::Ref(server_root)]).unwrap();
 
         // Client: apply; the graphs (over the FULL old set, not just the
         // root) must now be isomorphic to the server's.
@@ -142,8 +143,7 @@ proptest! {
         let enc = serialize_graph(&client, &[Value::Ref(root)]).unwrap();
         let mut server = Heap::new(client.registry_handle().clone());
         let dec = deserialize_graph(&enc.bytes, &mut server).unwrap();
-        let snapshot = GraphSnapshot::capture(&server, &dec.linear).unwrap();
-        let delta = encode_delta(&server, &snapshot, &[]).unwrap();
+        let delta = encode_delta(&server, &dec.linear, server.epoch(), &[]).unwrap();
         prop_assert!(delta.bytes.len() < 24, "no-change delta was {} bytes", delta.bytes.len());
     }
 
