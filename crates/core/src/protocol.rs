@@ -46,7 +46,7 @@ use std::time::Duration;
 
 use nrmi_heap::{ClassId, Heap, LinearMap, ObjId, Value};
 use nrmi_transport::{decode_rvals, encode_rvals, Frame, Transport, TransportError};
-use nrmi_wire::{apply_delta, deserialize_graph_with, WireError};
+use nrmi_wire::{deserialize_graph_with, dirty_since, DeltaKind, WireError};
 
 use crate::error::NrmiError;
 use crate::node::{ClientNode, NodeHooks, NodeState, ServerNode};
@@ -503,14 +503,15 @@ pub(crate) fn apply_reply_payload(
     stats.reply_bytes += payload.len();
     let empty = || NrmiError::Protocol("empty reply".into());
 
-    if payload.starts_with(&nrmi_wire::delta::DELTA_MAGIC) {
-        let applied = apply_delta(payload, &mut state.heap, order.ids())?;
-        stats.restored_objects = applied.changed_count;
-        stats.new_objects = applied.new_objects.len();
+    if payload.starts_with(&DeltaKind::Reply.magic()) {
+        let (codec, heap, ids) = (&mut state.codec, &mut state.heap, order.ids());
+        let applied = codec.apply_delta(DeltaKind::Reply, payload, heap, ids, &mut |_| true)?;
+        stats.restored_objects = applied.stats.dirty_count;
+        stats.new_objects = applied.stats.new_count;
         state.charge_cpu(
             payload.len() as f64 * cost.per_byte_us
-                + applied.changed_count as f64 * (cost.de_per_obj_us + cost.restore_per_obj_us)
-                + applied.new_objects.len() as f64 * cost.de_per_obj_us,
+                + stats.restored_objects as f64 * (cost.de_per_obj_us + cost.restore_per_obj_us)
+                + stats.new_objects as f64 * cost.de_per_obj_us,
         );
         return Ok(AppliedReply {
             value: applied.roots.first().cloned().ok_or_else(empty)?,
@@ -799,16 +800,17 @@ pub(crate) fn invoke_and_reply(
     }
 
     if let Some(since) = call.delta_since {
-        let outcome = {
-            let NodeState { heap, codec, .. } = &mut *state;
-            codec.encode_reply_delta(heap, call.order.ids(), since, std::slice::from_ref(&ret))
-        };
-        match outcome {
+        let (order, roots) = (call.order.ids(), std::slice::from_ref(&ret));
+        let (codec, heap) = (&mut state.codec, &state.heap);
+        // The one pass that finds what the call wrote: the order's objects
+        // stamped above the mark.
+        let dirty = dirty_since(heap, order, since)?;
+        match codec.encode_delta(DeltaKind::Reply, heap, order, &[], &dirty, roots) {
             Ok(delta) => {
                 state.charge_cpu(
-                    delta.stats.changed_count as f64 * cost.ser_per_obj_us
+                    delta.stats.dirty_count as f64 * cost.ser_per_obj_us
                         + delta.stats.new_count as f64 * cost.ser_per_obj_us
-                        + call.order.ids().len() as f64 * cost.linear_map_per_obj_us
+                        + order.len() as f64 * cost.linear_map_per_obj_us
                         + delta.bytes.len() as f64 * cost.per_byte_us,
                 );
                 return Ok(Replied {

@@ -64,10 +64,7 @@ use std::sync::Arc;
 
 use nrmi_heap::{Heap, ObjId, Value};
 use nrmi_transport::{Frame, Transport};
-use nrmi_wire::{
-    apply_invalidation_filtered, apply_request_delta, encode_invalidation, next_sync,
-    AppliedRequestDelta, EncodedInvalidation, WireError,
-};
+use nrmi_wire::{next_sync, peek_delta, AppliedDelta, DeltaKind, EncodedDelta, WireError};
 
 use crate::error::NrmiError;
 use crate::lockcheck::TrackedMutex;
@@ -268,18 +265,15 @@ fn apply_stale(client: &mut ClientNode, cache_id: u64, version: u64, payload: &[
         .iter()
         .map(|rec| rec.probe(&state.heap) == Probe::Clean)
         .collect();
-    let applied = apply_invalidation_filtered(payload, &mut state.heap, &sync_ids, &mut |pos| {
-        take_server[pos as usize]
-    });
-    // Re-record the patched positions at their post-patch versions: the
-    // server's writes must not classify as OUR dirty state on the next
-    // request delta (see [`SyncRecord`]).
+    let (codec, heap) = (&mut state.codec, &mut state.heap);
+    let overwrite = &mut |pos: u32| take_server[pos as usize];
+    let applied = codec.apply_delta(DeltaKind::Patch, payload, heap, &sync_ids, overwrite);
+    // Re-record the positions the patch may have written at their
+    // post-patch versions: the server's writes must not classify as OUR
+    // dirty state on the next request delta (see [`SyncRecord`]).
     let recorded = applied.map_err(NrmiError::from).and_then(|applied| {
-        for &pos in &applied.dirty_positions {
-            let rec = &mut cache.sync[pos as usize];
-            if let Some(v) = state.heap.version_if_live(rec.id) {
-                rec.version = v;
-            }
+        for (rec, _) in cache.sync.iter_mut().zip(&take_server).filter(|(_, t)| **t) {
+            rec.version = state.heap.version_if_live(rec.id).unwrap_or(rec.version);
         }
         for &id in &applied.new_objects {
             cache.sync.push(SyncRecord::of(&state.heap, id)?);
@@ -365,11 +359,8 @@ fn warm_call(
             }
         }
 
-        let encoded = {
-            let NodeState { heap, codec, .. } = &mut *state;
-            codec.encode_request_delta(heap, &sync_ids, &freed, &dirty, args)
-        };
-        let enc = match encoded {
+        let (codec, heap) = (&mut state.codec, &state.heap);
+        let enc = match codec.encode_request_delta(heap, &sync_ids, &freed, &dirty, args) {
             Ok(enc) => enc,
             Err(WireError::NotSerializable { .. }) | Err(WireError::RemoteWithoutHooks { .. }) => {
                 // The graph now contains objects a delta cannot carry
@@ -415,7 +406,7 @@ fn warm_call(
 
         // Both sides advanced their sync lists identically across the
         // request delta; the reply is relative to that advanced list.
-        let mut sync = next_sync(&sync_ids, &enc.freed_positions, &enc.new_objects);
+        let mut sync = next_sync(&sync_ids, &freed, &enc.new_objects);
         let order = ReplyOrder::List(&sync);
         let applied = apply_reply_payload(&mut client.state, order, &payload, &mut stats)?;
         match applied.delta_new {
@@ -820,7 +811,7 @@ fn publish_patch(
     caches: &mut WarmCaches,
     cache_id: u64,
     mut entry: ServerWarmEntry,
-    patch: EncodedInvalidation,
+    patch: EncodedDelta,
 ) -> Frame {
     let cost = state.profile.cost();
     state.charge_cpu(
@@ -853,7 +844,7 @@ fn publish_patch(
 /// out-of-band are dropped (unfreed) — the client discovers the loss as
 /// an ordinary `CacheMiss` on its next call.
 pub(crate) fn collect_stale_pushes(server: &mut ServerNode, caches: &mut WarmCaches) -> Vec<Frame> {
-    let state = &server.state;
+    let state = &mut server.state;
     let mut out = Vec::new();
     // Only incoherent entries need the mutable pass; when every session
     // is clean (the steady state) this collects nothing and allocates
@@ -872,14 +863,14 @@ pub(crate) fn collect_stale_pushes(server: &mut ServerNode, caches: &mut WarmCac
                 // Unencodable (e.g. a dangling edge) or splicing: leave
                 // the entry stale; the next warm call meets it through
                 // the same classification.
-                let Ok(patch) = encode_invalidation(&state.heap, &entry.sync, &dirty) else {
-                    continue;
-                };
-                if !patch.new_objects.is_empty() {
-                    continue;
+                let (codec, heap) = (&mut state.codec, &state.heap);
+                match codec.encode_delta(DeltaKind::Patch, heap, &entry.sync, &[], &dirty, &[]) {
+                    Ok(patch) if patch.new_objects.is_empty() => {
+                        let entry = caches.check_out(cache_id).expect("present above");
+                        out.push(publish_patch(state, caches, cache_id, entry, patch));
+                    }
+                    _ => {}
                 }
-                let entry = caches.check_out(cache_id).expect("present above");
-                out.push(publish_patch(state, caches, cache_id, entry, patch));
             }
             Staleness::Lost => {
                 let entry = caches.check_out(cache_id).expect("present above");
@@ -950,7 +941,7 @@ pub(crate) fn server_handle_warm_call(
             // position (or the payload is malformed — the call path
             // below surfaces the authoritative error), fall through to
             // the call.
-            if let Ok(peeked) = nrmi_wire::peek_request_delta(payload, entry.sync.len()) {
+            if let Ok(peeked) = peek_delta(DeltaKind::Request, payload, &entry.sync) {
                 let patch: Vec<u32> = dirty
                     .iter()
                     .copied()
@@ -961,8 +952,10 @@ pub(crate) fn server_handle_warm_call(
                     // edge into a freed neighbor, or now references
                     // something a patch cannot carry) degrade to the
                     // legacy drop: entry released, unfreed, `CacheMiss`.
-                    let state = &server.state;
-                    return match encode_invalidation(&state.heap, &entry.sync, &patch) {
+                    let state = &mut server.state;
+                    let (codec, heap, sync) = (&mut state.codec, &state.heap, &entry.sync);
+                    return match codec.encode_delta(DeltaKind::Patch, heap, sync, &[], &patch, &[])
+                    {
                         Ok(patch) => publish_patch(state, caches, cache_id, entry, patch),
                         Err(_) => {
                             caches.release(&entry);
@@ -1036,7 +1029,7 @@ fn run_warm_call(
     method: &str,
     sync: &[ObjId],
     payload: &[u8],
-) -> Result<(Replied, AppliedRequestDelta, Vec<ObjId>), NrmiError> {
+) -> Result<(Replied, AppliedDelta, Vec<ObjId>), NrmiError> {
     let ServerNode {
         state,
         services,
@@ -1046,10 +1039,11 @@ fn run_warm_call(
     let cost = state.profile.cost();
     let (svc, receiver) = resolve_callee(services, class_services, state, Callee::Named(service))?;
 
-    let applied = apply_request_delta(payload, &mut state.heap, sync)?;
+    let (codec, heap) = (&mut state.codec, &mut state.heap);
+    let applied = codec.apply_delta(DeltaKind::Request, payload, heap, sync, &mut |_| true)?;
     state.charge_cpu(
         cost.dispatch_overhead_us
-            + (applied.changed_count + applied.new_objects.len()) as f64 * cost.de_per_obj_us
+            + (applied.stats.dirty_count + applied.stats.new_count) as f64 * cost.de_per_obj_us
             + payload.len() as f64 * cost.per_byte_us,
     );
     let next = next_sync(sync, &applied.freed_positions, &applied.new_objects);

@@ -453,34 +453,51 @@ impl Heap {
         Ok(())
     }
 
+    /// Checks that [`Heap::overwrite_from`] of `len` values onto `id`
+    /// would succeed, without writing: the object is live and `len` is
+    /// its arity. Arrays may change length server-side, so any `len`
+    /// fits an array. Lets a caller validate a batch of overwrites before
+    /// committing the first.
+    ///
+    /// # Errors
+    /// Dangling handles or arity mismatches.
+    pub fn check_overwrite(&self, id: ObjId, len: usize) -> Result<()> {
+        let body = self.get(id)?.body();
+        if body.len() == len || matches!(body, ObjectBody::Array(_)) {
+            return Ok(());
+        }
+        Err(HeapError::ArityMismatch {
+            class: String::from("<overwrite>"),
+            expected: body.len(),
+            found: len,
+        })
+    }
+
     /// Replaces every field slot of `id` with `values` (same arity), used
     /// by the restore algorithm's overwrite step (step 5).
     ///
     /// # Errors
-    /// Dangling handles or arity mismatches.
+    /// As [`Heap::check_overwrite`]; nothing is written on error.
     pub fn overwrite_slots(&mut self, id: ObjId, values: Vec<Value>) -> Result<()> {
+        self.overwrite_from(id, &values)
+    }
+
+    /// [`Heap::overwrite_slots`] from borrowed values, so a caller can
+    /// stage many objects' slots in one buffer.
+    ///
+    /// # Errors
+    /// As [`Heap::check_overwrite`]; nothing is written on error.
+    pub fn overwrite_from(&mut self, id: ObjId, values: &[Value]) -> Result<()> {
+        self.check_overwrite(id, values.len())?;
         self.stats.writes += 1;
         let stamp = self.tick();
         let obj = self.get_mut(id)?;
         obj.version = stamp;
-        let len = obj.body.len();
-        if len == values.len() {
-            obj.body.slots_mut().clone_from_slice(&values);
-            Ok(())
-        } else {
-            // Arrays may change length server-side; replace wholesale.
-            match &mut obj.body {
-                ObjectBody::Array(v) => {
-                    *v = values;
-                    Ok(())
-                }
-                ObjectBody::Fields(_) => Err(HeapError::ArityMismatch {
-                    class: String::from("<overwrite>"),
-                    expected: len,
-                    found: values.len(),
-                }),
-            }
+        match &mut obj.body {
+            ObjectBody::Array(v) if v.len() != values.len() => *v = values.to_vec(),
+            body => body.slots_mut().clone_from_slice(values),
         }
+        Ok(())
     }
 
     /// Allocates a remote-stub object proxying the peer's object `key`.

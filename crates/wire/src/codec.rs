@@ -14,25 +14,27 @@
 //! small recycle pool fed by [`Codec::recycle`]. In steady state an
 //! encode touches no allocator at all for its bookkeeping — the only
 //! allocation left is the payload `Vec` itself when the pool is empty.
+//! The delta applier's staging of decoded overwrites is pooled here too.
 //!
-//! The codec is *transparent*: each `encode_*` method runs the same
-//! code path as the corresponding free function and produces
-//! byte-identical output (the differential tests below pin this down).
+//! The codec is *transparent*: [`Codec::encode_graph`] runs the same code
+//! path as [`serialize_graph_with`](crate::ser::serialize_graph_with),
+//! and the free delta functions are [`Codec::encode_delta`] and
+//! [`Codec::apply_delta`] on a fresh codec, so pooled and fresh output
+//! are byte-identical (the differential tests below pin this down).
 //!
 //! The pooled buffers double as **wire segments** for the transport's
 //! scatter-gather path: the payload `Vec` inside an [`EncodedGraph`] or
-//! [`EncodedDelta`] is handed to `Frame` construction whole, and the
-//! vectored write path (`Frame::encode_prefix_into` plus `writev`)
-//! references it *in place* as its own iovec entry instead of memmoving
-//! it into a contiguous frame body. [`Codec::loan_segment`] is the
-//! explicit loan side of that cycle; [`Codec::recycle`] is the return
-//! side.
+//! [`EncodedDelta`](crate::delta::EncodedDelta) is handed to `Frame`
+//! construction whole, and the vectored write path
+//! (`Frame::encode_prefix_into` plus `writev`) references it *in place*
+//! as its own iovec entry instead of memmoving it into a contiguous
+//! frame body. [`Codec::loan_segment`] is the explicit loan side of that
+//! cycle; [`Codec::recycle`] is the return side.
 
-use nrmi_heap::{DensePositionMap, Heap, ObjId, Value};
+use nrmi_heap::{DensePositionMap, Heap, Value};
 
-use crate::delta::{self, EncodedDelta};
+use crate::delta::DeltaScratch;
 use crate::ser::{EncodedGraph, RemoteHooks, Serializer};
-use crate::warm::{self, EncodedRequestDelta};
 use crate::Result;
 
 /// Payload buffers kept in the recycle pool beyond which [`Codec::recycle`]
@@ -45,10 +47,8 @@ const MAX_POOLED_BUFFERS: usize = 8;
 pub struct Codec {
     /// Traversal-position map for full graph encodes.
     graph_positions: DensePositionMap,
-    /// Old-object position map for (request and reply) delta encodes.
-    delta_old: DensePositionMap,
-    /// New-object position map for delta encodes.
-    delta_new: DensePositionMap,
+    /// The delta encoder's and applier's scratch.
+    pub(crate) delta: DeltaScratch,
     /// Recycled payload buffers (cleared, capacity retained).
     buffers: Vec<Vec<u8>>,
 }
@@ -71,12 +71,12 @@ impl Codec {
     }
 
     /// Loans a pooled segment (cleared, capacity retained) for a caller
-    /// to fill — the buffer every `encode_*` method writes its payload
-    /// into, and the allocation the vectored wire path later references
-    /// in place as one iovec entry. Return it with [`Codec::recycle`]
-    /// once the bytes have left the process (or keep it alive for
-    /// caches). Empty when the pool is dry — the caller's writes grow
-    /// it, and recycling teaches the pool the session's payload sizes.
+    /// to fill — the buffer every encode writes its payload into, and
+    /// the allocation the vectored wire path later references in place
+    /// as one iovec entry. Return it with [`Codec::recycle`] once the
+    /// bytes have left the process (or keep it alive for caches). Empty
+    /// when the pool is dry — the caller's writes grow it, and recycling
+    /// teaches the pool the session's payload sizes.
     pub fn loan_segment(&mut self) -> Vec<u8> {
         self.buffers.pop().unwrap_or_default()
     }
@@ -105,70 +105,13 @@ impl Codec {
         self.graph_positions = positions;
         Ok(enc)
     }
-
-    /// As [`encode_delta`](crate::delta::encode_delta), reusing this
-    /// codec's scratch. Byte-identical to the free function.
-    ///
-    /// # Errors
-    /// See [`encode_delta`](crate::delta::encode_delta).
-    pub fn encode_reply_delta(
-        &mut self,
-        heap: &Heap,
-        order: &[ObjId],
-        since: u64,
-        roots: &[Value],
-    ) -> Result<EncodedDelta> {
-        let (delta, old, new) = delta::encode_delta_pooled(
-            heap,
-            order,
-            since,
-            roots,
-            std::mem::take(&mut self.delta_old),
-            std::mem::take(&mut self.delta_new),
-            self.loan_segment(),
-        )?;
-        self.delta_old = old;
-        self.delta_new = new;
-        Ok(delta)
-    }
-
-    /// As [`encode_request_delta`](crate::warm::encode_request_delta),
-    /// reusing this codec's scratch. Byte-identical to the free
-    /// function.
-    ///
-    /// # Errors
-    /// See [`encode_request_delta`](crate::warm::encode_request_delta).
-    pub fn encode_request_delta(
-        &mut self,
-        heap: &Heap,
-        sync: &[ObjId],
-        freed: &[u32],
-        dirty: &[u32],
-        roots: &[Value],
-    ) -> Result<EncodedRequestDelta> {
-        let (delta, old, new) = warm::encode_request_delta_pooled(
-            heap,
-            sync,
-            freed,
-            dirty,
-            roots,
-            std::mem::take(&mut self.delta_old),
-            std::mem::take(&mut self.delta_new),
-            self.loan_segment(),
-        )?;
-        self.delta_old = old;
-        self.delta_new = new;
-        Ok(delta)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::{encode_delta, DELTA_MAGIC};
-    use crate::deserialize_graph;
+    use crate::delta::{dirty_since, encode_delta, DeltaKind};
     use crate::ser::{serialize_graph, serialize_graph_with};
-    use crate::warm::{encode_request_delta, REQUEST_DELTA_MAGIC};
     use nrmi_heap::tree::{self, TreeClasses};
     use nrmi_heap::{ClassRegistry, HeapAccess, LinearMap};
 
@@ -217,53 +160,44 @@ mod tests {
         assert_eq!(pooled.bytes, fresh.bytes);
     }
 
+    /// One codec encodes every kind, round after round and interleaved
+    /// with the others, byte-identically to a fresh one: scratch left by
+    /// one delta (position maps, sorted positions, recycled buffers)
+    /// never leaks into the next.
     #[test]
-    fn pooled_reply_delta_is_byte_identical() {
-        let (mut client, classes) = setup();
-        let root = tree::build_random_tree(&mut client, &classes, 64, 11).unwrap();
-        let enc = serialize_graph(&client, &[Value::Ref(root)]).unwrap();
-        let mut server = Heap::new(client.registry_handle().clone());
-        let dec = deserialize_graph(&enc.bytes, &mut server).unwrap();
-        let mark = server.epoch();
-        let server_root = dec.roots[0].as_ref_id().unwrap();
-        server
-            .set_field(server_root, "data", Value::Int(5))
-            .unwrap();
-        let roots = [Value::Ref(server_root)];
-        let fresh = encode_delta(&server, &dec.linear, mark, &roots).unwrap();
-        let mut codec = Codec::new();
-        for round in 0..3 {
-            let pooled = codec
-                .encode_reply_delta(&server, &dec.linear, mark, &roots)
-                .unwrap();
-            assert_eq!(pooled.bytes, fresh.bytes, "round {round}");
-            assert_eq!(pooled.stats, fresh.stats, "round {round}");
-            assert_eq!(&pooled.bytes[..4], &DELTA_MAGIC);
-            codec.recycle(pooled.bytes);
-        }
-    }
-
-    #[test]
-    fn pooled_request_delta_is_byte_identical() {
-        let (mut client, classes) = setup();
-        let root = tree::build_random_tree(&mut client, &classes, 32, 12).unwrap();
-        let sync = LinearMap::build(&client, &[root]).unwrap().order().to_vec();
-        client.set_field(sync[3], "data", Value::Int(99)).unwrap();
-        let leaf = client
+    fn pooled_delta_is_byte_identical_for_every_kind() {
+        let (mut heap, classes) = setup();
+        let root = tree::build_random_tree(&mut heap, &classes, 32, 12).unwrap();
+        let sync = LinearMap::build(&heap, &[root]).unwrap().order().to_vec();
+        let mark = heap.epoch();
+        heap.set_field(sync[3], "data", Value::Int(99)).unwrap();
+        let leaf = heap
             .alloc(classes.tree, vec![Value::Int(1), Value::Null, Value::Null])
             .unwrap();
-        client.set_field(sync[0], "left", Value::Ref(leaf)).unwrap();
-        let fresh =
-            encode_request_delta(&client, &sync, &[], &[0, 3], &[Value::Ref(sync[0])]).unwrap();
+        heap.set_field(sync[0], "left", Value::Ref(leaf)).unwrap();
+        let dirty = dirty_since(&heap, &sync, mark).unwrap();
+        let roots = [Value::Ref(sync[0])];
+        let cases = [
+            (DeltaKind::Reply, &[][..], &dirty[..], &roots[..]),
+            (DeltaKind::Request, &[30, 31][..], &[3, 0][..], &roots[..]),
+            (DeltaKind::Patch, &[][..], &[3, 0, 3][..], &[][..]),
+        ];
         let mut codec = Codec::new();
         for round in 0..3 {
-            let pooled = codec
-                .encode_request_delta(&client, &sync, &[], &[0, 3], &[Value::Ref(sync[0])])
-                .unwrap();
-            assert_eq!(pooled.bytes, fresh.bytes, "round {round}");
-            assert_eq!(pooled.new_objects, fresh.new_objects, "round {round}");
-            assert_eq!(&pooled.bytes[..4], &REQUEST_DELTA_MAGIC);
-            codec.recycle(pooled.bytes);
+            for &(kind, freed, dirty, roots) in &cases {
+                let fresh = encode_delta(kind, &heap, &sync, freed, dirty, roots).unwrap();
+                let pooled = codec
+                    .encode_delta(kind, &heap, &sync, freed, dirty, roots)
+                    .unwrap();
+                assert_eq!(pooled.bytes, fresh.bytes, "{kind:?} round {round}");
+                assert_eq!(pooled.stats, fresh.stats, "{kind:?} round {round}");
+                assert_eq!(
+                    pooled.new_objects, fresh.new_objects,
+                    "{kind:?} round {round}"
+                );
+                assert_eq!(pooled.bytes[..4], kind.magic());
+                codec.recycle(pooled.bytes);
+            }
         }
     }
 

@@ -14,7 +14,8 @@
 //! (described as future work in §5.2.4): the reply encodes only the
 //! difference between the pre-call and post-call states, so passing an
 //! object by copy-restore without changing it costs roughly the same as
-//! passing it by copy.
+//! passing it by copy. The same positional delta carries warm calls'
+//! requests and coherence patches.
 //!
 //! ## Example: round-tripping an aliased graph
 //!
@@ -68,10 +69,42 @@
 //! ```
 //!
 //! Objects appear in deterministic preorder, so the sequence of `0x07`
-//! records *is* the linear map. A **delta payload** ("NRMD") instead
-//! lists `(old_index, slots)` pairs for changed objects plus inline new
-//! objects; see [`delta`]. All varints are LEB128; counts are validated
-//! against the remaining payload before any allocation.
+//! records *is* the linear map.
+//!
+//! A **delta payload** is relative to an object order both ends already
+//! share — a call's linear map, or a warm session's sync list — and says
+//! which of its positions were freed and written, which objects are new,
+//! and what the roots are (see [`delta`]). One grammar serves three
+//! magics:
+//!
+//! ```text
+//! magic u8:version varint:order_count
+//!   [varint:freed_count freed_count × varint:position]   freed  (NRMQ)
+//!   varint:dirty_count dirty_count × (varint:position slots)
+//!   [slots]                                               roots  (NRMD, NRMQ)
+//!
+//! slots := varint:count count × dvalue
+//!
+//! dvalue :=
+//!   0x00 … 0x06                 null, false/true, int, long, double,
+//!                               string: as above, strings not interned
+//!   0x0A varint:position        OLDREF: the position-th object of the order
+//!   0x0B varint:class slots     NEWOBJ: a new object, in full, depth-first
+//!   0x0C varint:n               NEWBACK: the n-th NEWOBJ of this payload
+//! ```
+//!
+//! | magic | kind | carries | freed | dirty | roots |
+//! |---|---|---|---|---|---|
+//! | `NRMD` | reply | what a call wrote, server → client | – | ✓ | ✓ |
+//! | `NRMQ` | request | a warm call's request, client → server | ✓ | ✓ | ✓ |
+//! | `NRMV` | patch | a coherence repair, server → client | – | ✓ | – |
+//!
+//! `order_count` must equal the receiver's order length. One position
+//! rule holds in every kind: a section's positions are inside the order
+//! and strictly ascending, and no dirty position is freed.
+//!
+//! All varints are LEB128; counts are validated against the remaining
+//! payload before any allocation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -84,21 +117,17 @@ pub mod de;
 pub mod delta;
 pub mod dump;
 pub mod ser;
-pub mod warm;
 
 pub use codec::Codec;
 pub use de::{deserialize_graph, deserialize_graph_with, DecodedGraph, Deserializer};
-pub use delta::{apply_delta, encode_delta, DeltaStats};
+pub use delta::{
+    apply_delta, apply_request_delta, dirty_since, encode_delta, next_sync, peek_delta,
+    AppliedDelta, DeltaKind, DeltaStats, EncodedDelta, PeekedDelta,
+};
 pub use dump::{dump_graph, DumpStats, GraphDump};
 pub use error::WireError;
 pub use io::{ByteReader, ByteWriter};
 pub use ser::{serialize_graph, serialize_graph_with, EncodedGraph, RemoteHooks, Serializer};
-pub use warm::{
-    apply_invalidation, apply_invalidation_filtered, apply_request_delta, encode_invalidation,
-    encode_request_delta, next_sync, peek_request_delta, AppliedInvalidation, AppliedRequestDelta,
-    EncodedInvalidation, EncodedRequestDelta, InvalidationStats, PeekedRequestDelta,
-    RequestDeltaStats, INVALIDATION_MAGIC,
-};
 
 /// Result alias for wire operations.
 pub type Result<T> = std::result::Result<T, WireError>;

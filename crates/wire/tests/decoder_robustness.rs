@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 
-use nrmi_heap::{ClassRegistry, Heap, Value};
-use nrmi_wire::{apply_delta, deserialize_graph, serialize_graph};
+use nrmi_heap::{ClassRegistry, Heap, HeapSnapshot, Value};
+use nrmi_wire::{apply_delta, deserialize_graph, peek_delta, serialize_graph, DeltaKind};
 
 fn fresh_heap() -> Heap {
     let mut reg = ClassRegistry::new();
@@ -71,24 +71,38 @@ proptest! {
         prop_assert!(deserialize_graph(&enc.bytes, &mut heap).is_ok());
     }
 
-    /// Arbitrary delta payloads against a real linear map never panic.
+    /// Arbitrary delta payloads of every kind, against a real order,
+    /// through the one applier (with and without a merge veto) and
+    /// through `peek_delta`: never a panic; a rejected payload leaves the
+    /// heap exactly as it was; and whatever peek rejects, apply rejects.
     #[test]
     fn delta_decoder_never_panics(
         bytes in proptest::collection::vec(any::<u8>(), 0..128),
-        with_magic in any::<bool>()
+        kind in prop_oneof![Just(DeltaKind::Reply), Just(DeltaKind::Request), Just(DeltaKind::Patch)],
+        with_magic in any::<bool>(),
+        veto in any::<bool>()
     ) {
         let mut heap = fresh_heap();
         let class = heap.registry_handle().by_name("Node").unwrap();
-        let a = heap.alloc(class, vec![Value::Int(1), Value::Null, Value::Null]).unwrap();
-        let b = heap.alloc(class, vec![Value::Int(2), Value::Null, Value::Null]).unwrap();
+        let order: Vec<_> = (0..3)
+            .map(|i| heap.alloc(class, vec![Value::Int(i), Value::Null, Value::Null]).unwrap())
+            .collect();
         let payload = if with_magic {
-            let mut p = b"NRMD\x01".to_vec();
+            // Magic, version and the right order count: deeper penetration.
+            let mut p = kind.magic().to_vec();
+            p.extend([1, 3]);
             p.extend(&bytes);
             p
         } else {
             bytes
         };
-        let _ = apply_delta(&payload, &mut heap, &[a, b]);
+        let peeked = peek_delta(kind, &payload, &order);
+        let before = HeapSnapshot::capture(&heap);
+        let applied = apply_delta(kind, &payload, &mut heap, &order, &mut |pos| !veto || pos != 1);
         prop_assert_eq!(heap.live_count() as u64, heap.stats().live());
+        if applied.is_err() {
+            prop_assert!(before.diff(&HeapSnapshot::capture(&heap)).is_empty());
+        }
+        prop_assert!(peeked.is_ok() || applied.is_err(), "peek rejected what apply took");
     }
 }

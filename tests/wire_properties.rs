@@ -2,12 +2,19 @@
 //! through the public facade: serialization round trips, linear-map
 //! laws, and delta-encoding correctness on arbitrary graphs.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 
 use nrmi::heap::copy::deep_copy_between;
 use nrmi::heap::graph::isomorphic_multi;
+use nrmi::heap::traverse::reachable_set;
+use nrmi::heap::tree;
 use nrmi::heap::{ClassRegistry, Heap, HeapAccess, LinearMap, ObjId, Value};
-use nrmi::wire::{apply_delta, deserialize_graph, encode_delta, serialize_graph};
+use nrmi::wire::{
+    apply_delta, deserialize_graph, dirty_since, encode_delta, next_sync, serialize_graph,
+    DeltaKind,
+};
 
 /// Specification of a random graph: node payloads and an edge list.
 #[derive(Clone, Debug)]
@@ -53,6 +60,113 @@ fn fresh_heap() -> Heap {
         .restorable()
         .register();
     Heap::new(reg.snapshot())
+}
+
+/// A client and a server seeded over one random tree, as a warm
+/// session's seed call leaves them: one order, in each end's own ids.
+fn seeded_tree(size: usize, seed: u64) -> (Heap, Heap, Vec<ObjId>, Vec<ObjId>) {
+    let mut reg = ClassRegistry::new();
+    let classes = tree::register_tree_classes(&mut reg);
+    let mut client = Heap::new(reg.snapshot());
+    let root = tree::build_random_tree(&mut client, &classes, size, seed).unwrap();
+    let enc = serialize_graph(&client, &[Value::Ref(root)]).unwrap();
+    let mut server = Heap::new(client.registry_handle().clone());
+    let dec = deserialize_graph(&enc.bytes, &mut server).unwrap();
+    (client, server, enc.linear, dec.linear)
+}
+
+/// Random edits to a synchronized tree, positions taken modulo its
+/// length: subtree frees, `data` writes, and fresh nodes spliced under a
+/// position.
+#[derive(Clone, Debug)]
+struct Edits {
+    frees: Vec<usize>,
+    writes: Vec<(usize, i32)>,
+    splices: Vec<(usize, bool, i32)>,
+}
+
+fn edits() -> impl Strategy<Value = Edits> {
+    (
+        proptest::collection::vec(0usize..64, 0..3),
+        proptest::collection::vec((0usize..64, any::<i32>()), 0..6),
+        proptest::collection::vec((0usize..64, any::<bool>(), any::<i32>()), 0..3),
+    )
+        .prop_map(|(frees, writes, splices)| Edits {
+            frees,
+            writes,
+            splices,
+        })
+}
+
+/// Applies `edits` to `sync`'s objects and returns the freed positions,
+/// ascending. A free (only `with_frees`) detaches a non-root subtree and
+/// frees all of it; writes and splices then land on live positions.
+fn edit(heap: &mut Heap, sync: &[ObjId], edits: &Edits, with_frees: bool) -> Vec<u32> {
+    let class = heap.registry_handle().by_name("Tree").unwrap();
+    let mut dead = vec![false; sync.len()];
+    for &f in edits.frees.iter().filter(|_| with_frees && sync.len() > 1) {
+        let victim = sync[1 + f % (sync.len() - 1)];
+        if !heap.contains(victim) {
+            continue;
+        }
+        for (i, &parent) in sync.iter().enumerate() {
+            for side in ["left", "right"] {
+                if !dead[i] && heap.get_ref(parent, side).unwrap() == Some(victim) {
+                    heap.set_field(parent, side, Value::Null).unwrap();
+                }
+            }
+        }
+        let gone = reachable_set(heap, &[victim]).unwrap();
+        for (i, &id) in sync.iter().enumerate() {
+            if !dead[i] && gone.contains(id) {
+                heap.free(id).unwrap();
+                dead[i] = true;
+            }
+        }
+    }
+    let live: Vec<ObjId> = (0..sync.len())
+        .filter(|&i| !dead[i])
+        .map(|i| sync[i])
+        .collect();
+    for &(p, v) in &edits.writes {
+        let target = live[p % live.len()];
+        heap.set_field(target, "data", Value::Int(v)).unwrap();
+    }
+    for &(p, left, v) in &edits.splices {
+        let fresh = heap
+            .alloc(class, vec![Value::Int(v), Value::Null, Value::Null])
+            .unwrap();
+        let side = if left { "left" } else { "right" };
+        heap.set_field(live[p % live.len()], side, Value::Ref(fresh))
+            .unwrap();
+    }
+    (0..sync.len() as u32)
+        .filter(|&i| dead[i as usize])
+        .collect()
+}
+
+/// The positions of `sync` written after `mark`, the freed ones aside.
+fn written(heap: &Heap, sync: &[ObjId], freed: &[u32], mark: u64) -> Vec<u32> {
+    (0..sync.len() as u32)
+        .filter(|i| freed.binary_search(i).is_err())
+        .filter(|&i| {
+            heap.version_if_live(sync[i as usize])
+                .is_some_and(|v| v > mark)
+        })
+        .collect()
+}
+
+/// Each position's data and the positions its children hold in the same
+/// list: two ends with equal views are position-aligned.
+fn view(heap: &mut Heap, sync: &[ObjId]) -> Vec<(Value, Option<usize>, Option<usize>)> {
+    let at: HashMap<ObjId, usize> = sync.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+    let mut out = Vec::with_capacity(sync.len());
+    for &id in sync {
+        let left = heap.get_ref(id, "left").unwrap().map(|c| at[&c]);
+        let right = heap.get_ref(id, "right").unwrap().map(|c| at[&c]);
+        out.push((heap.get_field(id, "data").unwrap(), left, right));
+    }
+    out
 }
 
 proptest! {
@@ -121,11 +235,14 @@ proptest! {
             server.set_field(target, side, Value::Null).unwrap();
         }
         let server_root = dec.roots[0].as_ref_id().unwrap();
-        let delta = encode_delta(&server, &dec.linear, mark, &[Value::Ref(server_root)]).unwrap();
+        let dirty = dirty_since(&server, &dec.linear, mark).unwrap();
+        let roots = [Value::Ref(server_root)];
+        let delta = encode_delta(DeltaKind::Reply, &server, &dec.linear, &[], &dirty, &roots).unwrap();
 
         // Client: apply; the graphs (over the FULL old set, not just the
         // root) must now be isomorphic to the server's.
-        let applied = apply_delta(&delta.bytes, &mut client, &enc.linear).unwrap();
+        let applied = apply_delta(DeltaKind::Reply, &delta.bytes, &mut client, &enc.linear, &mut |_| true)
+            .unwrap();
         prop_assert_eq!(applied.roots[0].clone(), Value::Ref(root));
         prop_assert!(
             isomorphic_multi(&server, &dec.linear, &client, &enc.linear).unwrap(),
@@ -143,8 +260,44 @@ proptest! {
         let enc = serialize_graph(&client, &[Value::Ref(root)]).unwrap();
         let mut server = Heap::new(client.registry_handle().clone());
         let dec = deserialize_graph(&enc.bytes, &mut server).unwrap();
-        let delta = encode_delta(&server, &dec.linear, server.epoch(), &[]).unwrap();
+        let dirty = dirty_since(&server, &dec.linear, server.epoch()).unwrap();
+        let delta = encode_delta(DeltaKind::Reply, &server, &dec.linear, &[], &dirty, &[]).unwrap();
         prop_assert!(delta.bytes.len() < 24, "no-change delta was {} bytes", delta.bytes.len());
+    }
+
+    /// A warm session's two other deltas on a random tree: the client's
+    /// request (subtree frees, writes, splices), then the server's
+    /// coherence patch (writes, splices). After each, both ends' next
+    /// sync lists are position-aligned with equal data.
+    #[test]
+    fn request_then_patch_keep_sync_lists_aligned(
+        size in 1usize..40,
+        seed in any::<u64>(),
+        request in edits(),
+        patch in edits()
+    ) {
+        let (mut client, mut server, c_sync, s_sync) = seeded_tree(size, seed);
+        let all = &mut |_: u32| true;
+
+        let mark = client.epoch();
+        let freed = edit(&mut client, &c_sync, &request, true);
+        let dirty = written(&client, &c_sync, &freed, mark);
+        let roots = [Value::Ref(c_sync[0])];
+        let req = encode_delta(DeltaKind::Request, &client, &c_sync, &freed, &dirty, &roots).unwrap();
+        let applied = apply_delta(DeltaKind::Request, &req.bytes, &mut server, &s_sync, all).unwrap();
+        prop_assert_eq!(applied.roots, vec![Value::Ref(s_sync[0])]);
+        let c_sync = next_sync(&c_sync, &freed, &req.new_objects);
+        let s_sync = next_sync(&s_sync, &applied.freed_positions, &applied.new_objects);
+        prop_assert_eq!(view(&mut client, &c_sync), view(&mut server, &s_sync));
+
+        let mark = server.epoch();
+        edit(&mut server, &s_sync, &patch, false);
+        let dirty = written(&server, &s_sync, &[], mark);
+        let enc = encode_delta(DeltaKind::Patch, &server, &s_sync, &[], &dirty, &[]).unwrap();
+        let applied = apply_delta(DeltaKind::Patch, &enc.bytes, &mut client, &c_sync, all).unwrap();
+        let s_sync = next_sync(&s_sync, &[], &enc.new_objects);
+        let c_sync = next_sync(&c_sync, &[], &applied.new_objects);
+        prop_assert_eq!(view(&mut client, &c_sync), view(&mut server, &s_sync));
     }
 
     /// Mark-sweep collects exactly the unreachable portion.
