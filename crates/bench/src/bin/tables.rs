@@ -8,13 +8,7 @@
 //! cargo run -p nrmi-bench --bin tables -- check      # nrmi-check gate (exit 1 on errors)
 //! ```
 
-use nrmi_bench::delta_sweep::{render_delta_sweep, run_delta_sweep};
-use nrmi_bench::ext_collections::{render_map_experiment, run_map_experiment};
-use nrmi_bench::manual::loc;
-use nrmi_bench::observations::{check_observations, render_observations, run_all_tables};
-use nrmi_bench::sensitivity::{monotonicity_violations, render_sweep, run_sweep};
-use nrmi_bench::tables::{render, render_comparison, run_table};
-use nrmi_bench::workload::Scenario;
+use nrmi_bench::report::report;
 
 /// Counting allocator: makes `tables -- hotpath` report real alloc
 /// traffic. Two relaxed atomic adds per allocation; negligible for every
@@ -22,68 +16,15 @@ use nrmi_bench::workload::Scenario;
 #[global_allocator]
 static ALLOC: nrmi_bench::alloc_count::CountingAlloc = nrmi_bench::alloc_count::CountingAlloc;
 
-fn print_table(id: usize, compare: bool) {
-    let table = run_table(id);
-    if compare {
-        println!("{}", render_comparison(&table));
-    } else {
-        println!("{}", render(&table));
-    }
-}
-
-fn print_loc() {
-    println!("Extra client/server code for manual restore with plain RMI (§5.3.2):");
-    println!(
-        "{:<10} {:>14} {:>12} {:>10} {:>8}   NRMI",
-        "bench", "return types", "traversal", "shadow", "total"
-    );
-    for scenario in Scenario::ALL {
-        let l = loc(scenario);
-        println!(
-            "{:<10} {:>14} {:>12} {:>10} {:>8}   ~0 (implement Restorable)",
-            scenario.label(),
-            l.return_types,
-            l.traversal,
-            l.shadow,
-            l.total()
-        );
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("all");
     let compare = !args.iter().any(|a| a == "--bare");
+    if let Some(text) = report(command, compare) {
+        print!("{text}");
+        return;
+    }
     match command {
-        "all" => {
-            for id in 1..=6 {
-                print_table(id, compare);
-                println!();
-            }
-            print_loc();
-            println!();
-            let all = run_all_tables();
-            println!("{}", render_observations(&check_observations(&all)));
-            println!(
-                "\nextensions: `tables -- semantics | sweep | delta | warm | hotpath | faults | scaling | table7 | leak`"
-            );
-        }
-        "loc" => print_loc(),
-        "semantics" => {
-            let cells = nrmi_bench::semantics_matrix::run_matrix();
-            println!("{}", nrmi_bench::semantics_matrix::render_matrix(&cells));
-        }
-        "leak" => {
-            let report = nrmi_bench::leak::run_leak_experiment(64, 8);
-            println!("{}", nrmi_bench::leak::render_leak_report(&report));
-        }
-        "table7" => {
-            println!("{}", render_map_experiment(&run_map_experiment()));
-        }
-        "delta" => {
-            let points = run_delta_sweep(1024);
-            println!("{}", render_delta_sweep(1024, &points));
-        }
         "warm" => {
             let rows = nrmi_bench::warm::run_warm_ablation(1024);
             println!("{}", nrmi_bench::warm::render_warm_ablation(1024, &rows));
@@ -153,34 +94,6 @@ fn main() {
             }
             println!("[PASS] warm allocation budget and batched-wire copy ceiling hold");
         }
-        "sweep" => {
-            for scenario in [Scenario::I, Scenario::III] {
-                let cells = run_sweep(scenario, 1024);
-                println!("{}", render_sweep(scenario, 1024, &cells));
-                let violations = monotonicity_violations(&cells);
-                match scenario {
-                    Scenario::III => {
-                        if violations.is_empty() {
-                            println!("[PASS] scenario III: NRMI's advantage holds/grows with faster machines and slower networks\n");
-                        } else {
-                            println!("[FAIL] scenario III monotonicity violations:");
-                            for v in violations {
-                                println!("  - {v}");
-                            }
-                        }
-                    }
-                    _ => {
-                        println!(
-                            "(scenario I note: the manual return-value restore ships fewer bytes than\n NRMI's annotated reply, so on slow networks the ratio converges to the byte\n ratio rather than 1.0 — see nrmi_bench::sensitivity docs)\n"
-                        );
-                    }
-                }
-            }
-        }
-        "checks" => {
-            let all = run_all_tables();
-            println!("{}", render_observations(&check_observations(&all)));
-        }
         "check" => {
             // The nrmi-check verification gate: schema analysis, registry
             // drift diff, and the exhaustive protocol model check. CI
@@ -197,13 +110,6 @@ fn main() {
             if report.has_errors() {
                 std::process::exit(1);
             }
-        }
-        table if table.starts_with("table") => {
-            let id: usize = table["table".len()..].parse().unwrap_or_else(|_| {
-                eprintln!("usage: tables [all|loc|checks|table1..table6] [--bare]");
-                std::process::exit(2);
-            });
-            print_table(id, compare);
         }
         _ => {
             eprintln!("usage: tables [all|loc|check|checks|sweep|delta|warm|hotpath|faults|scaling|leak|semantics|table1..table7] [--bare]");

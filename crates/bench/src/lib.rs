@@ -22,7 +22,9 @@
 //!   against the regenerated tables;
 //! * [`sensitivity`] — sweeps bandwidth × machine speed to check the
 //!   paper's prediction that NRMI's relative overhead shrinks on faster
-//!   machines and slower networks.
+//!   machines and slower networks;
+//! * [`report`] — the text of the `tables` binary's deterministic
+//!   subcommands, which `tests/tables_golden.rs` pins.
 //!
 //! Binaries: `cargo run -p nrmi-bench --bin tables -- all` and
 //! `cargo run -p nrmi-bench --bin figures`.
@@ -41,6 +43,7 @@ pub mod manual;
 pub mod observations;
 pub mod paper;
 pub mod per_write;
+pub mod report;
 pub mod scaling;
 pub mod semantics_matrix;
 pub mod sensitivity;
