@@ -81,6 +81,7 @@ fn measure(size: usize, fraction: f64, delta: bool) -> (usize, f64) {
     let (_, stats) = session
         .call_with_stats("touch", "touch", &[Value::Ref(w.root)], opts)
         .expect("call");
+    session.shutdown().expect("shutdown");
     (stats.reply_bytes, env.report().total_ms())
 }
 

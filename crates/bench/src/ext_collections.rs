@@ -144,6 +144,7 @@ fn run_config(entries: usize, updates: usize, config: Config) -> f64 {
                 .expect("delta call");
         }
     }
+    session.shutdown().expect("shutdown");
     env.report().total_ms()
 }
 

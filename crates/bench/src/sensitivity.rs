@@ -106,6 +106,7 @@ fn run_cell(scenario: Scenario, size: usize, bandwidth_bps: f64, speedup: f64) -
             manual_restore_call(&mut session, "bench", scenario, w.root, &w.aliases)
                 .expect("manual");
         }
+        session.shutdown().expect("shutdown");
         env.report().total_ms()
     };
 

@@ -2,8 +2,10 @@
 //!
 //! Every cell runs the *real* middleware — graphs are built, serialized,
 //! shipped over the in-process transport, mutated, and restored — while
-//! the [`SimEnv`] accounts what that work would have cost on the paper's
-//! 2003 testbed (750 MHz + 440 MHz hosts, 100 Mbps LAN). The reported
+//! each node counts the work it did. When the session stops, the
+//! [`SimEnv`] prices those counts at what they would have cost on the
+//! paper's 2003 testbed (750 MHz + 440 MHz hosts, 100 Mbps LAN), beside
+//! the link transfers it charged as they happened. The reported
 //! value is simulated milliseconds per call, directly comparable to the
 //! published numbers in [`paper`](crate::paper).
 
@@ -147,6 +149,7 @@ fn simulated_call(
         .build();
     let w = build_workload(session.heap(), &classes, scenario, size, SEED).expect("workload");
     run(&mut session, w.root, &w.aliases);
+    session.shutdown().expect("shutdown");
     env.report().total_ms()
 }
 
@@ -486,6 +489,7 @@ mod tests {
                     CallOptions::forced(PassMode::CopyRestore),
                 )
                 .expect("call");
+            session.shutdown().expect("shutdown");
             env.report().total_ms()
         };
         let few = run_with_aliases(2);

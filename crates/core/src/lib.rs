@@ -81,7 +81,7 @@ pub use lockcheck::{
     allow_blocking, BlockingAllowance, LockClass, TrackedMutex, TrackedRwLock, WitnessSnapshot,
 };
 pub use node::{ClientNode, NodeHooks, NodeState, ServerNode};
-pub use profile::{CostModel, JdkGeneration, NrmiFlavor, RuntimeProfile};
+pub use profile::{CostModel, JdkGeneration, NrmiFlavor, RuntimeProfile, WorkCounts};
 pub use protocol::{
     client_apply_reply, client_invoke, client_invoke_on_object_with_stats, client_invoke_pipelined,
     client_invoke_with_stats, client_marshal_call, serve_connection, CallStats, Connection,

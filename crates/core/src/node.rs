@@ -3,11 +3,11 @@
 use std::collections::HashMap;
 
 use nrmi_heap::{Heap, ObjId, SharedRegistry, Value};
-use nrmi_transport::{MachineSpec, RVal, SimEnv};
+use nrmi_transport::{MachineSpec, RVal};
 use nrmi_wire::{Codec, RemoteHooks, WireError};
 
 use crate::export::ExportTable;
-use crate::profile::RuntimeProfile;
+use crate::profile::WorkCounts;
 use crate::service::RemoteService;
 
 /// State common to both ends of a connection: a heap, the export table
@@ -21,12 +21,12 @@ pub struct NodeState {
     pub exports: ExportTable,
     /// Peer key → local stub object.
     pub stubs: HashMap<u64, ObjId>,
-    /// The machine this node models (for simulated CPU accounting).
+    /// The machine this node models: what a simulated session prices
+    /// its [`work`](Self::work) tally on.
     pub machine: MachineSpec,
-    /// The middleware stack being modelled.
-    pub profile: RuntimeProfile,
-    /// Simulated-cost accumulator (optional; `None` disables accounting).
-    pub env: Option<SimEnv>,
+    /// What this node's middleware has done since it was created, in
+    /// the units the cost model prices ([`crate::profile`]).
+    pub work: WorkCounts,
     /// Reusable encoder scratch (position maps + payload-buffer pool);
     /// every encode this node performs runs through it so steady-state
     /// calls stop allocating bookkeeping.
@@ -41,24 +41,8 @@ impl NodeState {
             exports: ExportTable::new(),
             stubs: HashMap::new(),
             machine,
-            profile: RuntimeProfile::default(),
-            env: None,
+            work: WorkCounts::default(),
             codec: Codec::new(),
-        }
-    }
-
-    /// Installs simulated-cost accounting.
-    pub fn with_sim(mut self, env: SimEnv, profile: RuntimeProfile) -> Self {
-        self.env = Some(env);
-        self.profile = profile;
-        self
-    }
-
-    /// Charges `us` microseconds of CPU on this node's machine, if
-    /// accounting is enabled.
-    pub fn charge_cpu(&self, us: f64) {
-        if let Some(env) = &self.env {
-            env.charge_cpu(&self.machine, us);
         }
     }
 
@@ -187,7 +171,7 @@ impl RemoteHooks for NodeHooks<'_> {
 
 /// Server-side state: node state plus the bound services.
 pub struct ServerNode {
-    /// Shared node state (heap, tables, accounting).
+    /// Shared node state (heap, tables, work tally).
     pub state: NodeState,
     /// Services by registry name.
     pub services: HashMap<String, Box<dyn RemoteService>>,
@@ -306,7 +290,7 @@ impl ServerNode {
 /// Client-side state: node state plus the warm-call session caches.
 #[derive(Debug)]
 pub struct ClientNode {
-    /// Shared node state (heap, tables, accounting).
+    /// Shared node state (heap, tables, work tally).
     pub state: NodeState,
     /// Warm-call session caches, one per service
     /// (see [`crate::warm`]).

@@ -73,8 +73,6 @@ impl<'a> RemoteHeapProxy<'a> {
     /// Issues one callback round trip and returns the reply frame.
     fn roundtrip(&mut self, request: Frame) -> Result<Frame, HeapError> {
         self.stats.callbacks += 1;
-        let cost = self.node.profile.cost().callback_proxy_us;
-        self.node.charge_cpu(cost);
         self.transport.send(&request).map_err(Self::remote_error)?;
         match self.transport.recv().map_err(Self::remote_error)? {
             Frame::ErrorReply { message } => Err(HeapError::RemoteAccess(message)),
@@ -240,62 +238,44 @@ impl HeapAccess for RemoteHeapProxy<'_> {
 /// reply to send, or `None` for frames that are not callbacks (the
 /// caller's receive loop handles those itself).
 pub fn handle_callback(node: &mut NodeState, frame: &Frame) -> Option<Frame> {
-    let cost = node.profile.cost().callback_owner_us;
     let reply = match frame {
-        Frame::GetField { key, field } => {
-            node.charge_cpu(cost);
-            with_export(node, *key, |node, obj| {
-                let v = node.heap.get_field_raw(obj, *field as usize)?;
-                let rv = node.value_to_rval(&v)?;
-                Ok(Frame::ValueReply(rv))
-            })
-        }
-        Frame::SetField { key, field, value } => {
-            node.charge_cpu(cost);
-            with_export(node, *key, |node, obj| {
-                let v = node
-                    .rval_to_value(value)
-                    .map_err(|e| HeapError::RemoteAccess(e.to_string()))?;
-                node.heap.set_field_raw(obj, *field as usize, v)?;
-                Ok(Frame::Ack)
-            })
-        }
-        Frame::GetElement { key, index } => {
-            node.charge_cpu(cost);
-            with_export(node, *key, |node, obj| {
-                let v = node.heap.get_element(obj, *index as usize)?;
-                let rv = node.value_to_rval(&v)?;
-                Ok(Frame::ValueReply(rv))
-            })
-        }
-        Frame::SetElement { key, index, value } => {
-            node.charge_cpu(cost);
-            with_export(node, *key, |node, obj| {
-                let v = node
-                    .rval_to_value(value)
-                    .map_err(|e| HeapError::RemoteAccess(e.to_string()))?;
-                node.heap.set_element(obj, *index as usize, v)?;
-                Ok(Frame::Ack)
-            })
-        }
-        Frame::SlotCount { key } => {
-            node.charge_cpu(cost);
-            with_export(node, *key, |node, obj| {
-                Ok(Frame::CountReply(node.heap.slot_count(obj)? as u64))
-            })
-        }
-        Frame::ClassOf { key } => {
-            node.charge_cpu(cost);
-            with_export(node, *key, |node, obj| {
-                Ok(Frame::ClassReply(node.heap.class_of(obj)?.index()))
-            })
-        }
+        Frame::GetField { key, field } => with_export(node, *key, |node, obj| {
+            let v = node.heap.get_field_raw(obj, *field as usize)?;
+            let rv = node.value_to_rval(&v)?;
+            Ok(Frame::ValueReply(rv))
+        }),
+        Frame::SetField { key, field, value } => with_export(node, *key, |node, obj| {
+            let v = node
+                .rval_to_value(value)
+                .map_err(|e| HeapError::RemoteAccess(e.to_string()))?;
+            node.heap.set_field_raw(obj, *field as usize, v)?;
+            Ok(Frame::Ack)
+        }),
+        Frame::GetElement { key, index } => with_export(node, *key, |node, obj| {
+            let v = node.heap.get_element(obj, *index as usize)?;
+            let rv = node.value_to_rval(&v)?;
+            Ok(Frame::ValueReply(rv))
+        }),
+        Frame::SetElement { key, index, value } => with_export(node, *key, |node, obj| {
+            let v = node
+                .rval_to_value(value)
+                .map_err(|e| HeapError::RemoteAccess(e.to_string()))?;
+            node.heap.set_element(obj, *index as usize, v)?;
+            Ok(Frame::Ack)
+        }),
+        Frame::SlotCount { key } => with_export(node, *key, |node, obj| {
+            Ok(Frame::CountReply(node.heap.slot_count(obj)? as u64))
+        }),
+        Frame::ClassOf { key } => with_export(node, *key, |node, obj| {
+            Ok(Frame::ClassReply(node.heap.class_of(obj)?.index()))
+        }),
         Frame::DgcClean { key } => {
             node.exports.clean(*key);
             return Some(Frame::Ack);
         }
         _ => return None,
     };
+    node.work.owner_callbacks += 1;
     Some(reply.unwrap_or_else(|e: HeapError| Frame::ErrorReply {
         message: e.to_string(),
     }))

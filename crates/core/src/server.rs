@@ -49,13 +49,12 @@ use std::time::Duration;
 
 use nrmi_heap::{ClassId, HeapAccess, SharedRegistry, Value};
 use nrmi_transport::{
-    Frame, MachineSpec, SimEnv, Transport, TransportError, TransportReceiver, TransportSender,
+    Frame, MachineSpec, Transport, TransportError, TransportReceiver, TransportSender,
 };
 
 use crate::error::NrmiError;
 use crate::lockcheck::{allow_blocking, LockClass, TrackedMutex, TrackedRwLock};
 use crate::node::{NodeState, ServerNode};
-use crate::profile::RuntimeProfile;
 use crate::protocol::{unexpected_frame, Connection};
 use crate::reactor::ReactorStep;
 use crate::reliable::{
@@ -230,8 +229,6 @@ struct Bindings {
 pub struct SharedServer {
     registry: SharedRegistry,
     machine: MachineSpec,
-    profile: RuntimeProfile,
-    env: Option<SimEnv>,
     bindings: TrackedRwLock<Bindings>,
     /// The global at-most-once reply cache (see [`ShardedReplyCache`]):
     /// the node's own, shared with every connection node this server
@@ -267,8 +264,6 @@ impl SharedServer {
         SharedServer {
             registry: state.heap.registry_handle().clone(),
             machine: state.machine.clone(),
-            profile: state.profile,
-            env: state.env.clone(),
             bindings: TrackedRwLock::new(
                 LockClass::Bindings,
                 Bindings {
@@ -299,9 +294,7 @@ impl SharedServer {
     /// its server-side copy before it returns; exports, stubs and warm
     /// sessions outlive it.
     pub fn connection_node(&self) -> ServerNode {
-        let mut state = NodeState::new(self.registry.clone(), self.machine.clone());
-        state.profile = self.profile;
-        state.env = self.env.clone();
+        let state = NodeState::new(self.registry.clone(), self.machine.clone());
         let bindings = self.bindings.read();
         ServerNode {
             state,

@@ -231,8 +231,7 @@ pub(crate) fn client_apply_stale(
     stats: &mut CallStats,
 ) -> bool {
     stats.reply_bytes += payload.len();
-    let per_byte_us = client.state.profile.cost().per_byte_us;
-    client.state.charge_cpu(payload.len() as f64 * per_byte_us);
+    client.state.work.bytes += payload.len() as u64;
     let applied = apply_stale(client, cache_id, version, payload);
     stats.stale_patches += u64::from(applied);
     applied
@@ -342,7 +341,6 @@ fn warm_call(
             return Ok(None);
         };
         let (cache_id, generation) = (cache.cache_id, cache.generation);
-        let cost = state.profile.cost();
 
         // Classify every synchronized position. The sync list is read
         // in place — the cache borrow and the heap borrow are disjoint
@@ -371,13 +369,11 @@ fn warm_call(
             }
             Err(e) => return Err(e.into()),
         };
-        stats.request_objects += enc.stats.new_count + enc.stats.dirty_count;
+        let objects = enc.stats.new_count + enc.stats.dirty_count;
+        stats.request_objects += objects;
         stats.request_bytes += enc.bytes.len();
-        client.state.charge_cpu(
-            cost.call_overhead_us
-                + (enc.stats.new_count + enc.stats.dirty_count) as f64 * cost.ser_per_obj_us
-                + enc.bytes.len() as f64 * cost.per_byte_us,
-        );
+        client.state.work.calls += 1;
+        client.state.work.encode(objects, enc.bytes.len());
 
         let target = CallTarget::Session {
             service,
@@ -807,17 +803,14 @@ fn classify(heap: &Heap, entry: &ServerWarmEntry) -> Staleness {
 /// no call executed) under a bumped revalidation version, is committed
 /// back into the cache set, and the patch travels as `CacheStale`.
 fn publish_patch(
-    state: &NodeState,
+    state: &mut NodeState,
     caches: &mut WarmCaches,
     cache_id: u64,
     mut entry: ServerWarmEntry,
     patch: EncodedDelta,
 ) -> Frame {
-    let cost = state.profile.cost();
-    state.charge_cpu(
-        (patch.stats.dirty_count + patch.stats.new_count) as f64 * cost.ser_per_obj_us
-            + patch.bytes.len() as f64 * cost.per_byte_us,
-    );
+    let objects = patch.stats.dirty_count + patch.stats.new_count;
+    state.work.encode(objects, patch.bytes.len());
     entry.sync.extend_from_slice(&patch.new_objects);
     entry.versions = versions_of(
         &state.heap,
@@ -1036,16 +1029,13 @@ fn run_warm_call(
         class_services,
         ..
     } = server;
-    let cost = state.profile.cost();
     let (svc, receiver) = resolve_callee(services, class_services, state, Callee::Named(service))?;
 
     let (codec, heap) = (&mut state.codec, &mut state.heap);
     let applied = codec.apply_delta(DeltaKind::Request, payload, heap, sync, &mut |_| true)?;
-    state.charge_cpu(
-        cost.dispatch_overhead_us
-            + (applied.stats.dirty_count + applied.stats.new_count) as f64 * cost.de_per_obj_us
-            + payload.len() as f64 * cost.per_byte_us,
-    );
+    state.work.dispatches += 1;
+    let objects = applied.stats.dirty_count + applied.stats.new_count;
+    state.work.decode(objects, payload.len());
     let next = next_sync(sync, &applied.freed_positions, &applied.new_objects);
     // The mark: everything the call writes from here on is stamped above
     // it.

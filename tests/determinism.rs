@@ -2,12 +2,24 @@
 //! reproducible, run to run and machine to machine — the property that
 //! makes the regenerated tables meaningful.
 
-use nrmi::core::{CallOptions, JdkGeneration, NrmiFlavor, PassMode, RuntimeProfile, Session};
+use nrmi::core::{
+    CallOptions, JdkGeneration, NrmiFlavor, PassMode, RuntimeProfile, Session, WorkCounts,
+};
 use nrmi::heap::Value;
 use nrmi::transport::{LinkSpec, MachineSpec, SimEnv};
 use nrmi_bench::workload::{bench_classes, build_workload, scenario_service, Scenario};
 
-fn measure_once(mode: PassMode) -> (f64, u64) {
+/// One simulated call: what each end counted, the bytes on the link,
+/// and the simulated time those price to.
+#[derive(Debug, PartialEq)]
+struct Measured {
+    client: WorkCounts,
+    server: WorkCounts,
+    bytes_sent: u64,
+    total_us: u64,
+}
+
+fn measure_once(mode: PassMode) -> Measured {
     let classes = bench_classes();
     let env = SimEnv::new();
     let svc = scenario_service(
@@ -40,8 +52,15 @@ fn measure_once(mode: PassMode) -> (f64, u64) {
             CallOptions::forced(mode),
         )
         .unwrap();
+    let client = session.client().state.work;
+    let server = session.shutdown().unwrap().state.work;
     let report = env.report();
-    (report.total_us(), report.bytes_sent)
+    Measured {
+        client,
+        server,
+        bytes_sent: report.bytes_sent,
+        total_us: report.total_us().to_bits(),
+    }
 }
 
 #[test]
@@ -52,14 +71,15 @@ fn simulated_measurements_are_bit_identical_across_runs() {
         PassMode::RemoteRef,
         PassMode::DceRpc,
     ] {
-        let (us1, bytes1) = measure_once(mode);
-        let (us2, bytes2) = measure_once(mode);
-        assert_eq!(bytes1, bytes2, "{mode:?}: byte counts must be identical");
-        assert!(
-            (us1 - us2).abs() < f64::EPSILON * us1.abs(),
-            "{mode:?}: simulated time must be identical: {us1} vs {us2}"
+        let first = measure_once(mode);
+        assert_eq!(
+            first,
+            measure_once(mode),
+            "{mode:?}: counts, bytes and simulated time must be identical"
         );
-        assert!(us1 > 0.0 && bytes1 > 0, "{mode:?}: something was measured");
+        assert!(first.bytes_sent > 0, "{mode:?}: something was measured");
+        assert_eq!(first.client.calls, 1, "{mode:?}");
+        assert_eq!(first.server.dispatches, 1, "{mode:?}");
     }
 }
 
