@@ -18,8 +18,10 @@
 //!   original environment's proportions, independent of the host machine.
 //!
 //! The two layers are independent: transports work without a `SimEnv`
-//! (no accounting), and the middleware charges the `SimEnv` explicitly
-//! for the work it models (serialization CPU, restore CPU, transfers).
+//! (no accounting). With one, the in-process channel charges each frame's
+//! transfer as it is sent; the middleware's CPU is not charged as it
+//! runs — each node counts its work, and the simulated session prices
+//! the counts into the `SimEnv` once the run is over.
 
 // Denied (not forbidden) so the `poller` module can scope an allow for
 // its two lines of `poll(2)` FFI; everything else stays safe Rust.

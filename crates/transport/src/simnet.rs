@@ -4,11 +4,12 @@
 //! 440 MHz Ultra 10, and a 100 Mbps effective-bandwidth network — is long
 //! gone, and wall-clock measurements on a modern laptop would reproduce
 //! neither the CPU/network balance nor the fast/slow machine asymmetry
-//! the paper's numbers rest on. This module models that environment:
-//! middleware code charges a shared [`SimEnv`] with CPU microseconds
-//! (scaled by the executing [`MachineSpec`]'s speed factor) and with byte
-//! transfers over a [`LinkSpec`] (latency + serialization delay at the
-//! link's bandwidth). The accumulated clock is the simulated elapsed time
+//! the paper's numbers rest on. This module models that environment: a
+//! shared [`SimEnv`] is charged CPU microseconds (scaled by the executing
+//! [`MachineSpec`]'s speed factor) — the middleware's priced work counts,
+//! and a benchmark's own modelled computation — and byte transfers over
+//! a [`LinkSpec`] (latency + serialization delay at the link's
+//! bandwidth). The accumulated clock is the simulated elapsed time
 //! of a synchronous RPC exchange, which is exactly what the paper's
 //! tables report (milliseconds per call).
 
@@ -148,9 +149,10 @@ impl SimReport {
 
 /// Shared simulated-cost accumulator for one experiment.
 ///
-/// Clone handles freely; all clones share one clock. Middleware charges
-/// it as work happens; benchmarks snapshot with [`SimEnv::report`] and
-/// reset between measurements with [`SimEnv::reset`].
+/// Clone handles freely; all clones share one clock. Transfers are
+/// charged as frames are sent, CPU when a run's work counts are priced;
+/// benchmarks snapshot with [`SimEnv::report`] and reset between
+/// measurements with [`SimEnv::reset`].
 #[derive(Clone, Debug, Default)]
 pub struct SimEnv {
     inner: Arc<Mutex<Tallies>>,
